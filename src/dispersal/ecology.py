@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import EigenDiverged, SolverError, ThetaDiverged, ValidationError
 from .grids import ScalarField, SpatialGrid, mirror_laplacian, parabola_vertex
@@ -170,8 +171,9 @@ def principal_eigenpair(alpha: float, c: ScalarField, *,
     makes A - (shift)I positive definite for shift = -max c - 1, so one banded
     Cholesky factorization drives all iterations.
     """
-    if alpha <= 0.0:
-        raise ValidationError("dispersal rate must be positive", alpha=alpha)
+    if not 0.0 < alpha < np.inf:
+        raise ValidationError("dispersal rate must be positive and finite",
+                              alpha=alpha)
     cv = c.values
     h = c.grid.h_x
     main, off = _operator_diagonals(alpha, cv, h)
@@ -179,7 +181,12 @@ def principal_eigenpair(alpha: float, c: ScalarField, *,
     ab = np.zeros((2, cv.size))
     ab[1, :] = main - shift
     ab[0, 1:] = off
-    cb = cholesky_banded(ab, lower=False)
+    # LAPACK directly, without the scipy wrappers' finiteness and batch
+    # checks: their overhead dominates these small solves, and the inputs
+    # are finite (alpha checked above, c by ScalarField)
+    cb, info = dpbtrf(ab, lower=0)
+    if info != 0:
+        raise SolverError("shifted operator not positive definite", info=info)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         out = main * v
@@ -192,7 +199,9 @@ def principal_eigenpair(alpha: float, c: ScalarField, *,
     lam = 0.0
     residual = np.inf
     for _ in range(max_iter):
-        w = cho_solve_banded((cb, False), v)
+        w, info = dpbtrs(cb, v, lower=0)
+        if info != 0:
+            raise SolverError("banded Cholesky solve failed", info=info)
         if w.min() <= 0.0:
             # the resolvent of an irreducible M-matrix is positive, so this
             # can only be round-off catastrophe
@@ -331,13 +340,14 @@ def rate_pair_exponent(alpha1: float, alpha2: float, m: ScalarField,
     return principal_eigenpair(alpha1, c).lam
 
 
-def lambda_derivs(z1: float, z2: float, profile: DispersalProfile,
-                  m: ScalarField, cache: ThetaCache | None = None,
-                  h_d: float | None = None) -> tuple[float, float]:
-    """(d/dz1) lambda and (d2/dz1^2) lambda by second-order differences.
+def _lambda_stencil(z1: float, z2: float, profile: DispersalProfile,
+                    m: ScalarField, cache: ThetaCache | None,
+                    h_d: float | None) -> tuple[float, Callable[[], float]]:
+    """(d/dz1) lambda, and a thunk for (d2/dz1^2) lambda.
 
-    Central stencils in the interior; one-sided stencils within h_d of the
-    trait endpoints.
+    Second-order differences: central stencils in the interior, where the
+    first difference never reads lambda(z1), so only the thunk solves for
+    it; one-sided stencils within h_d of the trait endpoints.
     """
     cache = cache if cache is not None else ThetaCache(profile, m)
     a, b = profile.a, profile.b
@@ -349,16 +359,34 @@ def lambda_derivs(z1: float, z2: float, profile: DispersalProfile,
     if z1 - h < a:
         f0, f1, f2, f3 = f(z1), f(z1 + h), f(z1 + 2 * h), f(z1 + 3 * h)
         d1 = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        d2 = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
     elif z1 + h > b:
         f0, f1, f2, f3 = f(z1), f(z1 - h), f(z1 - 2 * h), f(z1 - 3 * h)
         d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
-        d2 = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
     else:
-        fm, f0, fp = f(z1 - h), f(z1), f(z1 + h)
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fm - 2.0 * f0 + fp) / (h * h)
-    return d1, d2
+        fm, fp = f(z1 - h), f(z1 + h)
+        return (fp - fm) / (2.0 * h), lambda: (fm - 2.0 * f(z1) + fp) / (h * h)
+    return d1, lambda: (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
+
+
+def lambda_derivs(z1: float, z2: float, profile: DispersalProfile,
+                  m: ScalarField, cache: ThetaCache | None = None,
+                  h_d: float | None = None) -> tuple[float, float]:
+    """(d/dz1) lambda and (d2/dz1^2) lambda by second-order differences.
+
+    Central stencils in the interior; one-sided stencils within h_d of the
+    trait endpoints.
+    """
+    d1, second = _lambda_stencil(z1, z2, profile, m, cache, h_d)
+    return d1, second()
+
+
+def lambda_slope(z1: float, z2: float, profile: DispersalProfile,
+                 m: ScalarField, cache: ThetaCache | None = None) -> float:
+    """(d/dz1) lambda alone, bit-identical to lambda_derivs' first entry.
+
+    In the interior this takes two eigensolves instead of three.
+    """
+    return _lambda_stencil(z1, z2, profile, m, cache, None)[0]
 
 
 def lambda_table(z1s: np.ndarray, z2s: np.ndarray, profile: DispersalProfile,

@@ -8,6 +8,7 @@ with unknown keys rejected by name before any compute starts.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,7 +120,7 @@ class ExperimentSpec:
 def _parse_value(key: Key, raw: str):
     try:
         if key.kind == "float":
-            return float(raw)
+            return _finite(key, raw, float(raw))
         if key.kind == "int":
             return int(raw)
         if key.kind == "bool":
@@ -131,11 +132,20 @@ def _parse_value(key: Key, raw: str):
             raise ValueError(raw)
         if key.kind == "floats":
             parts = [p for p in raw.replace(";", ",").split(",") if p.strip()]
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(key, raw, float(p)) for p in parts)
         return raw.strip()
     except ValueError as exc:
         raise ValidationError(f"cannot parse key '{key.name}' as {key.kind}",
                               key=key.name, value=raw) from exc
+
+
+def _finite(key: Key, raw: str, value: float) -> float:
+    # nan and inf parse as floats but no command can use them; left in,
+    # they surface as scipy or overflow tracebacks deep in a run
+    if not math.isfinite(value):
+        raise ValidationError(f"key '{key.name}' must be finite",
+                              key=key.name, value=raw)
+    return value
 
 
 def load_spec(command: str, config_path: str | Path | None,

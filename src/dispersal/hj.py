@@ -15,12 +15,12 @@ allowed to share update code; their agreement is a correctness oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .ecology import DispersalProfile, ThetaCache, lambda_derivs, lambda_table
+from .ecology import DispersalProfile, ThetaCache, lambda_slope, lambda_table
 from .errors import (CurvatureCollapsed, SolverError, TrajectoryHitBoundary,
                      ValidationError)
 from .grids import ScalarField, TraitField, TraitGrid, argmin_refined
@@ -57,9 +57,11 @@ class SyntheticSource:
 class SelfConsistentSource:
     """Invasion-exponent source R(z, zbar) = lambda(z, zbar).
 
-    Rate rows for the grid nodes are linearly interpolated from a
-    precomputed table over resident samples; the diagonal gradient used by
-    the canonical ODE is evaluated directly (no table) for accuracy.
+    Rate rows for the grid nodes are linearly interpolated between the two
+    resident samples that bracket zbar.  Each resident column is computed on
+    first use and kept, so a run pays only for the residents its minimizer
+    visits.  The diagonal gradient used by the canonical ODE is evaluated
+    directly (no table) for accuracy.
     """
 
     def __init__(self, profile: DispersalProfile, m: ScalarField,
@@ -75,8 +77,15 @@ class SelfConsistentSource:
         self.cache = cache if cache is not None else ThetaCache(profile, m)
         self.diag_tol = diag_tol
         self._residents = np.linspace(profile.a, profile.b, resident_samples)
-        self._table = lambda_table(grid.nodes, self._residents, profile, m,
-                                   cache=self.cache)
+        self._columns: dict[int, np.ndarray] = {}
+
+    def _column(self, j: int) -> np.ndarray:
+        col = self._columns.get(j)
+        if col is None:
+            col = lambda_table(self.grid.nodes, self._residents[j:j + 1],
+                               self.profile, self.m, cache=self.cache)[:, 0]
+            self._columns[j] = col
+        return col
 
     def rate(self, z: np.ndarray, t: float, zbar: float | None = None) -> np.ndarray:
         if zbar is None:
@@ -84,7 +93,7 @@ class SelfConsistentSource:
         r = self._residents
         j = int(np.clip(np.searchsorted(r, zbar) - 1, 0, r.size - 2))
         w = np.clip((zbar - r[j]) / (r[j + 1] - r[j]), 0.0, 1.0)
-        row = (1.0 - w) * self._table[:, j] + w * self._table[:, j + 1]
+        row = (1.0 - w) * self._column(j) + w * self._column(j + 1)
         diag = float(np.interp(zbar, self.grid.nodes, row))
         if abs(diag) > self.diag_tol:
             raise SolverError("invasion exponent nonzero on the diagonal",
@@ -94,8 +103,7 @@ class SelfConsistentSource:
         return row
 
     def diag_gradient(self, zbar: float, t: float = 0.0) -> float:
-        d1, _ = lambda_derivs(zbar, zbar, self.profile, self.m, self.cache)
-        return d1
+        return lambda_slope(zbar, zbar, self.profile, self.m, self.cache)
 
 
 class ExternalSource:
@@ -131,7 +139,6 @@ class HJSolution:
     dt: float
     K3: float               # max over records of max(sigma, 1/sigma)
     max_drift: float        # max pre-normalization |min V| per unit step
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.max(np.abs(self.V.min(axis=1))) != 0.0:
@@ -194,16 +201,14 @@ def _extract_sigma(v: np.ndarray, grid: TraitGrid, j: int,
 
 
 def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
-                         t0: float = 0.0, record_every: int = 1,
-                         picard_iterations: int = 0) -> HJSolution:
+                         t0: float = 0.0, record_every: int = 1) -> HJSolution:
     """Godunov marching of the constrained equation on [t0, t0+T].
 
     Each requested step is internally subdivided by halving whenever the
     gradient-dependent CFL bound demands it; the minimum is re-zeroed after
     every substep and the subtracted amount accumulates into the reported
     multiplier.  The source is evaluated at the current step's minimizer
-    (explicit coupling); picard_iterations > 0 re-evaluates the minimizer
-    from the trial update and repeats, as a sensitivity option.
+    (explicit coupling).
     """
     grid = V0.grid
     if dt <= 0.0 or T <= 0.0:
@@ -249,14 +254,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
                                             t=t, z=float(z[j]))
             zb_now, _, _ = argmin_refined(TraitField(grid, v))
             ham = _godunov_hamiltonian(p_minus, p_plus)
-            for _ in range(max(picard_iterations, 0) + 1):
-                rate = source.rate(z, t, zb_now)
-                trial = v - dt_sub * ham + dt_sub * rate
-                jj = int(np.argmin(trial))
-                if picard_iterations == 0 or jj in (0, trial.size - 1):
-                    break
-                zb_now, _, _ = argmin_refined(TraitField(grid, trial))
-            v = trial
+            v = v - dt_sub * ham + dt_sub * source.rate(z, t, zb_now)
             low = float(v.min())
             max_drift = max(max_drift, abs(low) / dt_sub)
             v -= low
@@ -283,8 +281,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
 
     return HJSolution(grid, np.array(times), np.array(records),
                       np.array(zbar), np.array(sigma), np.array(multiplier),
-                      dt, float(k3), float(max_drift),
-                      meta={"picard_iterations": picard_iterations})
+                      dt, float(k3), float(max_drift))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ offset from its minimum.  Each test prints one PASS/FAIL line (visible
 with -s) and asserts the same condition.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,22 @@ def test_criterion_07_headline_sweep(sweep):
     detail += (f"; C={max(ratios):.2f}"
                f"; width {[round(w, 3) for w in sweep.metrics['width']]}")
     report_line(7, all(checks.values()), detail)
+
+
+def test_sweep_matches_golden_metrics(sweep):
+    """The nine headline metrics per scale, pinned at rtol 1e-6.
+
+    golden_sweep.json holds run_convergence's metrics at the converge
+    defaults, written at full precision.  A change that moves any of them
+    past the tolerance must say so and regenerate the file.
+    """
+    golden = json.loads((Path(__file__).parent / "golden_sweep.json")
+                        .read_text(encoding="utf-8"))
+    assert list(sweep.eps_list) == golden["eps_list"]
+    assert set(sweep.metrics) == set(golden["metrics"])
+    for name, values in golden["metrics"].items():
+        np.testing.assert_allclose(sweep.metrics[name], values, rtol=1e-6,
+                                   atol=0.0, err_msg=name)
 
 
 def test_criterion_08_effective_hamiltonian_convergence(sweep):

@@ -36,6 +36,22 @@ def test_unparsable_value_names_the_key(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,override", [
+    ("theta", "alpha=nan"),
+    ("pde", "T=nan"),
+    ("hj", "T=inf"),
+    ("converge", "eps_list=0.05,0.025,nan"),
+])
+def test_non_finite_value_is_rejected(tmp_path, capsys, command, override):
+    code = run_cli(command, "--out", str(tmp_path), "--override", override)
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "validation"
+    assert payload["diagnostics"]["key"] == override.split("=")[0]
+
+
 def test_config_file_and_override_precedence(tmp_path):
     ini = tmp_path / "exp.ini"
     # T and K0 exercise case preservation (configparser lowercases by

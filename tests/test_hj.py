@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dispersal.bundle import EffectiveHamiltonian
-from dispersal.ecology import construct_alpha
+from dispersal.ecology import construct_alpha, lambda_table
 from dispersal.errors import (CurvatureCollapsed, SolverError,
                               TrajectoryHitBoundary, ValidationError)
 from dispersal.grids import SpatialGrid, TraitField, TraitGrid, default_m
+import dispersal.hj as hj
 from dispersal.hj import (ExternalSource, SelfConsistentSource,
                           SyntheticSource, canonical_ode, lax_oleinik,
                           monotonicity_check, solve_constrained_hj)
@@ -221,6 +222,42 @@ def test_selfconsistent_diagonal_guard(ecology_setup):
                                   resident_samples=9, diag_tol=1e-9)
     with pytest.raises(SolverError):
         strict.rate(strict.grid.nodes, 0.0, 0.21)
+
+
+def test_selfconsistent_rate_matches_eager_table(ecology_setup):
+    m, profile = ecology_setup
+    grid = TraitGrid(16)
+    # the diagonal guard fires at the trait ends on this coarse grid; the
+    # test is about which columns are read and how they are blended
+    src = SelfConsistentSource(profile, m, grid, resident_samples=9,
+                               diag_tol=np.inf)
+    residents = np.linspace(profile.a, profile.b, 9)
+    table = lambda_table(grid.nodes, residents, profile, m)
+    for zbar in (profile.a, residents[3], 0.1, profile.b):
+        j = int(np.clip(np.searchsorted(residents, zbar) - 1, 0, 7))
+        w = np.clip((zbar - residents[j]) / (residents[j + 1] - residents[j]),
+                    0.0, 1.0)
+        eager = (1.0 - w) * table[:, j] + w * table[:, j + 1]
+        assert np.array_equal(src.rate(grid.nodes, 0.0, zbar), eager)
+
+
+def test_selfconsistent_computes_only_visited_columns(ecology_setup,
+                                                      monkeypatch):
+    m, profile = ecology_setup
+    columns = []
+
+    def counting_table(z1s, z2s, *args, **kwargs):
+        columns.extend(z2s)
+        return lambda_table(z1s, z2s, *args, **kwargs)
+
+    monkeypatch.setattr(hj, "lambda_table", counting_table)
+    grid = TraitGrid(128)
+    src = SelfConsistentSource(profile, m, grid)
+    assert columns == []
+    solve_constrained_hj(src, quadratic_initial(grid, center=0.25), 0.05,
+                         1e-3)
+    assert 2 <= len(columns) <= 3
+    assert len(set(columns)) == len(columns)
 
 
 def test_monotonicity_check_cases(sc_source):
