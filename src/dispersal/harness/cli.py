@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.command, args.config, args.override, out)
     except DispersalError as exc:
-        print(json.dumps(exc.to_json_dict(), default=str), file=sys.stderr)
+        print(json.dumps(exc.to_json_dict(), allow_nan=False), file=sys.stderr)
         return exc.exit_code
     return run_command(spec)
 

@@ -248,7 +248,7 @@ def run_command(spec: ExperimentSpec) -> int:
     except DispersalError as exc:
         payload = exc.to_json_dict()
         write_json(out / "error.json", payload)
-        print(json.dumps(payload, default=str), file=sys.stderr)
+        print(json.dumps(payload, allow_nan=False), file=sys.stderr)
         return exc.exit_code
     write_json(out / "summary.json", {
         "command": spec.command,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, plain
 
 
 def format_cell(value) -> str:
@@ -45,19 +45,9 @@ def read_csv(path: Path) -> dict[str, np.ndarray]:
     return out
 
 
-def _plain(value):
-    if isinstance(value, Path):
-        return str(value)
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def write_json(path: Path, payload: dict) -> None:
     Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, default=plain) + "\n",
         encoding="utf-8")
 
 

@@ -94,7 +94,12 @@ class SelfConsistentSource:
         j = int(np.clip(np.searchsorted(r, zbar) - 1, 0, r.size - 2))
         w = np.clip((zbar - r[j]) / (r[j + 1] - r[j]), 0.0, 1.0)
         row = (1.0 - w) * self._column(j) + w * self._column(j + 1)
-        diag = float(np.interp(zbar, self.grid.nodes, row))
+        # linear in zbar between nodes and, unlike np.interp, not clamped
+        # beyond the end nodes, which lie half a cell inside the walls
+        nodes = self.grid.nodes
+        i = int(np.clip(np.searchsorted(nodes, zbar) - 1, 0, nodes.size - 2))
+        diag = float(row[i] + (zbar - nodes[i]) * (row[i + 1] - row[i])
+                     / (nodes[i + 1] - nodes[i]))
         if abs(diag) > self.diag_tol:
             raise SolverError("invasion exponent nonzero on the diagonal",
                               zbar=float(zbar), value=diag, tol=self.diag_tol)

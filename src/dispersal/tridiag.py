@@ -1,106 +1,77 @@
-"""Tridiagonal helpers for the implicit Neumann diffusion solves.
+"""One factor-once kernel for the implicit Neumann diffusion solves.
 
-All implicit substeps in the package invert matrices of the form I - mu*L,
-with L the mirror-ghost Neumann Laplacian.  These are symmetric M-matrices
-(positive diagonal, nonpositive off-diagonal, diagonally dominant), so a
-Cholesky factorization exists, can be reused across time steps, and the
-inverse is entrywise positive -- which is what preserves positivity of the
-marched densities exactly.
+Every implicit substep in the package solves (I - mu*L) x = b, with L the
+mirror-ghost Neumann Laplacian on n nodes of spacing h.  `_factor` stacks one
+n-node block per mu along a single axis, with zero couplings between the
+blocks, and factors the whole symmetric tridiagonal matrix once with LAPACK's
+dpttrf (A = L D L^T, L unit lower bidiagonal).  Each later solve is one
+dpttrs call, for any number of right-hand sides.  `FactoredDiffusion` (one
+mu, many right-hand sides) and `BlockDiffusion` (one mu per slice) are thin
+front-ends over that kernel.
+
+Positivity: I - mu*L is a diagonally dominant M-matrix, so its factor has
+pivots d > 0 and multipliers l <= 0.  Forward substitution
+y_i = b_i - l_{i-1} y_{i-1}, the scaling by 1/d_i and back substitution
+x_i = y_i / d_i - l_i x_{i+1} then only add nonnegative terms, so a positive
+right-hand side gives a strictly positive solution.  That sign pattern is
+checked once per factorization; it is what keeps the marched densities
+positive exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import SolverError
 
 
-def diffusion_bands_upper(n: int, h: float, mu: float) -> np.ndarray:
-    """Upper banded (2, n) storage of I - mu*L for scipy's banded solvers."""
-    d = h * h
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -mu / d
-    ab[1, :] = 1.0 + 2.0 * mu / d
-    ab[1, 0] = 1.0 + mu / d
-    ab[1, -1] = 1.0 + mu / d
-    return ab
+def _factor(n: int, h: float, mus) -> tuple[np.ndarray, np.ndarray]:
+    """dpttrf factor (d, l) of the stacked blocks I - mu_j*L, one per mu."""
+    mus = np.asarray(mus, dtype=float)
+    if mus.ndim != 1 or not np.all(mus >= 0.0):
+        raise SolverError("implicit diffusion needs mu >= 0",
+                          mu_min=float(np.min(mus)))
+    r = mus[:, None] / (h * h)
+    diag = np.repeat(1.0 + 2.0 * r, n, axis=1)
+    diag[:, [0, -1]] = 1.0 + r
+    off = np.zeros((mus.size, n))
+    off[:, :-1] = -r                  # zero at every block end: no coupling
+    d, l, info = dpttrf(diag.ravel(), off.ravel()[:-1],
+                        overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise SolverError("diffusion factorization failed", info=int(info))
+    if not (np.all(d > 0.0) and np.all(l <= 0.0)):
+        raise SolverError("diffusion factor lost its positivity sign pattern",
+                          d_min=float(d.min()),
+                          l_max=float(l.max()))
+    return d, l
+
+
+def _solve(factor: tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    x, info = dpttrs(*factor, rhs)
+    if info != 0:
+        raise SolverError("diffusion solve failed", info=int(info))
+    return x
 
 
 class FactoredDiffusion:
-    """(I - mu*L)^{-1} applied through a cached banded Cholesky factorization."""
+    """(I - mu*L)^{-1} for one mu, applied through a cached factorization."""
 
     def __init__(self, n: int, h: float, mu: float):
-        if mu < 0.0:
-            raise SolverError("implicit diffusion needs mu >= 0", mu=mu)
-        self.n = n
-        self.mu = mu
-        self._cb = cholesky_banded(diffusion_bands_upper(n, h, mu), lower=False)
+        self._factor = _factor(n, h, [mu])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - mu*L) x = rhs; rhs may be (n,) or (n, k) for k systems."""
-        return cho_solve_banded((self._cb, False), rhs)
+        return _solve(self._factor, rhs)
 
 
 class BlockDiffusion:
-    """Batched per-slice solves of (I - mu_j*L) x_j = rhs_j, one mu per slice.
-
-    The slices are stacked into a single block-tridiagonal banded system with
-    zeroed couplings at block boundaries, so one solve_banded call handles
-    all of them.
-    """
+    """Batched per-slice solves of (I - mu_j*L) x_j = rhs_j, one mu per slice."""
 
     def __init__(self, n: int, h: float, mus: np.ndarray):
-        mus = np.asarray(mus, dtype=float)
-        if mus.ndim != 1 or np.any(mus < 0.0):
-            raise SolverError("per-slice diffusion numbers must be >= 0")
-        self.n = n
-        self.n_slices = mus.size
-        d = h * h
-        total = self.n_slices * n
-        ab = np.zeros((3, total))
-        diag = np.full((self.n_slices, n), 1.0, dtype=float)
-        diag += 2.0 * mus[:, None] / d
-        diag[:, 0] = 1.0 + mus / d
-        diag[:, -1] = 1.0 + mus / d
-        off = np.zeros((self.n_slices, n))
-        off[:, 1:] = -mus[:, None] / d
-        ab[1, :] = diag.ravel()
-        ab[0, :] = off.ravel()            # super-diagonal, zero at block starts
-        sub = np.zeros((self.n_slices, n))
-        sub[:, :-1] = -mus[:, None] / d
-        ab[2, :] = sub.ravel()            # sub-diagonal, zero at block ends
-        self._ab = ab
+        self._factor = _factor(n, h, mus)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """rhs has shape (n_slices, n); returns the same shape."""
-        flat = np.ascontiguousarray(rhs, dtype=float).reshape(-1)
-        out = solve_banded((1, 1), self._ab, flat,
-                           overwrite_ab=False, overwrite_b=False,
-                           check_finite=False)
-        return out.reshape(self.n_slices, self.n)
-
-
-class DenseDiffusionInverse:
-    """Dense (I - mu*L)^{-1}; fastest for long single-slice marches.
-
-    The inverse of an irreducible M-matrix is entrywise strictly positive,
-    which is asserted once at construction.
-    """
-
-    def __init__(self, n: int, h: float, mu: float):
-        d = h * h
-        m = np.zeros((n, n))
-        idx = np.arange(n)
-        m[idx, idx] = 1.0 + 2.0 * mu / d
-        m[0, 0] = 1.0 + mu / d
-        m[-1, -1] = 1.0 + mu / d
-        m[idx[:-1], idx[:-1] + 1] = -mu / d
-        m[idx[:-1] + 1, idx[:-1]] = -mu / d
-        self.inv = np.linalg.inv(m)
-        if self.inv.min() <= 0.0:
-            raise SolverError("diffusion inverse lost positivity",
-                              min_entry=float(self.inv.min()))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.inv @ v
+        return _solve(self._factor, np.reshape(rhs, -1)).reshape(np.shape(rhs))

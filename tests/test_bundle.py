@@ -127,6 +127,28 @@ def test_effective_hamiltonian_matches_invasion_exponent(grid, m):
     assert np.max(np.abs(masses - 1.0)) <= 1e-10
 
 
+def test_effective_hamiltonian_batch_matches_one_trait_at_a_time(grid, m):
+    # all traits march together as rows of one array; each row must be the
+    # march that trait would get alone (spin-up fixed: the automatic one is
+    # sized by the slowest trait of the batch)
+    prof = construct_alpha(0.5, 0.5, m)
+    theta = solve_theta(float(prof(0.1)), m).values
+    hist = TimeIndexedField(np.array([0.0, 0.05, 0.1]),
+                            np.vstack([0.9 * m.values, theta, 1.1 * theta]))
+    zs = np.linspace(-0.4, 0.4, 5)
+    t_rec = np.array([0.02, 0.06, 0.1])
+    batch = effective_hamiltonian(hist, prof, 0.05, zs, m, t_rec, spin_up=2.0)
+    for i, z in enumerate(zs):
+        one = effective_hamiltonian(hist, prof, 0.05, zs[i:i + 1], m, t_rec,
+                                    spin_up=2.0)
+        scale = np.max(np.abs(one.H))
+        assert np.max(np.abs(batch.H[i] - one.H[0])) <= 1e-12 * scale
+        assert np.max(np.abs(batch.log_phi[i] - one.log_phi[0])) <= \
+            1e-12 * np.max(np.abs(one.log_phi))
+        assert batch.meta["harnack"][i] == pytest.approx(
+            one.meta["harnack"][0], rel=1e-12)
+
+
 def test_effective_hamiltonian_rejects_bad_inputs(grid, m):
     prof = construct_alpha(0.5, 0.5, m)
     hist = TimeIndexedField(np.array([0.0, 1.0]),

@@ -1,14 +1,18 @@
 """CLI, config schema, artifact format, and convergence-report tests."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dispersal.harness import commands
 from dispersal.harness.cli import main
 from dispersal.harness.config import SCHEMAS, load_spec
 from dispersal.harness.io import read_csv, write_csv
-from dispersal.errors import ValidationError
+from dispersal.errors import SolverError, ValidationError
 
 
 def run_cli(*args) -> int:
@@ -50,6 +54,45 @@ def test_non_finite_value_is_rejected(tmp_path, capsys, command, override):
     payload = json.loads(lines[0])
     assert payload["error"] == "validation"
     assert payload["diagnostics"]["key"] == override.split("=")[0]
+
+
+def test_non_finite_diagnostics_are_strict_json(tmp_path, capsys,
+                                              monkeypatch):
+    def blow_up(params, out):
+        raise SolverError("non-finite density after step", n_max=np.inf,
+                          n_min=float("nan"), history=[1.0, -np.inf],
+                          table=np.array([np.nan, 2.0]))
+
+    def reject(token):
+        raise AssertionError(f"bare {token} in the diagnostic")
+
+    monkeypatch.setitem(commands._COMMANDS, "theta", blow_up)
+    assert run_cli("theta", "--out", str(tmp_path)) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0], parse_constant=reject)
+    assert payload["diagnostics"] == {"n_max": "inf", "n_min": "nan",
+                                      "history": [1.0, "-inf"],
+                                      "table": ["nan", 2.0]}
+    saved = (tmp_path / "error.json").read_text(encoding="utf-8")
+    assert json.loads(saved, parse_constant=reject) == payload
+
+
+def test_benchmark_hook_targets_exist():
+    # perfbench/tracer.py times the program by rebinding these attributes,
+    # looking each one up in vars() of its module or class; a target that is
+    # renamed, or a method inherited instead of defined on its class, drops
+    # the per-layer metrics built on it without any error
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.HOOKS:
+        owner = sys.modules[module_name]
+        *outer, last = attr.split(".")
+        for part in outer:
+            owner = vars(owner)[part]
+        assert callable(vars(owner).get(last)), f"{module_name}.{attr}"
 
 
 def test_config_file_and_override_precedence(tmp_path):

@@ -227,10 +227,7 @@ def test_selfconsistent_diagonal_guard(ecology_setup):
 def test_selfconsistent_rate_matches_eager_table(ecology_setup):
     m, profile = ecology_setup
     grid = TraitGrid(16)
-    # the diagonal guard fires at the trait ends on this coarse grid; the
-    # test is about which columns are read and how they are blended
-    src = SelfConsistentSource(profile, m, grid, resident_samples=9,
-                               diag_tol=np.inf)
+    src = SelfConsistentSource(profile, m, grid, resident_samples=9)
     residents = np.linspace(profile.a, profile.b, 9)
     table = lambda_table(grid.nodes, residents, profile, m)
     for zbar in (profile.a, residents[3], 0.1, profile.b):
@@ -239,6 +236,19 @@ def test_selfconsistent_rate_matches_eager_table(ecology_setup):
                     0.0, 1.0)
         eager = (1.0 - w) * table[:, j] + w * table[:, j + 1]
         assert np.array_equal(src.rate(grid.nodes, 0.0, zbar), eager)
+
+
+def test_selfconsistent_guard_extrapolates_at_trait_ends(ecology_setup):
+    # the end nodes sit half a cell inside the walls, so the diagonal at
+    # zbar = a or b lies beyond them and is read off a linear extrapolation
+    m, profile = ecology_setup
+    grid = TraitGrid(16)
+    src = SelfConsistentSource(profile, m, grid, resident_samples=9)
+    loose = SelfConsistentSource(profile, m, grid, resident_samples=9,
+                                 diag_tol=np.inf)
+    for zbar in (profile.a, profile.b):
+        assert np.array_equal(src.rate(grid.nodes, 0.0, zbar),
+                              loose.rate(grid.nodes, 0.0, zbar))
 
 
 def test_selfconsistent_computes_only_visited_columns(ecology_setup,
