@@ -6,12 +6,13 @@ theta_{z2} is the unique positive steady state of the single-trait logistic
 reaction-diffusion equation with dispersal rate alpha(z2).  Because traits
 enter only through the dispersal rate, the exponent factors through a smooth
 surface on rate pairs, which is what the explicit U-shaped profile
-construction below exploits.
+construction below exploits.  The exponents of one resident column share
+the potential m - theta_{z2} and differ only in alpha, so every caller
+hands a column's rates to `principal_eigenpairs` as one batch.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -151,15 +152,161 @@ class EigenPair:
                               residual=self.residual)
 
 
-def _operator_diagonals(alpha: float, c: np.ndarray, h: float):
-    """Main and off diagonals of A = -alpha*L - diag(c)."""
-    n = c.size
+def _operator_diagonals(alpha, c: np.ndarray, h: float):
+    """Main and off diagonals of A = -alpha*L - diag(c), one row per alpha.
+
+    A scalar alpha and a 1-D c give 1-D diagonals; k rates give (k, n) and
+    (k, n - 1) arrays, with c of shape (n,) shared or (k, n) per rate.
+    """
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    n = c.shape[-1]
     d = h * h
-    main = np.full(n, 2.0 * alpha / d) - c
-    main[0] = alpha / d - c[0]
-    main[-1] = alpha / d - c[-1]
-    off = np.full(n - 1, -alpha / d)
+    main = 2.0 * alpha / d - c
+    main[..., 0] = alpha[..., 0] / d - c[..., 0]
+    main[..., -1] = alpha[..., 0] / d - c[..., -1]
+    off = np.repeat(-alpha / d, n - 1, axis=-1)
     return main, off
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, n) arrays.
+
+    The stacked matmul runs one BLAS dot per row, so each entry equals the
+    1-D ``a[i] @ b[i]`` bit for bit; einsum or ``(a * b).sum(1)`` sum in a
+    different order.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def principal_eigenpairs(alphas, c, *,
+                         value_tol: float = 1e-12, residual_tol: float = 1e-11,
+                         max_iter: int = 500) -> list[EigenPair]:
+    """Principal eigenpairs of -alpha*L - diag(c), one per rate in `alphas`.
+
+    `c` is one ScalarField shared by every rate, or a sequence of them, one
+    per rate.  Shifted inverse power iteration: the Gershgorin bound
+    lambda_min >= -max c makes A - (shift)I positive definite for
+    shift = -max c - 1 whatever alpha is.  The shifted Neumann blocks of all
+    rows are stacked with zero couplings into one band, so one banded
+    Cholesky factorization and one solve per iteration serve every row; the
+    factor of a block-diagonal matrix is block-diagonal, so each row's
+    arithmetic is that of a solve on its own block.  A row freezes at the
+    first iteration where its eigenvalue has settled to `value_tol` and its
+    residual is within `residual_tol`, and the factor is then cut down to
+    the rows still iterating.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValidationError("dispersal rates must be a flat sequence",
+                              shape=list(alphas.shape))
+    bad = ~((alphas > 0.0) & (alphas < np.inf))
+    if bad.any():
+        raise ValidationError("dispersal rate must be positive and finite",
+                              alpha=float(alphas[bad][0]))
+    k = alphas.size
+    if k == 0:
+        return []
+    if isinstance(c, ScalarField):
+        grid, cv = c.grid, c.values
+    else:
+        if len(c) != k:
+            raise ValidationError("need one potential per dispersal rate",
+                                  rates=k, potentials=len(c))
+        grid = c[0].grid
+        if any(ci.grid != grid for ci in c):
+            raise ValidationError("potentials must share one spatial grid")
+        cv = np.array([ci.values for ci in c])
+    h = grid.h_x
+    n = grid.n_x
+    main, off = _operator_diagonals(alphas, cv, h)
+    shift = -cv.max(axis=-1, keepdims=True) - 1.0
+    ab = np.zeros((2, k, n))
+    ab[1] = main - shift
+    ab[0, :, 1:] = off
+    # LAPACK directly, without the scipy wrappers' finiteness and batch
+    # checks: their overhead dominates these small solves, and the inputs
+    # are finite (alphas checked above, potentials by ScalarField)
+    cb, info = dpbtrf(ab.reshape(2, k * n), lower=0)
+    if info != 0:
+        raise SolverError("shifted operator not positive definite", info=info)
+    cb = cb.reshape(2, k, n)
+
+    def matvec(main, off, v):
+        out = main * v
+        out[:, :-1] += off * v[:, 1:]
+        out[:, 1:] += off * v[:, :-1]
+        return out
+
+    def scaled_residual(w, av, lam):
+        # on the mass-normalized scale the contract uses, not on the
+        # unit-2-norm iterate (roughly sqrt(n) smaller)
+        s = 1.0 / (h * w.sum(axis=1))
+        return (np.abs(av - lam[:, None] * w).max(axis=1) * s
+                / np.maximum(1.0, s * np.abs(w).max(axis=1)))
+
+    lam = np.empty(k)
+    vec = np.empty((k, n))
+    # state of the rows still iterating, by position; `rows` maps a position
+    # back to its index in `alphas`
+    rows = np.arange(k)
+    cb_a, main_a, off_a = cb, main, off
+    v = np.full((k, n), 1.0 / np.sqrt(n))
+    lam_prev = np.full(k, np.nan)  # no previous value: the test fails
+    residual = np.full(k, np.inf)
+    for it in range(max_iter):
+        w, info = dpbtrs(cb_a.reshape(2, -1), v.reshape(-1), lower=0)
+        if info != 0:
+            raise SolverError("banded Cholesky solve failed", info=info)
+        w = w.reshape(-1, n)
+        if w.min() <= 0.0:
+            # the resolvent of an irreducible M-matrix is positive, so this
+            # can only be round-off catastrophe
+            raise SolverError("inverse iteration lost positivity",
+                              min_entry=float(w.min()))
+        w /= np.sqrt(_row_dots(w, w))[:, None]
+        av = matvec(main_a, off_a, w)
+        lam_it = _row_dots(w, av)
+        settled = np.abs(lam_it - lam_prev) <= value_tol * np.maximum(
+            1.0, np.abs(lam_it))
+        v, lam_prev = w, lam_it
+        # the residual is read only by the stopping test and at the cap
+        if it == max_iter - 1 or settled.all():
+            residual = scaled_residual(w, av, lam_it)
+        elif settled.any():
+            residual[settled] = scaled_residual(w[settled], av[settled],
+                                                lam_it[settled])
+        else:
+            continue
+        done = settled & (residual <= residual_tol)
+        if done.any():
+            lam[rows[done]] = lam_it[done]
+            vec[rows[done]] = w[done]
+            keep = ~done
+            rows, v, lam_prev, residual = (rows[keep], v[keep],
+                                           lam_prev[keep], residual[keep])
+            # the factor of the remaining blocks is their rows of this one
+            cb_a, main_a, off_a = cb_a[:, keep], main_a[keep], off_a[keep]
+            if not rows.size:
+                break
+    else:
+        # the target is 10x inside the contract; only an actual contract
+        # breach is a failure (coarse-grid round-off can pin the residual
+        # between the two)
+        over = np.flatnonzero(residual > 1e-10)
+        if over.size:
+            i = over[0]
+            raise EigenDiverged("inverse power iteration cap exceeded",
+                                iterations=max_iter,
+                                residual=float(residual[i]),
+                                lam=float(lam_prev[i]))
+        lam[rows] = lam_prev
+        vec[rows] = v
+    phi = vec / (h * vec.sum(axis=1))[:, None]
+    av = matvec(main, off, phi)
+    res = (np.abs(av - lam[:, None] * phi).max(axis=1)
+           / np.maximum(1.0, np.abs(phi).max(axis=1)))
+    return [EigenPair(lam=float(lam[i]), phi=ScalarField(grid, phi[i]),
+                      residual=float(res[i])) for i in range(k)]
 
 
 def principal_eigenpair(alpha: float, c: ScalarField, *,
@@ -167,71 +314,11 @@ def principal_eigenpair(alpha: float, c: ScalarField, *,
                         max_iter: int = 500) -> EigenPair:
     """Smallest eigenvalue of -alpha*L - diag(c) with positive eigenfunction.
 
-    Shifted inverse power iteration: the Gershgorin bound lambda_min >= -max c
-    makes A - (shift)I positive definite for shift = -max c - 1, so one banded
-    Cholesky factorization drives all iterations.
+    The one-row case of `principal_eigenpairs`.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValidationError("dispersal rate must be positive and finite",
-                              alpha=alpha)
-    cv = c.values
-    h = c.grid.h_x
-    main, off = _operator_diagonals(alpha, cv, h)
-    shift = -float(cv.max()) - 1.0
-    ab = np.zeros((2, cv.size))
-    ab[1, :] = main - shift
-    ab[0, 1:] = off
-    # LAPACK directly, without the scipy wrappers' finiteness and batch
-    # checks: their overhead dominates these small solves, and the inputs
-    # are finite (alpha checked above, c by ScalarField)
-    cb, info = dpbtrf(ab, lower=0)
-    if info != 0:
-        raise SolverError("shifted operator not positive definite", info=info)
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = main * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
-        return out
-
-    v = np.full(cv.size, 1.0 / np.sqrt(cv.size))
-    lam_prev = None
-    lam = 0.0
-    residual = np.inf
-    for _ in range(max_iter):
-        w, info = dpbtrs(cb, v, lower=0)
-        if info != 0:
-            raise SolverError("banded Cholesky solve failed", info=info)
-        if w.min() <= 0.0:
-            # the resolvent of an irreducible M-matrix is positive, so this
-            # can only be round-off catastrophe
-            raise SolverError("inverse iteration lost positivity",
-                              min_entry=float(w.min()))
-        w /= np.linalg.norm(w)
-        av = matvec(w)
-        lam = float(w @ av)
-        # measure the residual on the mass-normalized scale the contract
-        # uses, not on the unit-2-norm iterate (roughly sqrt(n) smaller)
-        s = 1.0 / (h * w.sum())
-        residual = float(np.max(np.abs(av - lam * w)) * s
-                         / max(1.0, s * np.max(np.abs(w))))
-        v = w
-        if (lam_prev is not None and abs(lam - lam_prev) <= value_tol *
-                max(1.0, abs(lam)) and residual <= residual_tol):
-            break
-        lam_prev = lam
-    else:
-        # the target is 10x inside the contract; only an actual contract
-        # breach is a failure (coarse-grid round-off can pin the residual
-        # between the two)
-        if residual > 1e-10:
-            raise EigenDiverged("inverse power iteration cap exceeded",
-                                iterations=max_iter, residual=residual,
-                                lam=lam)
-    phi = v / (h * v.sum())
-    av = matvec(phi)
-    residual = float(np.max(np.abs(av - lam * phi)) / max(1.0, np.max(np.abs(phi))))
-    return EigenPair(lam=lam, phi=ScalarField(c.grid, phi), residual=residual)
+    return principal_eigenpairs([alpha], c, value_tol=value_tol,
+                                residual_tol=residual_tol,
+                                max_iter=max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +383,7 @@ class ThetaCache:
     """Steady states keyed by quantized resident trait.
 
     Surface sweeps revisit the same resident column many times; quantizing at
-    1e-12 makes the sweep O(#columns) theta solves.  Insert-or-get is guarded
-    by a lock so data-parallel sweeps can share one cache.
+    1e-12 makes the sweep O(#columns) theta solves.
     """
 
     def __init__(self, profile: DispersalProfile, m: ScalarField,
@@ -306,66 +392,95 @@ class ThetaCache:
         self.m = m
         self.quantum = quantum
         self._store: dict[int, ScalarField] = {}
-        self._lock = threading.Lock()
 
     def theta(self, z2: float) -> ScalarField:
         key = int(round(z2 / self.quantum))
-        with self._lock:
-            hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        theta = solve_theta(float(self.profile(z2)), self.m)
-        with self._lock:
-            return self._store.setdefault(key, theta)
+        hit = self._store.get(key)
+        if hit is None:
+            hit = self._store[key] = solve_theta(float(self.profile(z2)),
+                                                 self.m)
+        return hit
 
 
 # ---------------------------------------------------------------------------
 # invasion exponent and its derivatives
 
 
+def _potential(m: ScalarField, theta: ScalarField) -> ScalarField:
+    """The potential m - theta that a resident steady state leaves to mutants."""
+    return ScalarField(m.grid, m.values - theta.values)
+
+
+def _exponents(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
+               cache: ThetaCache) -> list[float]:
+    """lambda(z1, z2) for every z1 in z1s: one resident, one eigen batch."""
+    c = _potential(m, cache.theta(float(z2)))
+    alphas = [float(profile(z1)) for z1 in z1s]
+    return [pair.lam for pair in principal_eigenpairs(alphas, c)]
+
+
 def invasion_exponent(z1: float, z2: float, profile: DispersalProfile,
                       m: ScalarField, cache: ThetaCache | None = None) -> float:
     """lambda(z1, z2): growth rate of a rare z1 mutant in a z2 resident."""
     cache = cache if cache is not None else ThetaCache(profile, m)
-    theta = cache.theta(z2)
-    c = ScalarField(m.grid, m.values - theta.values)
-    return principal_eigenpair(float(profile(z1)), c).lam
+    return principal_eigenpair(float(profile(z1)),
+                               _potential(m, cache.theta(z2))).lam
 
 
 def rate_pair_exponent(alpha1: float, alpha2: float, m: ScalarField,
                        theta: ScalarField | None = None) -> float:
     """The exponent as a function of raw rate pairs (used by the profile probe)."""
     theta = theta if theta is not None else solve_theta(alpha2, m)
-    c = ScalarField(m.grid, m.values - theta.values)
-    return principal_eigenpair(alpha1, c).lam
+    return principal_eigenpair(alpha1, _potential(m, theta)).lam
 
 
-def _lambda_stencil(z1: float, z2: float, profile: DispersalProfile,
-                    m: ScalarField, cache: ThetaCache | None,
-                    h_d: float | None) -> tuple[float, Callable[[], float]]:
-    """(d/dz1) lambda, and a thunk for (d2/dz1^2) lambda.
+def _stencil_points(z1: float, profile: DispersalProfile,
+                    h_d: float | None) -> tuple[int, float, list[float]]:
+    """Side, step and mutant traits of the second-order stencil at z1.
 
-    Second-order differences: central stencils in the interior, where the
-    first difference never reads lambda(z1), so only the thunk solves for
-    it; one-sided stencils within h_d of the trait endpoints.
+    Central (side 0) in the interior: z1 - h and z1 + h, then z1, which only
+    the second difference reads.  One-sided within h of the trait endpoints
+    (side 1 forward, -1 backward): z1 and three steps inward, the last of
+    which only the second difference reads.
     """
-    cache = cache if cache is not None else ThetaCache(profile, m)
     a, b = profile.a, profile.b
     h = h_d if h_d is not None else DERIV_STEP_FRACTION * (b - a)
-
-    def f(z):
-        return invasion_exponent(z, z2, profile, m, cache)
-
     if z1 - h < a:
-        f0, f1, f2, f3 = f(z1), f(z1 + h), f(z1 + 2 * h), f(z1 + 3 * h)
-        d1 = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-    elif z1 + h > b:
-        f0, f1, f2, f3 = f(z1), f(z1 - h), f(z1 - 2 * h), f(z1 - 3 * h)
-        d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
-    else:
-        fm, fp = f(z1 - h), f(z1 + h)
-        return (fp - fm) / (2.0 * h), lambda: (fm - 2.0 * f(z1) + fp) / (h * h)
-    return d1, lambda: (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
+        return 1, h, [z1, z1 + h, z1 + 2 * h, z1 + 3 * h]
+    if z1 + h > b:
+        return -1, h, [z1, z1 - h, z1 - 2 * h, z1 - 3 * h]
+    return 0, h, [z1 - h, z1 + h, z1]
+
+
+def _first_difference(side: int, h: float, f: list[float]) -> float:
+    if side > 0:
+        return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    if side < 0:
+        return (3.0 * f[0] - 4.0 * f[1] + f[2]) / (2.0 * h)
+    return (f[1] - f[0]) / (2.0 * h)
+
+
+def _second_difference(side: int, h: float, f: list[float]) -> float:
+    if side:
+        f0, f1, f2, f3 = f
+        return (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
+    fm, fp, fc = f
+    return (fm - 2.0 * fc + fp) / (h * h)
+
+
+def _column_derivs(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
+                   cache: ThetaCache, h_d: float | None) -> list[tuple]:
+    """(d/dz1) lambda and (d2/dz1^2) lambda at every z1 of one resident
+    column, with all stencil points solved as one eigen batch."""
+    stencils = [_stencil_points(float(z1), profile, h_d) for z1 in z1s]
+    lams = _exponents([z for _, _, pts in stencils for z in pts], z2,
+                      profile, m, cache)
+    out = []
+    for side, h, pts in stencils:
+        f, lams = lams[:len(pts)], lams[len(pts):]
+        out.append((_first_difference(side, h, f),
+                    _second_difference(side, h, f)))
+    return out
 
 
 def lambda_derivs(z1: float, z2: float, profile: DispersalProfile,
@@ -376,29 +491,31 @@ def lambda_derivs(z1: float, z2: float, profile: DispersalProfile,
     Central stencils in the interior; one-sided stencils within h_d of the
     trait endpoints.
     """
-    d1, second = _lambda_stencil(z1, z2, profile, m, cache, h_d)
-    return d1, second()
+    cache = cache if cache is not None else ThetaCache(profile, m)
+    return _column_derivs([z1], z2, profile, m, cache, h_d)[0]
 
 
 def lambda_slope(z1: float, z2: float, profile: DispersalProfile,
                  m: ScalarField, cache: ThetaCache | None = None) -> float:
     """(d/dz1) lambda alone, bit-identical to lambda_derivs' first entry.
 
-    In the interior this takes two eigensolves instead of three.
+    Solves only the stencil points the first difference reads: two in the
+    interior, three near an endpoint.
     """
-    return _lambda_stencil(z1, z2, profile, m, cache, None)[0]
+    cache = cache if cache is not None else ThetaCache(profile, m)
+    side, h, pts = _stencil_points(z1, profile, None)
+    f = _exponents(pts[:3] if side else pts[:2], z2, profile, m, cache)
+    return _first_difference(side, h, f)
 
 
 def lambda_table(z1s: np.ndarray, z2s: np.ndarray, profile: DispersalProfile,
                  m: ScalarField, cache: ThetaCache | None = None) -> np.ndarray:
-    """Exponent values on a (z1, z2) sample product, one theta solve per column."""
+    """Exponent values on a (z1, z2) sample product, one theta solve and one
+    eigen batch per column."""
     cache = cache if cache is not None else ThetaCache(profile, m)
     out = np.empty((len(z1s), len(z2s)))
     for j, z2 in enumerate(z2s):
-        theta = cache.theta(float(z2))
-        c = ScalarField(m.grid, m.values - theta.values)
-        for i, z1 in enumerate(z1s):
-            out[i, j] = principal_eigenpair(float(profile(z1)), c).lam
+        out[:, j] = _exponents(z1s, z2, profile, m, cache)
     return out
 
 
@@ -425,9 +542,8 @@ def lambda_surface(profile: DispersalProfile, m: ScalarField,
     d1 = np.empty_like(lam)
     d2 = np.empty_like(lam)
     for j, z2 in enumerate(z2s):
-        for i, z1 in enumerate(z1s):
-            d1[i, j], d2[i, j] = lambda_derivs(float(z1), float(z2), profile, m,
-                                               cache, h_d)
+        d1[:, j], d2[:, j] = zip(*_column_derivs(z1s, z2, profile, m, cache,
+                                                 h_d))
     return LambdaSurface(z1s, z2s, lam, d1, d2)
 
 
@@ -460,11 +576,12 @@ def construct_alpha(alpha0: float, L0: float, m: ScalarField,
 
     alphas = np.linspace(alpha0, alpha0 + L0, probe_n)
     h_a = alphas[1] - alphas[0]
-    surf = np.empty((probe_n, probe_n))
-    for j, a2 in enumerate(alphas):
-        theta = solve_theta(float(a2), m)
-        for i, a1 in enumerate(alphas):
-            surf[i, j] = rate_pair_exponent(float(a1), float(a2), m, theta)
+    # the whole box is one batch, so the rows of different columns that run
+    # to the iteration cap (some do on fine grids) share those iterations
+    columns = [_potential(m, solve_theta(float(a2), m)) for a2 in alphas]
+    pairs = principal_eigenpairs(np.tile(alphas, probe_n),
+                                 [c for c in columns for _ in alphas])
+    surf = np.array([pair.lam for pair in pairs]).reshape(probe_n, probe_n).T
 
     d1 = np.empty_like(surf)
     d2 = np.empty_like(surf)
@@ -553,8 +670,7 @@ def check_H1(profile: DispersalProfile, m: ScalarField,
     k_lower = np.inf
     k_upper = -np.inf
     for z2 in zs:
-        for z1 in zs:
-            _, d2 = lambda_derivs(float(z1), float(z2), profile, m, cache, h_d)
+        for _, d2 in _column_derivs(zs, z2, profile, m, cache, h_d):
             k_lower = min(k_lower, d2)
             k_upper = max(k_upper, d2)
     sign_a, _ = lambda_derivs(profile.a, profile.a, profile, m, cache, h_d)

@@ -20,8 +20,8 @@ import scipy
 from .. import __version__
 
 from ..bundle import compute_bundle
-from ..ecology import check_H1, construct_alpha, principal_eigenpair, \
-    lambda_surface, solve_theta
+from ..ecology import ThetaCache, check_H1, construct_alpha, \
+    principal_eigenpair, lambda_surface, solve_theta
 from ..errors import AcceptanceFailure, DispersalError
 from ..grids import ScalarField, SpatialGrid, TraitField
 from ..hj import SelfConsistentSource, canonical_ode, lax_oleinik, \
@@ -185,12 +185,15 @@ def cmd_converge(params: dict, out: Path) -> dict:
 def cmd_pipeline(params: dict, out: Path) -> dict:
     sg, tg, profile, m = standard_setting(params)
     T, eps = params["T"], params["eps"]
-    h1 = check_H1(profile, m)
+    # one theta cache for both: residents shared by the H1 grid and the
+    # source's grid are the same traits, so sharing changes no number
+    cache = ThetaCache(profile, m)
+    h1 = check_H1(profile, m, cache=cache)
     if not h1.passed:
         raise AcceptanceFailure("trait convexity check failed",
                                 **h1.to_dict())
 
-    src = SelfConsistentSource(profile, m, tg)
+    src = SelfConsistentSource(profile, m, tg, cache=cache)
     v0 = _quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, T, params["dt"], record_every=10)
     can = canonical_ode(src, sol, params["zbar0"], T)

@@ -11,8 +11,6 @@ each metric per scale and verdicts of weak decrease (10% slack).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,12 +132,7 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
                                         z_samp, m, t_rec)
         return res, eff
 
-    threads = max(int(os.environ.get("DISPERSAL_THREADS", "1")), 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, eps_list))
-    else:
-        results = [worker(e) for e in eps_list]
+    results = [worker(e) for e in eps_list]
 
     cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
                             "h_gap", "h_int", "env_lo", "env_hi")}

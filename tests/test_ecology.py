@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from dispersal import ecology as eco
-from dispersal.errors import ValidationError
+from dispersal.errors import EigenDiverged, ValidationError
 from dispersal.grids import (
     ScalarField,
     SpatialGrid,
@@ -113,6 +114,147 @@ def test_eigenpair_matches_theta_on_diagonal(grid64, m64):
     assert abs(pair.lam) < 1e-10
     normalized = theta.values / (grid64.h_x * theta.values.sum())
     assert np.max(np.abs(pair.phi.values - normalized)) < 1e-8
+
+
+def _column(n_x, resident_rate):
+    grid = SpatialGrid(n_x)
+    m = default_m(grid)
+    theta = eco.solve_theta(resident_rate, m)
+    return ScalarField(grid, m.values - theta.values)
+
+
+def _same_pair(a, b):
+    return (a.lam == b.lam and a.residual == b.residual
+            and np.array_equal(a.phi.values, b.phi.values))
+
+
+def _reference_eigenpair(alpha, c, value_tol=1e-12, residual_tol=1e-11,
+                         max_iter=500):
+    """The one-rate inverse iteration the batched kernel must reproduce bit
+    for bit: 1-D arrays, BLAS dots and norms, Python-float stopping tests."""
+    cv, h = c.values, c.grid.h_x
+    main, off = eco._operator_diagonals(alpha, cv, h)
+    ab = np.zeros((2, cv.size))
+    ab[1] = main - (-float(cv.max()) - 1.0)
+    ab[0, 1:] = off
+    cb, info = dpbtrf(ab, lower=0)
+    assert info == 0
+
+    def matvec(v):
+        out = main * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
+        return out
+
+    v = np.full(cv.size, 1.0 / np.sqrt(cv.size))
+    lam_prev = None
+    for _ in range(max_iter):
+        w, info = dpbtrs(cb, v, lower=0)
+        w /= np.linalg.norm(w)
+        av = matvec(w)
+        lam = float(w @ av)
+        s = 1.0 / (h * w.sum())
+        residual = float(np.max(np.abs(av - lam * w)) * s
+                         / max(1.0, s * np.max(np.abs(w))))
+        v = w
+        if (lam_prev is not None and abs(lam - lam_prev) <= value_tol *
+                max(1.0, abs(lam)) and residual <= residual_tol):
+            break
+        lam_prev = lam
+    phi = v / (h * v.sum())
+    av = matvec(phi)
+    residual = float(np.max(np.abs(av - lam * phi))
+                     / max(1.0, np.max(np.abs(phi))))
+    return lam, phi, residual
+
+
+def _matches_reference(pair, alpha, c, **tols):
+    lam, phi, residual = _reference_eigenpair(alpha, c, **tols)
+    return (pair.lam == lam and pair.residual == residual
+            and np.array_equal(pair.phi.values, phi))
+
+
+def _batch_sizes(monkeypatch):
+    """Rows solved by each banded solve of the inverse iteration."""
+    sizes = []
+    solve = eco.dpbtrs
+
+    def counting(cb, v, lower=0):
+        sizes.append(v.size)
+        return solve(cb, v, lower=lower)
+
+    monkeypatch.setattr(eco, "dpbtrs", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("n_x,resident_rate", [
+    (16, 0.7), (64, 0.55), (128, 0.8),
+    (128, 0.625),   # one row runs to the iteration cap
+])
+def test_eigenpair_batch_equals_row_by_row(monkeypatch, n_x, resident_rate):
+    c = _column(n_x, resident_rate)
+    alphas = np.linspace(0.5, 1.0, 17)
+    sizes = _batch_sizes(monkeypatch)
+    batch = eco.principal_eigenpairs(alphas, c)
+    rows = [size // n_x for size in sizes]
+    # rows froze at different iterations, and the factor shrank with them
+    assert rows[0] == 17 and len(set(rows)) > 2
+    if resident_rate == 0.625:
+        assert len(rows) == 500 and rows[-1] == 1
+    single = [eco.principal_eigenpair(float(a), c) for a in alphas]
+    assert all(_same_pair(a, b) for a, b in zip(batch, single))
+    assert all(_matches_reference(pair, float(a), c)
+               for a, pair in zip(alphas, batch))
+
+
+def test_eigenpair_batch_at_the_cap_equals_row_by_row():
+    # a zero residual target freezes no row, so every row ends at the cap
+    c = _column(64, 0.6)
+    alphas = [0.45, 0.8, 1.3]
+    batch = eco.principal_eigenpairs(alphas, c, residual_tol=0.0, max_iter=60)
+    for a, pair in zip(alphas, batch):
+        assert _same_pair(pair, eco.principal_eigenpair(
+            a, c, residual_tol=0.0, max_iter=60))
+        assert _matches_reference(pair, a, c, residual_tol=0.0, max_iter=60)
+
+
+def test_eigenpair_batch_permutes_with_its_rates():
+    c = _column(64, 0.6)
+    alphas = np.linspace(0.4, 1.2, 9)
+    perm = np.random.default_rng(3).permutation(alphas.size)
+    batch = eco.principal_eigenpairs(alphas, c)
+    permuted = eco.principal_eigenpairs(alphas[perm], c)
+    assert all(_same_pair(permuted[i], batch[j]) for i, j in enumerate(perm))
+
+
+def test_eigenpair_batch_takes_one_potential_per_rate():
+    # rows of different resident columns in one batch, as the profile
+    # construction probes its whole rate box
+    columns = [_column(128, rate) for rate in (0.625, 0.8)]
+    alphas = [0.5, 1.0, 0.75, 1.0]
+    cs = [columns[0], columns[0], columns[1], columns[1]]
+    batch = eco.principal_eigenpairs(alphas, cs)
+    assert all(_same_pair(pair, eco.principal_eigenpair(a, c))
+               for a, c, pair in zip(alphas, cs, batch))
+    with pytest.raises(ValidationError):
+        eco.principal_eigenpairs(alphas, cs[:3])
+    with pytest.raises(ValidationError):
+        eco.principal_eigenpairs(alphas[:2], [columns[0], _column(64, 0.6)])
+
+
+def test_eigenpair_batch_raises_at_the_cap_above_contract():
+    c = _column(64, 0.6)
+    with pytest.raises(EigenDiverged):
+        eco.principal_eigenpairs([0.5, 0.9], c, max_iter=3)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])
+def test_eigenpair_batch_rejects_a_bad_rate_in_any_row(bad):
+    c = _column(16, 0.6)
+    with pytest.raises(ValidationError):
+        eco.principal_eigenpairs([0.5, 0.7, bad, 0.9], c)
+    with pytest.raises(ValidationError):
+        eco.principal_eigenpair(bad, c)
 
 
 # ---------------------------------------------------------------------------
