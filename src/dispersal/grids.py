@@ -133,13 +133,16 @@ def mirror_laplacian(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     symmetric with zero row sums, so constants are in the kernel and the
     midpoint-quadrature integral of the result vanishes identically.
     """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    v = np.asarray(values, dtype=float)
+    if axis != 0:
+        # moveaxis costs more than the stencil on the short 1-D theta solves
+        v = np.moveaxis(v, axis, 0)
     out = np.empty_like(v)
     out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
     out[0] = v[1] - v[0]
     out[-1] = v[-2] - v[-1]
     out /= h * h
-    return np.moveaxis(out, 0, axis)
+    return out if axis == 0 else np.moveaxis(out, 0, axis)
 
 
 def laplacian_x(f: ScalarField) -> ScalarField:

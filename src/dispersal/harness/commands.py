@@ -22,7 +22,7 @@ from .. import __version__
 from ..bundle import compute_bundle
 from ..ecology import ThetaCache, check_H1, construct_alpha, \
     principal_eigenpair, lambda_surface, solve_theta
-from ..errors import AcceptanceFailure, DispersalError
+from ..errors import AcceptanceFailure, DispersalError, ValidationError
 from ..grids import ScalarField, SpatialGrid, TraitField
 from ..hj import SelfConsistentSource, canonical_ode, lax_oleinik, \
     solve_constrained_hj
@@ -52,6 +52,9 @@ def cmd_theta(params: dict, out: Path) -> dict:
 
 
 def cmd_alpha_build(params: dict, out: Path) -> dict:
+    if params["samples"] < 1:
+        raise ValidationError("alpha-build needs at least 1 sample",
+                              samples=params["samples"])
     sg = SpatialGrid(params["n_x"])
     m = make_m(sg, params["m_amp"])
     profile = construct_alpha(params["alpha0"], params["L0"], m)

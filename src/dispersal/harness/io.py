@@ -15,8 +15,7 @@ import numpy as np
 from ..errors import ValidationError, plain
 
 
-def format_cell(value) -> str:
-    return repr(float(value))
+CSV_CHUNK_ROWS = 4096  # rows converted per write: bounds the Python floats alive
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -27,10 +26,14 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     if len(lengths) > 1:
         raise ValidationError("csv columns have unequal lengths",
                               lengths=sorted(lengths))
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(format_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(arrays[0]) if arrays else 0, CSV_CHUNK_ROWS):
+            # repr of a Python float from tolist() is repr(float(v))
+            cells = [a[start:start + CSV_CHUNK_ROWS].tolist() for a in arrays]
+            f.write("".join(",".join(map(repr, row)) + "\n"
+                            for row in zip(*cells)))
 
 
 def read_csv(path: Path) -> dict[str, np.ndarray]:

@@ -91,6 +91,20 @@ class SimState:
             raise ValidationError("cached rho is stale", gap=gap)
 
 
+def _trusted(cls, **fields):
+    """Build a frozen record from arrays the stepper has already checked.
+
+    The arrays are frozen in place, not copied, and `__post_init__` is
+    skipped, so one step validates and sums its new density once.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def init_population(cfg: SimConfig) -> SimState:
     """Gaussian-in-trait start n = eps^{-1/2} exp(-K0 (z-zbar0)^2 / eps),
     constant in x; amplitude carries the half-log-eps WKB offset."""
@@ -132,26 +146,27 @@ class Stepper:
         self._env_lo = lo if self._env_lo is None else min(self._env_lo, lo)
         self._env_hi = hi if self._env_hi is None else max(self._env_hi, hi)
 
-    def _watch_bounds(self, rho: np.ndarray, t: float,
-                      violations: list) -> None:
+    def _watch_bounds(self, rho: np.ndarray, t: float) -> dict | None:
+        """Track the running envelope of rho; return a violation record
+        {t, rho_min, rho_max, envelope_lo, envelope_hi} or None."""
         lo, hi = float(rho.min()), float(rho.max())
         if self._env_lo is None:
             self._env_lo, self._env_hi = lo, hi
-            return
+            return None
         if lo < self._env_lo / ENVELOPE_FACTOR or \
                 hi > self._env_hi * ENVELOPE_FACTOR:
             self._streak += 1
-            violations.append("t=%.6g rho=[%.3g, %.3g] envelope=[%.3g, %.3g]"
-                              % (t, lo, hi, self._env_lo, self._env_hi))
             if self._streak > ENVELOPE_STREAK:
                 raise AprioriViolated(
                     "integrated density left the running envelope",
                     t=t, rho_min=lo, rho_max=hi,
                     envelope_min=self._env_lo, envelope_max=self._env_hi)
-            return
+            return {"t": t, "rho_min": lo, "rho_max": hi,
+                    "envelope_lo": self._env_lo, "envelope_hi": self._env_hi}
         self._streak = 0
         self._env_lo = min(self._env_lo, lo)
         self._env_hi = max(self._env_hi, hi)
+        return None
 
     def step(self, state: SimState) -> SimState:
         cfg = self.cfg
@@ -164,17 +179,26 @@ class Stepper:
             rho_star = cfg.trait.h_z * star.sum(axis=1)
             growth = np.exp((dt / eps) * (cfg.m.values - rho_star))
             star = star * growth[:, None]
-        if not np.all(np.isfinite(star)):
-            raise SolverError("non-finite density after step",
-                              t=state.t + dt,
+        t_new = state.t + dt
+        # one sum and one check per step: a NaN or inf cell makes its row
+        # sum non-finite, and so does a row sum that overflows
+        rho = cfg.trait.h_z * star.sum(axis=1)
+        if not np.all(np.isfinite(rho)):
+            raise SolverError("non-finite density after step", t=t_new,
                               n_min=float(np.nanmin(star)),
                               n_max=float(np.nanmax(star)))
-        t_new = state.t + dt
-        n_new = PhaseDensity(cfg.spatial, cfg.trait, star, t_new)
-        rho_new = n_new.rho()
-        violations = list(state.violations)
-        self._watch_bounds(rho_new.values, t_new, violations)
-        return SimState(n_new, rho_new, t_new, tuple(violations))
+        if star.min() < 0.0:
+            raise ValidationError("phase density must be nonnegative",
+                                  min_value=float(star.min()))
+        record = self._watch_bounds(rho, t_new)
+        violations = state.violations if record is None else \
+            (*state.violations, record)
+        return _trusted(SimState,
+                        n=_trusted(PhaseDensity, spatial=cfg.spatial,
+                                   trait=cfg.trait, values=star, t=t_new),
+                        rho=_trusted(ScalarField, grid=cfg.spatial,
+                                     values=rho),
+                        t=t_new, violations=violations)
 
 
 def extract_u(state: SimState, epsilon: float,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from dispersal import ecology as eco
@@ -65,6 +66,92 @@ def test_theta_rejects_bad_inputs(grid64, m64):
         eco.solve_theta(0.5, bad)
     with pytest.raises(ValidationError):
         eco.solve_theta(-1.0, m64)
+
+
+def _reference_laplacian(v, h):
+    out = np.empty_like(v)
+    out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+    out[0] = v[1] - v[0]
+    out[-1] = v[-2] - v[-1]
+    out /= h * h
+    return out
+
+
+def _reference_theta(alpha, m, residual_rtol=1e-12, max_newton=60):
+    """The damped Newton solve_theta must reproduce bit for bit: a general
+    banded Jacobian through solve_banded, then the pseudo-time fallback.
+    Returns the field and whether it fell back."""
+    mv, h, n = m.values, m.grid.h_x, m.grid.n_x
+
+    def residual(theta):
+        return alpha * _reference_laplacian(theta, h) + theta * (mv - theta)
+
+    target = residual_rtol * float(np.max(np.abs(mv)))
+    theta = mv.copy()
+    history = []
+    for _ in range(max_newton):
+        res = residual(theta)
+        norm = float(np.max(np.abs(res)))
+        history.append(norm)
+        if norm <= target:
+            return theta, False
+        d = h * h
+        ab = np.zeros((3, n))
+        ab[1, :] = -2.0 * alpha / d + mv - 2.0 * theta
+        ab[1, 0] = -alpha / d + mv[0] - 2.0 * theta[0]
+        ab[1, -1] = -alpha / d + mv[-1] - 2.0 * theta[-1]
+        ab[0, 1:] = alpha / d
+        ab[2, :-1] = alpha / d
+        delta = solve_banded((1, 1), ab, -res)
+        step = 1.0
+        accepted = False
+        for _ in range(40):
+            cand = theta + step * delta
+            if cand.min() > 0.0:
+                cand_norm = float(np.max(np.abs(residual(cand))))
+                if cand_norm <= (1.0 - 0.25 * step) * norm or cand_norm <= target:
+                    theta = cand
+                    accepted = True
+                    break
+            step *= 0.5
+        if not accepted:
+            break
+    marched = eco.solve_theta_pseudotime(
+        alpha, m, residual_target=max(target, 1e-11 * float(np.max(np.abs(mv)))),
+        history=history)
+    return marched.values, True
+
+
+@pytest.mark.parametrize("n_x", [16, 64, 128])
+def test_theta_equals_banded_newton_reference(monkeypatch, n_x):
+    grid = SpatialGrid(n_x)
+    fallbacks = []
+    march = eco.solve_theta_pseudotime
+
+    def counting(*args, **kwargs):
+        fallbacks.append(args[0])
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(eco, "solve_theta_pseudotime", counting)
+    marched = 0
+    for m in (default_m(grid),
+              ScalarField(grid, 1.0 + 0.3 * np.cos(3.0 * grid.nodes))):
+        for alpha in (0.05, 0.3, 0.5, 0.77, 2.0):
+            expect, fell_back = _reference_theta(alpha, m)
+            del fallbacks[:]
+            theta = eco.solve_theta(alpha, m)
+            assert np.array_equal(theta.values, expect)
+            assert fallbacks == ([alpha] if fell_back else [])
+            marched += fell_back
+    if n_x == 128:
+        # the residual floor sits above the Newton target for most rates
+        assert marched >= 8
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, np.nan, np.inf])
+def test_theta_rejects_a_bad_rate(m64, alpha):
+    with pytest.raises(ValidationError):
+        eco.solve_theta(alpha, m64)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +477,11 @@ def test_construct_alpha_rejects_bad_inputs(m64):
         eco.construct_alpha(-0.5, 0.5, m64)
     with pytest.raises(ValidationError):
         eco.construct_alpha(0.5, 0.0, m64)
+    # a span below the resolution of alpha0 (or one whose square
+    # underflows) would divide by a zero probe step
+    for alpha0, L0 in ((0.5, 1e-300), (1e-236, 1e-236)):
+        with pytest.raises(ValidationError):
+            eco.construct_alpha(alpha0, L0, m64)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +493,13 @@ def test_check_h1_passes_on_constructed_profile(profile61, m64):
     assert report.passed
     assert report.k_lower > 0.0
     assert report.sign_a < 0.0 < report.sign_b
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -1])
+def test_check_h1_needs_two_samples(profile61, m64, n_samples):
+    # fewer would pass the convexity test over an empty grid
+    with pytest.raises(ValidationError):
+        eco.check_H1(profile61, m64, n_samples=n_samples)
 
 
 def test_check_h1_fails_on_constant_profile(m64):

@@ -1,12 +1,17 @@
 """CLI, config schema, artifact format, and convergence-report tests."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dispersal.harness import commands
 from dispersal.harness.cli import main
@@ -78,6 +83,72 @@ def test_non_finite_diagnostics_are_strict_json(tmp_path, capsys,
     assert json.loads(saved, parse_constant=reject) == payload
 
 
+def _number(lo, hi):
+    return st.one_of(st.sampled_from([0.0, -1.0, -0.5]), st.floats(lo, hi))
+
+
+def _count(lo, hi):
+    return st.one_of(st.sampled_from([0, -1]), st.integers(lo, hi))
+
+
+_GEOMETRY = {"n_x": _count(-2, 96), "m_amp": _number(-1.5, 1.5)}
+_PROFILE = {"alpha0": _number(-0.5, 3.0), "L0": _number(-0.5, 3.0)}
+# every key here is in the command's schema; the ranges keep one run cheap
+# (the hj horizon at most 20 steps, at most 9 H1 samples per axis)
+_CONTRACT_KEYS = {
+    "theta": {**_GEOMETRY, "alpha": _number(-1.0, 5.0)},
+    "alpha-build": {**_GEOMETRY, **_PROFILE, "samples": _count(-3, 300)},
+    "check-h1": {**_GEOMETRY, **_PROFILE, "samples": _count(-3, 9)},
+    "hj": {**_GEOMETRY, **_PROFILE, "n_z": _count(-2, 64),
+           "K0": _number(-2.0, 8.0), "zbar0": _number(-0.7, 0.7),
+           "dt": _number(1e-3, 0.02), "record_every": _count(-2, 5),
+           "canonical": st.booleans()},
+}
+
+
+@st.composite
+def _contract_case(draw):
+    command = draw(st.sampled_from(sorted(_CONTRACT_KEYS)))
+    keys = _CONTRACT_KEYS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True,
+                           max_size=4))
+    overrides = {k: draw(keys[k]) for k in chosen}
+    if command == "hj":
+        overrides["T"] = draw(_number(1e-3, 0.02))
+    return command, overrides
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_contract_case())
+def test_exit_code_contract(case):
+    command, overrides = case
+    args = [command]
+    for key, value in overrides.items():
+        text = str(value).lower() if isinstance(value, bool) else repr(value)
+        args += ["--override", f"{key}={text}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*args, "--out", out)   # an exception here fails too
+    # a warning would be an extra stderr line outside the test harness
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+
+        def reject(token):
+            raise AssertionError(f"bare {token} in the diagnostic")
+
+        payload = json.loads(lines[0], parse_constant=reject)
+        assert {"error", "message", "diagnostics"} <= set(payload)
+
+
 def test_benchmark_hook_targets_exist():
     # perfbench/tracer.py times the program by rebinding these attributes,
     # looking each one up in vars() of its module or class; a target that is
@@ -137,6 +208,18 @@ def test_csv_shortest_round_trip(tmp_path):
     back = read_csv(tmp_path / "x.csv")
     assert np.array_equal(back["a"], a)
     assert np.array_equal(back["b"], b, equal_nan=True)
+
+
+def test_csv_cells_are_the_float_repr(tmp_path):
+    ints = np.array([0, -3, 2 ** 53 + 1, 7])
+    flags = [True, False, True, False]
+    edge = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e300])
+    mixed = [1, 0.1, np.float64(-2.5), np.int32(9)]
+    columns = [ints, flags, edge, mixed]
+    write_csv(tmp_path / "x.csv", ["i", "b", "e", "m"], columns)
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    expect = "\n".join(["i,b,e,m", *rows]) + "\n"
+    assert (tmp_path / "x.csv").read_bytes() == expect.encode("utf-8")
 
 
 def test_theta_with_constant_habitat_equals_m(tmp_path, capsys):

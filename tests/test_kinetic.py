@@ -9,8 +9,10 @@ from dispersal.errors import (AprioriViolated, PopulationExtinct, SolverError,
                               ValidationError)
 from dispersal.grids import (PhaseDensity, ScalarField, SpatialGrid,
                              TraitGrid, default_m)
-from dispersal.kinetic import (SimConfig, SimState, Stepper, dominant_trait,
-                               extract_u, init_population, run)
+from dispersal.kinetic import (ENVELOPE_FACTOR, ENVELOPE_STREAK, SimConfig,
+                               SimState, Stepper, dominant_trait, extract_u,
+                               init_population, run)
+from dispersal.tridiag import BlockDiffusion, FactoredDiffusion
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +262,108 @@ def test_probe_times_must_land_in_horizon(setting):
     cfg = base_config(setting, T=0.2)
     with pytest.raises(ValidationError):
         run(cfg, probe_times=(0.5,))
+
+
+class _ReferenceStepper:
+    """The fully validated step the stepper must reproduce bit for bit:
+    every new state goes through the checking constructors, and rho is
+    summed again by PhaseDensity.rho()."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        alphas = np.asarray(cfg.profile(cfg.trait.nodes), dtype=float)
+        self.xdiff = BlockDiffusion(cfg.spatial.n_x, cfg.spatial.h_x,
+                                    cfg.dt * alphas / cfg.epsilon)
+        self.zdiff = None
+        if not cfg.disable_z_diffusion:
+            self.zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z,
+                                           cfg.dt * cfg.epsilon)
+        self.lo = self.hi = None
+        self.streak = 0
+
+    def prime(self, state):
+        self.lo = float(state.rho.values.min())
+        self.hi = float(state.rho.values.max())
+
+    def watch(self, rho, t, violations):
+        lo, hi = float(rho.min()), float(rho.max())
+        if lo < self.lo / ENVELOPE_FACTOR or hi > self.hi * ENVELOPE_FACTOR:
+            self.streak += 1
+            assert self.streak <= ENVELOPE_STREAK
+            violations.append({"t": t, "rho_min": lo, "rho_max": hi,
+                               "envelope_lo": self.lo, "envelope_hi": self.hi})
+            return
+        self.streak = 0
+        self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
+
+    def step(self, state):
+        cfg = self.cfg
+        dt, eps = cfg.dt, cfg.epsilon
+        star = self.xdiff.solve(state.n.values.T).T
+        if self.zdiff is not None:
+            star = self.zdiff.solve(star.T).T
+        if not cfg.disable_reaction:
+            rho_star = cfg.trait.h_z * star.sum(axis=1)
+            growth = np.exp((dt / eps) * (cfg.m.values - rho_star))
+            star = star * growth[:, None]
+        assert np.all(np.isfinite(star))
+        t_new = state.t + dt
+        n_new = PhaseDensity(cfg.spatial, cfg.trait, star, t_new)
+        rho_new = n_new.rho()
+        violations = list(state.violations)
+        self.watch(rho_new.values, t_new, violations)
+        return SimState(n_new, rho_new, t_new, tuple(violations))
+
+
+@pytest.mark.parametrize("variant", ["default", "hot", "no_z", "no_reaction"])
+def test_step_equals_validated_reference(setting, variant):
+    sg = setting[0]
+    kw = {"hot": {"m": ScalarField(sg, np.full(sg.n_x, 20.0)), "c_t": 0.2},
+          "no_z": {"disable_z_diffusion": True},
+          "no_reaction": {"disable_reaction": True}}.get(variant, {})
+    m = kw.pop("m", setting[3])
+    cfg = SimConfig(0.05, 1.0, sg, setting[1], setting[2], m, **kw)
+    state = expect = init_population(cfg)
+    stepper, reference = Stepper(cfg), _ReferenceStepper(cfg)
+    stepper.prime(state)
+    reference.prime(expect)
+    for _ in range(200):
+        state, expect = stepper.step(state), reference.step(expect)
+    assert np.array_equal(state.n.values, expect.n.values)
+    assert np.array_equal(state.rho.values, expect.rho.values)
+    assert state.t == expect.t == state.n.t
+    assert state.violations == expect.violations
+    assert (len(state.violations) > 0) == (variant == "hot")
+    assert not state.n.values.flags.writeable
+    assert not state.rho.values.flags.writeable
+
+
+class _Corrupting:
+    """Stands in for the z-diffusion solve and plants one bad cell."""
+
+    def __init__(self, solver, value):
+        self.solver, self.value = solver, value
+
+    def solve(self, rhs):
+        out = self.solver.solve(rhs)      # (n_z, n_x)
+        out[3:5, 5] = self.value
+        return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value,error,reaction", [
+    (np.nan, SolverError, True),
+    (np.inf, SolverError, True),
+    (-1e-6, ValidationError, True),
+    # finite cells whose row sum overflows; the reaction would damp them
+    (1e308, SolverError, False),
+])
+def test_step_rejects_a_corrupted_density(setting, value, error, reaction):
+    cfg = base_config(setting, disable_reaction=not reaction)
+    state = init_population(cfg)
+    stepper = Stepper(cfg)
+    stepper.prime(state)
+    state = stepper.step(state)
+    stepper._zdiff = _Corrupting(stepper._zdiff, value)
+    with pytest.raises(error):
+        stepper.step(state)
