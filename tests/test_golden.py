@@ -36,6 +36,13 @@ CASES = {
     # the only caller of compute_bundle
     "floquet-test": ["floquet-test", "--override", "t_end=0.01",
                      "--override", "dtau=1e-4", "--override", "tol=1e-4"],
+    # the effective-Hamiltonian march (h_gap, h_int) over several thousand
+    # fast-time steps, besides three short kinetic runs
+    "converge": ["converge", "--override", "T=0.2",
+                 "--override", "eps_list=0.1,0.08,0.06",
+                 "--override", "u_probes=0.2", "--override", "t_lo=0.1",
+                 "--override", "h_t_lo=0.1", "--override", "h_t_hi=0.2",
+                 "--override", "z_samples=5", "--override", "c_t=0.05"],
 }
 
 
