@@ -24,6 +24,7 @@ from .tridiag import BlockDiffusion, FactoredDiffusion
 
 DEFAULT_DTAU = 1e-3
 SPINUP_FACTOR = 20.0  # spin-up duration in units of inverse spectral gap
+LATTICE_BLOCK_STEPS = 1024  # march steps whose reaction factors are built at once
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,14 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
     Each step is one stacked implicit diffusion solve with one block per
     trait, then the exponential reaction factor, which the potential does not
     make trait-dependent, then a per-row renormalization to unit mass.  The
+    reaction factors are built LATTICE_BLOCK_STEPS steps at a time, as the
+    march enters each block, so memory does not grow with the horizon.  The
     Harnack ratio sup Phi / inf Phi is kept per trait.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive", epsilon=epsilon)
+    if not dtau > 0.0:
+        raise ValidationError("dtau must be positive", dtau=dtau)
     t_record = np.asarray(t_record, dtype=float)
     if t_record.size == 0 or np.any(t_record < 0.0):
         raise ValidationError("record times must be nonnegative")
@@ -232,6 +237,8 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
                         np.linspace(0.0, max(t_end, epsilon), 33)], axis=0)
         gap = spectral_gap(float(alphas.min()), ScalarField(grid, cbar))
         spin_up = SPINUP_FACTOR / max(gap, 0.1)
+    if not spin_up > 0.0:
+        raise ValidationError("spin_up must be positive", spin_up=spin_up)
 
     k_spin = int(np.ceil(spin_up / dtau))
     tau_end = float(t_record.max()) / epsilon
@@ -240,23 +247,25 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
     rec_of_step = {}
     for slot, k in enumerate(rec_steps):
         rec_of_step.setdefault(int(k), []).append(slot)
-
-    # shared reaction lattice: exp(dtau * c) at step midpoints
-    taus_mid = (np.arange(k_total) - k_spin + 0.5) * dtau
-    s_times = epsilon * np.maximum(taus_mid, 1.0)
     hist_t, hist_v = rho_history.times, rho_history.values
-    idx = np.clip(np.searchsorted(hist_t, s_times) - 1, 0, hist_t.size - 2)
-    w = np.clip((s_times - hist_t[idx]) / (hist_t[idx + 1] - hist_t[idx]), 0.0, 1.0)
-    rho_lattice = (1.0 - w)[:, None] * hist_v[idx] + w[:, None] * hist_v[idx + 1]
-    exp_lattice = np.exp(dtau * (m.values[None, :] - rho_lattice))
-    del rho_lattice
-    c_rec = np.array([c_slow(float(t)) for t in t_record])
 
+    def reaction_block(k0: int) -> np.ndarray:
+        """exp(dtau * c) at the midpoints of the block of steps from k0."""
+        taus_mid = (np.arange(k0, min(k0 + LATTICE_BLOCK_STEPS, k_total))
+                    - k_spin + 0.5) * dtau
+        s_times = epsilon * np.maximum(taus_mid, 1.0)
+        idx = np.clip(np.searchsorted(hist_t, s_times) - 1, 0, hist_t.size - 2)
+        w = np.clip((s_times - hist_t[idx]) / (hist_t[idx + 1] - hist_t[idx]),
+                    0.0, 1.0)
+        rho = (1.0 - w)[:, None] * hist_v[idx] + w[:, None] * hist_v[idx + 1]
+        return np.exp(dtau * (m.values[None, :] - rho))
+
+    c_rec = np.array([c_slow(float(t)) for t in t_record])
     n_z, n_t = z_nodes.size, t_record.size
     H = np.empty((n_z, n_t))
     log_phi = np.empty((n_z, n_t, grid.n_x))
     harnacks = np.zeros(n_z)
-    c_bound = float(np.max(np.abs(np.log(exp_lattice)))) / dtau
+    c_max = 0.0                           # running max of |dtau * c|
 
     march = BlockDiffusion(grid.n_x, h, dtau * alphas)
     v = np.ones((n_z, grid.n_x))          # one bundle profile per trait row
@@ -269,10 +278,15 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
                 log_phi[:, slot] = -np.log(v)
         if k == k_total:
             break
+        j = k % LATTICE_BLOCK_STEPS
+        if j == 0:
+            block = reaction_block(k)
+            c_max = np.maximum(c_max, np.max(np.abs(np.log(block))))
         v = march.solve(v)
-        v *= exp_lattice[k]
+        v *= block[j]
         v /= h * v.sum(axis=1, keepdims=True)
 
+    c_bound = float(c_max) / dtau
     if float(np.max(np.abs(H))) > c_bound + 1e-9:
         raise SolverError("effective Hamiltonian exceeded the potential bound",
                           max_H=float(np.max(np.abs(H))), bound=c_bound)

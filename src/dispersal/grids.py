@@ -233,3 +233,19 @@ class TimeIndexedField:
         k = int(np.searchsorted(ts, t)) - 1
         w = (t - ts[k]) / (ts[k + 1] - ts[k])
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+
+
+MAX_STEPS = 10_000_000  # cap on the steps of one time march
+
+
+def march_steps(T: float, dt: float) -> int:
+    """Steps of size dt that cover the horizon T, at least one.
+
+    A march of more than MAX_STEPS steps is rejected up front: with a tiny
+    dt it would otherwise run for ever instead of failing.
+    """
+    n = max(np.ceil(T / dt - 1e-12), 1.0)
+    if not n <= MAX_STEPS:
+        raise ValidationError("time march exceeds the step cap",
+                              T=T, dt=dt, steps=n, cap=MAX_STEPS)
+    return int(n)

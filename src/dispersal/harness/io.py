@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import ValidationError, plain
 
 
-CSV_CHUNK_ROWS = 4096  # rows converted per write: bounds the Python floats alive
+CSV_CHUNK_ROWS = 1024  # rows converted per write: bounds the Python strings alive
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -31,9 +31,9 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
         f.write(",".join(header) + "\n")
         for start in range(0, len(arrays[0]) if arrays else 0, CSV_CHUNK_ROWS):
             # repr of a Python float from tolist() is repr(float(v))
-            cells = [a[start:start + CSV_CHUNK_ROWS].tolist() for a in arrays]
-            f.write("".join(",".join(map(repr, row)) + "\n"
-                            for row in zip(*cells)))
+            cells = [list(map(repr, a[start:start + CSV_CHUNK_ROWS].tolist()))
+                     for a in arrays]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path: Path) -> dict[str, np.ndarray]:

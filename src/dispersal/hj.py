@@ -23,7 +23,8 @@ import numpy as np
 from .ecology import DispersalProfile, ThetaCache, lambda_slope, lambda_table
 from .errors import (CurvatureCollapsed, SolverError, TrajectoryHitBoundary,
                      ValidationError)
-from .grids import ScalarField, TraitField, TraitGrid, argmin_refined
+from .grids import (ScalarField, TraitField, TraitGrid, argmin_refined,
+                    march_steps)
 
 CFL_SAFETY = 0.9
 CFL_MAX_HALVINGS = 40
@@ -224,7 +225,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
     v = _validate_initial(grid, V0)
     h = grid.h_z
     z = grid.nodes
-    n_steps = max(int(np.ceil(T / dt - 1e-12)), 1)
+    n_steps = march_steps(T, dt)
 
     times = [t0]
     records = [v.copy()]

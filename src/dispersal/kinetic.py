@@ -25,7 +25,7 @@ from .ecology import DispersalProfile
 from .errors import (AprioriViolated, PopulationExtinct, SolverError,
                      ValidationError)
 from .grids import (PhaseDensity, ScalarField, SpatialGrid, TimeIndexedField,
-                    TraitGrid, argmax_refined)
+                    TraitGrid, argmax_refined, march_steps)
 from .tridiag import BlockDiffusion, FactoredDiffusion
 
 MAX_REACTION_COURANT = 0.2   # dt/eps cap for the frozen-rho exponential
@@ -248,11 +248,11 @@ class RunResult:
 def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     """March to the horizon, recording stride outputs, the integrated-density
     history for the bundle module, and WKB snapshots at the probe times."""
+    dt = cfg.dt
+    n_steps = march_steps(cfg.T, dt)
     state = init_population(cfg)
     stepper = Stepper(cfg)
     stepper.prime(state)
-    dt = cfg.dt
-    n_steps = max(int(np.ceil(cfg.T / dt - 1e-12)), 1)
     probe_steps = {}
     for pt in probe_times:
         k = int(round(pt / dt))
@@ -272,16 +272,20 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
         lows.append(float(state.rho.values.min()))
         highs.append(float(state.rho.values.max()))
 
-    for k in range(n_steps + 1):
-        if k % cfg.out_stride == 0 or k == n_steps:
-            record_output()
-        if k % cfg.history_stride == 0 or k == n_steps:
-            hist_t.append(state.t)
-            hist_rho.append(state.rho.values.copy())
-        if k in probe_steps:
-            u_snaps[probe_steps[k]] = extract_u(state, cfg.epsilon, cfg.floor)
-        if k < n_steps:
-            state = stepper.step(state)
+    # an overflowing step is turned into SolverError by the checks in
+    # Stepper.step; numpy's own warnings would only add stderr lines
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            if k % cfg.out_stride == 0 or k == n_steps:
+                record_output()
+            if k % cfg.history_stride == 0 or k == n_steps:
+                hist_t.append(state.t)
+                hist_rho.append(state.rho.values.copy())
+            if k in probe_steps:
+                u_snaps[probe_steps[k]] = extract_u(state, cfg.epsilon,
+                                                    cfg.floor)
+            if k < n_steps:
+                state = stepper.step(state)
 
     history = TimeIndexedField(np.array(hist_t), np.array(hist_rho))
     return RunResult(cfg, np.array(times), np.array(zbars), np.array(masses),

@@ -1,15 +1,19 @@
 """Principal Floquet bundle marching and the effective Hamiltonian table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dispersal.bundle import (EffectiveHamiltonian, compute_bundle,
-                              effective_hamiltonian, finite_diff_z)
+from dispersal.bundle import (LATTICE_BLOCK_STEPS, EffectiveHamiltonian,
+                              compute_bundle, effective_hamiltonian,
+                              finite_diff_z)
 from dispersal.ecology import (construct_alpha, principal_eigenpair,
                                rate_pair_exponent, solve_theta)
 from dispersal.errors import BundleNotConverged, ValidationError
 from dispersal.grids import (ScalarField, SpatialGrid, TimeIndexedField,
                              default_m)
+from dispersal.tridiag import BlockDiffusion
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +166,106 @@ def test_effective_hamiltonian_rejects_bad_inputs(grid, m):
     with pytest.raises(ValidationError):
         effective_hamiltonian(hist, prof, 0.05, np.empty(0), m,
                               np.array([0.1]))
+    with pytest.raises(ValidationError):
+        effective_hamiltonian(hist, prof, 0.05, np.array([0.0]), m,
+                              np.array([0.1]), dtau=0.0)
+    # a negative spin-up would read H before the march; a zero one with a
+    # zero horizon would leave no step at all
+    with pytest.raises(ValidationError):
+        effective_hamiltonian(hist, prof, 0.05, np.array([0.0]), m,
+                              np.array([0.1]), spin_up=-1.0)
+    with pytest.raises(ValidationError):
+        effective_hamiltonian(hist, prof, 0.05, np.array([0.0]), m,
+                              np.array([0.0]), spin_up=0.0)
+
+
+def _whole_lattice_march(rho_history, profile, epsilon, z_samples, m,
+                         t_record, dtau, spin_up):
+    """The march as it was before streaming: the whole (k_total, n_x)
+    reaction lattice is built up front, then marched row by row."""
+    grid = m.grid
+    h = grid.h_x
+    alphas = np.asarray(profile(z_samples), dtype=float)
+    k_spin = int(np.ceil(spin_up / dtau))
+    k_total = k_spin + int(np.ceil(float(t_record.max()) / epsilon / dtau))
+    rec_steps = k_spin + np.round(t_record / epsilon / dtau).astype(int)
+    taus_mid = (np.arange(k_total) - k_spin + 0.5) * dtau
+    s_times = epsilon * np.maximum(taus_mid, 1.0)
+    hist_t, hist_v = rho_history.times, rho_history.values
+    idx = np.clip(np.searchsorted(hist_t, s_times) - 1, 0, hist_t.size - 2)
+    w = np.clip((s_times - hist_t[idx]) / (hist_t[idx + 1] - hist_t[idx]),
+                0.0, 1.0)
+    rho_lattice = (1.0 - w)[:, None] * hist_v[idx] + w[:, None] * hist_v[idx + 1]
+    exp_lattice = np.exp(dtau * (m.values[None, :] - rho_lattice))
+    c_rec = np.array([m.values - rho_history.at(max(float(t), epsilon))
+                      for t in t_record])
+    H = np.empty((z_samples.size, t_record.size))
+    log_phi = np.empty((z_samples.size, t_record.size, grid.n_x))
+    harnacks = np.zeros(z_samples.size)
+    march = BlockDiffusion(grid.n_x, h, dtau * alphas)
+    v = np.ones((z_samples.size, grid.n_x))
+    for k in range(k_total + 1):
+        slots = np.flatnonzero(rec_steps == k)
+        if slots.size:
+            harnacks = np.maximum(harnacks, v.max(axis=1) / v.min(axis=1))
+            for slot in slots:
+                H[:, slot] = -h * (v @ c_rec[slot])
+                log_phi[:, slot] = -np.log(v)
+        if k == k_total:
+            break
+        v = march.solve(v)
+        v *= exp_lattice[k]
+        v /= h * v.sum(axis=1, keepdims=True)
+    return H, log_phi, harnacks.tolist(), k_spin * dtau, k_total
+
+
+@pytest.mark.parametrize("spin_up,t_end,blocks", [
+    (0.2, 0.02, "one partial"),      # k_total = 600
+    (0.248, 0.09, "exact multiple"),  # k_total = 2048
+    (0.5, 0.1, "not a multiple"),     # k_total = 2500
+])
+def test_streamed_march_equals_whole_lattice_march(m, spin_up, t_end, blocks):
+    # the reaction factors are built one block of steps at a time; every row
+    # must carry the bits of the whole-lattice march it replaced
+    prof = construct_alpha(0.5, 0.5, m)
+    hist_t = np.array([0.0, 0.03, 0.06, 0.1])
+    hist = TimeIndexedField(hist_t, np.vstack(
+        [(1.0 + 0.5 * np.sin(7.0 * t)) * m.values for t in hist_t]))
+    zs = np.array([-0.3, 0.0, 0.2])
+    eps, dtau = 0.05, 1e-3
+    t_rec = np.array([0.0, 0.01, 0.5 * t_end, t_end])
+    eff = effective_hamiltonian(hist, prof, eps, zs, m, t_rec, dtau=dtau,
+                                spin_up=spin_up)
+    H, log_phi, harnack, spin, k_total = _whole_lattice_march(
+        hist, prof, eps, zs, m, t_rec, dtau, spin_up)
+    if k_total < LATTICE_BLOCK_STEPS:
+        assert blocks == "one partial"
+    elif k_total % LATTICE_BLOCK_STEPS == 0:
+        assert blocks == "exact multiple"
+    else:
+        assert blocks == "not a multiple"
+    assert np.array_equal(eff.H, H)
+    assert np.array_equal(eff.log_phi, log_phi)
+    assert eff.meta["harnack"] == harnack
+    assert eff.meta["spin_up"] == spin
+
+
+def test_effective_hamiltonian_memory_does_not_grow_with_the_horizon(grid, m):
+    # 51,000 fast-time steps on n_x = 64: a whole (k_total, n_x) reaction
+    # lattice alone would take 26 MB (one trait: tracing slows the march)
+    prof = construct_alpha(0.5, 0.5, m)
+    hist = TimeIndexedField(np.array([0.0, 0.5]),
+                            np.vstack([m.values, 0.9 * m.values]))
+    zs = np.array([0.0])
+    tracemalloc.start()
+    try:
+        eff = effective_hamiltonian(hist, prof, 0.01, zs, m, np.array([0.5]),
+                                    spin_up=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eff.meta["spin_up"] == 1.0
+    assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def _synthetic_table(f, zs, ts):

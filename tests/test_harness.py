@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dispersal.harness import commands
 from dispersal.harness.cli import main
@@ -94,14 +94,17 @@ def _count(lo, hi):
 _GEOMETRY = {"n_x": _count(-2, 96), "m_amp": _number(-1.5, 1.5)}
 _PROFILE = {"alpha0": _number(-0.5, 3.0), "L0": _number(-0.5, 3.0)}
 # every key here is in the command's schema; the ranges keep one run cheap
-# (the hj horizon at most 20 steps, at most 9 H1 samples per axis)
+# (the hj horizon at most 20 steps unless dt is tiny enough to pass the step
+# cap, at most 9 H1 samples per axis)
 _CONTRACT_KEYS = {
     "theta": {**_GEOMETRY, "alpha": _number(-1.0, 5.0)},
     "alpha-build": {**_GEOMETRY, **_PROFILE, "samples": _count(-3, 300)},
     "check-h1": {**_GEOMETRY, **_PROFILE, "samples": _count(-3, 9)},
     "hj": {**_GEOMETRY, **_PROFILE, "n_z": _count(-2, 64),
            "K0": _number(-2.0, 8.0), "zbar0": _number(-0.7, 0.7),
-           "dt": _number(1e-3, 0.02), "record_every": _count(-2, 5),
+           "dt": st.one_of(_number(1e-3, 0.02),
+                           st.sampled_from([4.8e-109, 1e-300])),
+           "record_every": _count(-2, 5),
            "canonical": st.booleans()},
 }
 
@@ -121,6 +124,9 @@ def _contract_case(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_contract_case())
+# the draws seldom pick a tiny dt; these runs would never end without the cap
+@example(("hj", {"dt": 4.8e-109, "T": 0.01}))
+@example(("hj", {"dt": 1e-300, "T": 0.02}))
 def test_exit_code_contract(case):
     command, overrides = case
     args = [command]

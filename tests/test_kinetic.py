@@ -367,3 +367,20 @@ def test_step_rejects_a_corrupted_density(setting, value, error, reaction):
     stepper._zdiff = _Corrupting(stepper._zdiff, value)
     with pytest.raises(error):
         stepper.step(state)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_reports_an_overflowing_reaction_without_warnings(setting):
+    # exp(c_t * m) overflows to inf in the first step: the step's finiteness
+    # check raises, and no numpy warning is printed ahead of the diagnostic
+    sg, tg, profile, _ = setting
+    cfg = SimConfig(0.05, 0.1, sg, tg, profile,
+                    ScalarField(sg, np.full(sg.n_x, 1e4)))
+    with pytest.raises(SolverError):
+        run(cfg)
+
+
+def test_run_rejects_a_march_past_the_step_cap(setting):
+    # T / dt = 1e301 steps: rejected before the first one, not run for ever
+    with pytest.raises(ValidationError, match="step cap"):
+        run(base_config(setting, T=0.5, c_t=1e-300))
