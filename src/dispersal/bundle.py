@@ -8,166 +8,25 @@ gap, so a window of 20/gap forgets the initial profile to ~1e-8.
 
 The effective Hamiltonian of the full model is the bundle normalizer for the
 potential m - rho_eps in fast time tau = t/epsilon, with rho frozen below
-t = epsilon.
+t = epsilon.  A resident frozen at all times (epsilon = 1 and a constant
+rho history) gives the bundle of a steady potential, whose normalizer is
+the principal eigenvalue; `floquet-test` checks exactly that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import BundleNotConverged, SolverError, ValidationError
-from .grids import ScalarField, SpatialGrid, TimeIndexedField
-from .tridiag import BlockDiffusion, FactoredDiffusion
+from .errors import SolverError, ValidationError
+from .grids import (MAX_STEPS, ScalarField, TimeIndexedField,
+                    difference_tables)
+from .tridiag import BlockDiffusion
 
 DEFAULT_DTAU = 1e-3
 SPINUP_FACTOR = 20.0  # spin-up duration in units of inverse spectral gap
 LATTICE_BLOCK_STEPS = 1024  # march steps whose reaction factors are built at once
-
-
-@dataclass(frozen=True)
-class FloquetBundle:
-    """Recorded bundle samples: positive unit-mass profiles and normalizers."""
-
-    taus: np.ndarray      # recorded fast times
-    phi: np.ndarray       # (n_rec, n_x), each row strictly positive, mass 1
-    H: np.ndarray         # (n_rec,)
-    harnack: float        # max over records of sup phi / inf phi
-    spin_up: float
-    dtau: float
-
-
-def _potential_callable(c, tau_ref: float) -> Callable[[float], np.ndarray]:
-    """Accept a constant array, a TimeIndexedField, or a callable."""
-    if isinstance(c, np.ndarray):
-        return lambda tau: c
-    if isinstance(c, ScalarField):
-        values = c.values
-        return lambda tau: values
-    if isinstance(c, TimeIndexedField):
-        return c.at
-    if callable(c):
-        return c
-    raise ValidationError("unsupported potential representation", type=str(type(c)))
-
-
-def _auto_spin_up(alpha: float, c_fn: Callable[[float], np.ndarray],
-                  grid: SpatialGrid, tau_span: tuple[float, float]) -> float:
-    """Spin-up duration 20/gap from the time-averaged operator."""
-    from .ecology import spectral_gap
-
-    t0, t1 = tau_span
-    if t1 > t0:
-        samples = np.linspace(t0, t1, 33)
-        cbar = np.mean([c_fn(float(t)) for t in samples], axis=0)
-    else:
-        cbar = c_fn(t0)
-    gap = spectral_gap(alpha, ScalarField(grid, np.asarray(cbar, dtype=float)))
-    return SPINUP_FACTOR / max(gap, 0.1)
-
-
-def compute_bundle(alpha: float, c, grid: SpatialGrid,
-                   tau_span: tuple[float, float], *,
-                   dtau: float = DEFAULT_DTAU,
-                   spin_up: float | None = None,
-                   record_taus: np.ndarray | None = None,
-                   initial: np.ndarray | None = None,
-                   check_insensitivity: bool = False) -> FloquetBundle:
-    """March the bundle over tau_span after a discarded spin-up window.
-
-    The potential is extended constantly in time before the window start.
-    Each step applies implicit (backward) diffusion then the exact
-    exponential reaction for the frozen potential, then renormalizes to unit
-    mass; H is recorded through the mass identity H = -int c Phi dx.
-    """
-    if dtau <= 0.0:
-        raise ValidationError("dtau must be positive", dtau=dtau)
-    tau_start, tau_end = float(tau_span[0]), float(tau_span[1])
-    if tau_end < tau_start:
-        raise ValidationError("empty fast-time window", start=tau_start, end=tau_end)
-    c_fn = _potential_callable(c, tau_start)
-    if spin_up is None:
-        spin_up = _auto_spin_up(alpha, c_fn, grid, (tau_start, tau_end))
-    if spin_up <= 0.0:
-        raise ValidationError("spin_up must be positive", spin_up=spin_up)
-
-    k_spin = int(np.ceil(spin_up / dtau))
-    spin_actual = k_spin * dtau
-    k_total = k_spin + int(round((tau_end - tau_start) / dtau))
-
-    if record_taus is None:
-        n_window = k_total - k_spin
-        if n_window > 200_000:
-            raise ValidationError("record window too large; pass record_taus",
-                                  steps=n_window)
-        record_taus = tau_start + dtau * np.arange(n_window + 1)
-    record_taus = np.asarray(record_taus, dtype=float)
-    rec_steps = {}
-    for slot, tau in enumerate(record_taus):
-        k = k_spin + int(round((tau - tau_start) / dtau))
-        if not 0 <= k <= k_total:
-            raise ValidationError("record time outside the marched window",
-                                  tau=float(tau))
-        rec_steps.setdefault(k, []).append(slot)
-
-    constant_potential = isinstance(c, (np.ndarray, ScalarField))
-
-    def tau_of(k: int) -> float:
-        return tau_start + (k - k_spin) * dtau
-
-    h = grid.h_x
-    inv = FactoredDiffusion(grid.n_x, h, dtau * alpha)
-    if initial is None:
-        v = np.ones(grid.n_x)
-    else:
-        v = np.asarray(initial, dtype=float).copy()
-        if v.min() <= 0.0:
-            raise ValidationError("initial bundle profile must be positive")
-        v /= h * v.sum()
-
-    n_rec = record_taus.size
-    phi = np.empty((n_rec, grid.n_x))
-    H = np.empty(n_rec)
-    harnack = 0.0
-    exp_row = np.exp(dtau * np.asarray(c_fn(tau_start), dtype=float)) \
-        if constant_potential else None
-
-    for k in range(k_total + 1):
-        slots = rec_steps.get(k)
-        if slots is not None:
-            if v.min() <= 0.0:
-                raise SolverError("bundle lost positivity",
-                                  min_value=float(v.min()), tau=tau_of(k))
-            crow = np.asarray(c_fn(tau_of(k)), dtype=float)
-            h_val = -h * float(crow @ v)
-            ratio = float(v.max() / v.min())
-            harnack = max(harnack, ratio)
-            for slot in slots:
-                phi[slot] = v
-                H[slot] = h_val
-        if k == k_total:
-            break
-        v = inv.solve(v)
-        if constant_potential:
-            v *= exp_row
-        else:
-            tau_mid = max(tau_of(k) + 0.5 * dtau, tau_start)
-            v *= np.exp(dtau * np.asarray(c_fn(tau_mid), dtype=float))
-        v /= h * v.sum()
-
-    result = FloquetBundle(record_taus, phi, H, harnack, spin_actual, dtau)
-    if check_insensitivity:
-        longer = compute_bundle(alpha, c, grid, (tau_start, tau_end), dtau=dtau,
-                                spin_up=2.0 * spin_actual,
-                                record_taus=record_taus, initial=initial,
-                                check_insensitivity=False)
-        drift = float(np.max(np.abs(longer.H - result.H)))
-        if drift > 1e-8:
-            raise BundleNotConverged("spin-up window too short",
-                                     drift=drift, spin_up=spin_actual)
-    return result
 
 
 @dataclass(frozen=True)
@@ -209,7 +68,9 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
     make trait-dependent, then a per-row renormalization to unit mass.  The
     reaction factors are built LATTICE_BLOCK_STEPS steps at a time, as the
     march enters each block, so memory does not grow with the horizon.  The
-    Harnack ratio sup Phi / inf Phi is kept per trait.
+    Harnack ratio sup Phi / inf Phi is kept per trait, and every recorded
+    profile is checked to be strictly positive.  A march of more than
+    MAX_STEPS steps is rejected up front.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive", epsilon=epsilon)
@@ -240,9 +101,15 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
     if not spin_up > 0.0:
         raise ValidationError("spin_up must be positive", spin_up=spin_up)
 
-    k_spin = int(np.ceil(spin_up / dtau))
-    tau_end = float(t_record.max()) / epsilon
-    k_total = k_spin + int(np.ceil(tau_end / dtau))
+    # float step counts first: a tiny dtau overflows them past any int
+    spin_steps = np.ceil(spin_up / dtau)
+    window_steps = np.ceil(float(t_record.max()) / epsilon / dtau)
+    if not spin_steps + window_steps <= MAX_STEPS:
+        raise ValidationError("bundle march exceeds the step cap",
+                              dtau=dtau, spin_up=spin_up,
+                              steps=spin_steps + window_steps, cap=MAX_STEPS)
+    k_spin = int(spin_steps)
+    k_total = k_spin + int(window_steps)
     rec_steps = k_spin + np.round(t_record / epsilon / dtau).astype(int)
     rec_of_step = {}
     for slot, k in enumerate(rec_steps):
@@ -272,7 +139,12 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
     for k in range(k_total + 1):
         slots = rec_of_step.get(k)
         if slots is not None:
-            harnacks = np.maximum(harnacks, v.max(axis=1) / v.min(axis=1))
+            v_min = v.min(axis=1)
+            if v_min.min() <= 0.0:
+                raise SolverError("bundle lost positivity",
+                                  min_value=float(v_min.min()),
+                                  t=float(t_record[slots[0]]))
+            harnacks = np.maximum(harnacks, v.max(axis=1) / v_min)
             for slot in slots:
                 H[:, slot] = -h * (v @ c_rec[slot])
                 log_phi[:, slot] = -np.log(v)
@@ -304,14 +176,4 @@ def finite_diff_z(eff: EffectiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference d/dz and d2/dz2 tables of the Hamiltonian."""
     if eff.z.size < 5:
         raise ValidationError("need at least 5 trait samples", n=eff.z.size)
-    hz = eff.z[1] - eff.z[0]
-    H = eff.H
-    d1 = np.empty_like(H)
-    d2 = np.empty_like(H)
-    d1[1:-1] = (H[2:] - H[:-2]) / (2 * hz)
-    d1[0] = (-3 * H[0] + 4 * H[1] - H[2]) / (2 * hz)
-    d1[-1] = (3 * H[-1] - 4 * H[-2] + H[-3]) / (2 * hz)
-    d2[1:-1] = (H[2:] - 2 * H[1:-1] + H[:-2]) / (hz * hz)
-    d2[0] = (2 * H[0] - 5 * H[1] + 4 * H[2] - H[3]) / (hz * hz)
-    d2[-1] = (2 * H[-1] - 5 * H[-2] + 4 * H[-3] - H[-4]) / (hz * hz)
-    return d1, d2
+    return difference_tables(eff.H, eff.z[1] - eff.z[0])

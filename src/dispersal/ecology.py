@@ -21,7 +21,9 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpbtrf, dpbtrs
 
 from .errors import EigenDiverged, SolverError, ThetaDiverged, ValidationError
-from .grids import ScalarField, SpatialGrid, mirror_laplacian, parabola_vertex
+from .grids import (ScalarField, SpatialGrid, difference_tables,
+                    first_difference, mirror_laplacian, neumann_bands,
+                    parabola_vertex, second_difference)
 from .tridiag import FactoredDiffusion
 
 DERIV_STEP_FRACTION = 1e-3   # finite-difference step as a fraction of b - a
@@ -57,8 +59,10 @@ def solve_theta(alpha: float, m: ScalarField, *, residual_rtol: float = 1e-12,
         raise ValidationError("resource distribution must be positive",
                               min_m=float(mv.min()))
     h = m.grid.h_x
-    n = m.grid.n_x
     target = residual_rtol * float(np.max(np.abs(mv)))
+    # Jacobian alpha*L + diag(m - 2 theta): Neumann ends, symmetric bands
+    main, off = neumann_bands(alpha / (h * h), m.grid.n_x)
+    jac_main, jac_off = -main + mv, -off
     theta = mv.copy()
     history = []
     for _ in range(max_newton):
@@ -67,14 +71,8 @@ def solve_theta(alpha: float, m: ScalarField, *, residual_rtol: float = 1e-12,
         history.append(norm)
         if norm <= target:
             return ScalarField(m.grid, theta)
-        # Jacobian alpha*L + diag(m - 2 theta): Neumann ends, symmetric bands
-        d = h * h
-        diag = -2.0 * alpha / d + mv - 2.0 * theta
-        diag[0] = -alpha / d + mv[0] - 2.0 * theta[0]
-        diag[-1] = -alpha / d + mv[-1] - 2.0 * theta[-1]
-        off = np.full(n - 1, alpha / d)
-        *_, delta, info = dgtsv(off, diag, off, -res,
-                                overwrite_d=1, overwrite_b=1)
+        *_, delta, info = dgtsv(jac_off, jac_main - 2.0 * theta, jac_off,
+                                -res, overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise SolverError("singular Newton Jacobian for theta",
                               info=int(info), alpha=alpha)
@@ -164,14 +162,9 @@ def _operator_diagonals(alpha, c: np.ndarray, h: float):
     A scalar alpha and a 1-D c give 1-D diagonals; k rates give (k, n) and
     (k, n - 1) arrays, with c of shape (n,) shared or (k, n) per rate.
     """
-    alpha = np.asarray(alpha, dtype=float)[..., None]
-    n = c.shape[-1]
-    d = h * h
-    main = 2.0 * alpha / d - c
-    main[..., 0] = alpha[..., 0] / d - c[..., 0]
-    main[..., -1] = alpha[..., 0] / d - c[..., -1]
-    off = np.repeat(-alpha / d, n - 1, axis=-1)
-    return main, off
+    main, off = neumann_bands(np.asarray(alpha, dtype=float) / (h * h),
+                              c.shape[-1])
+    return main - c, off
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -468,22 +461,6 @@ def _stencil_points(z1: float, profile: DispersalProfile,
     return 0, h, [z1 - h, z1 + h, z1]
 
 
-def _first_difference(side: int, h: float, f: list[float]) -> float:
-    if side > 0:
-        return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    if side < 0:
-        return (3.0 * f[0] - 4.0 * f[1] + f[2]) / (2.0 * h)
-    return (f[1] - f[0]) / (2.0 * h)
-
-
-def _second_difference(side: int, h: float, f: list[float]) -> float:
-    if side:
-        f0, f1, f2, f3 = f
-        return (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
-    fm, fp, fc = f
-    return (fm - 2.0 * fc + fp) / (h * h)
-
-
 def _column_derivs(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
                    cache: ThetaCache, h_d: float | None) -> list[tuple]:
     """(d/dz1) lambda and (d2/dz1^2) lambda at every z1 of one resident
@@ -494,8 +471,8 @@ def _column_derivs(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
     out = []
     for side, h, pts in stencils:
         f, lams = lams[:len(pts)], lams[len(pts):]
-        out.append((_first_difference(side, h, f),
-                    _second_difference(side, h, f)))
+        out.append((first_difference(side, h, f),
+                    second_difference(side, h, f)))
     return out
 
 
@@ -521,7 +498,7 @@ def lambda_slope(z1: float, z2: float, profile: DispersalProfile,
     cache = cache if cache is not None else ThetaCache(profile, m)
     side, h, pts = _stencil_points(z1, profile, None)
     f = _exponents(pts[:3] if side else pts[:2], z2, profile, m, cache)
-    return _first_difference(side, h, f)
+    return first_difference(side, h, f)
 
 
 def lambda_table(z1s: np.ndarray, z2s: np.ndarray, profile: DispersalProfile,
@@ -601,16 +578,7 @@ def construct_alpha(alpha0: float, L0: float, m: ScalarField,
     pairs = principal_eigenpairs(np.tile(alphas, probe_n),
                                  [c for c in columns for _ in alphas])
     surf = np.array([pair.lam for pair in pairs]).reshape(probe_n, probe_n).T
-
-    d1 = np.empty_like(surf)
-    d2 = np.empty_like(surf)
-    d1[1:-1] = (surf[2:] - surf[:-2]) / (2 * h_a)
-    d1[0] = (-3 * surf[0] + 4 * surf[1] - surf[2]) / (2 * h_a)
-    d1[-1] = (3 * surf[-1] - 4 * surf[-2] + surf[-3]) / (2 * h_a)
-    d2[1:-1] = (surf[2:] - 2 * surf[1:-1] + surf[:-2]) / (h_a * h_a)
-    d2[0] = (2 * surf[0] - 5 * surf[1] + 4 * surf[2] - surf[3]) / (h_a * h_a)
-    d2[-1] = (2 * surf[-1] - 5 * surf[-2] + 4 * surf[-3] - surf[-4]) / (h_a * h_a)
-
+    d1, d2 = difference_tables(surf, h_a)
     if d1.min() <= 0.0:
         raise ValidationError("rate-pair exponent must be increasing in the "
                               "mutant rate on the probe box",

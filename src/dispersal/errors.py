@@ -82,10 +82,6 @@ class EigenDiverged(SolverError):
     code = "eigen-diverged"
 
 
-class BundleNotConverged(SolverError):
-    code = "bundle-not-converged"
-
-
 class BoundaryMinimizer(SolverError):
     code = "boundary-minimizer"
 

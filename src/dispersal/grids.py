@@ -145,6 +145,56 @@ def mirror_laplacian(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return out if axis == 0 else np.moveaxis(out, 0, axis)
 
 
+def neumann_bands(r, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Main and off bands of -r*h^2*L, L the mirror-ghost Laplacian on n nodes.
+
+    The main band is 2r inside and r on the two end rows (the ghost folds
+    back onto the wall node); the off band is -r.  A scalar r gives 1-D
+    bands of length n and n - 1; k values give (k, n) and (k, n - 1), one
+    row per r.
+    """
+    r = np.asarray(r, dtype=float)[..., None]
+    main = np.repeat(2.0 * r, n, axis=-1)
+    main[..., [0, -1]] = r
+    return main, np.repeat(-r, n - 1, axis=-1)
+
+
+def first_difference(side: int, h: float, f) -> float | np.ndarray:
+    """Second-order first difference: one-sided forward (side 1) from
+    f[0], f[1], f[2], backward (side -1) likewise, central (side 0) from
+    the outer pair (f[0], f[1]) = (f(x - h), f(x + h))."""
+    if side > 0:
+        return (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    if side < 0:
+        return (3.0 * f[0] - 4.0 * f[1] + f[2]) / (2.0 * h)
+    return (f[1] - f[0]) / (2.0 * h)
+
+
+def second_difference(side: int, h: float, f) -> float | np.ndarray:
+    """Second difference: four points stepping away from f[0] when one-sided,
+    (f(x - h), f(x + h), f(x)) when central."""
+    if side:
+        f0, f1, f2, f3 = f
+        return (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / (h * h)
+    fm, fp, fc = f
+    return (fm - 2.0 * fc + fp) / (h * h)
+
+
+def difference_tables(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and second differences along axis 0 of samples with spacing h:
+    central inside, one-sided on the first and last rows (n >= 4)."""
+    d1 = np.empty_like(f)
+    d2 = np.empty_like(f)
+    d1[1:-1] = first_difference(0, h, (f[:-2], f[2:]))
+    d1[0] = first_difference(1, h, f[:3])
+    d1[-1] = first_difference(-1, h, f[:-4:-1])
+    # the mirrored central pair keeps the f[x+h] - 2 f[x] + f[x-h] order
+    d2[1:-1] = second_difference(0, h, (f[2:], f[:-2], f[1:-1]))
+    d2[0] = second_difference(1, h, f[:4])
+    d2[-1] = second_difference(-1, h, f[:-5:-1])
+    return d1, d2
+
+
 def laplacian_x(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, mirror_laplacian(f.values, f.grid.h_x))
 

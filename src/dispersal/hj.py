@@ -174,11 +174,12 @@ def _validate_initial(grid: TraitGrid, V0: TraitField) -> np.ndarray:
 
 
 def _one_sided_gradients(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    slope = (v[1:] - v[:-1]) / h
     p_minus = np.empty_like(v)
     p_plus = np.empty_like(v)
-    p_minus[1:] = (v[1:] - v[:-1]) / h
+    p_minus[1:] = slope
     p_minus[0] = 0.0          # mirror ghost: zero slope into the wall
-    p_plus[:-1] = (v[1:] - v[:-1]) / h
+    p_plus[:-1] = slope
     p_plus[-1] = 0.0
     return p_minus, p_plus
 

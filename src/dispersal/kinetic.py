@@ -31,6 +31,7 @@ from .tridiag import BlockDiffusion, FactoredDiffusion
 MAX_REACTION_COURANT = 0.2   # dt/eps cap for the frozen-rho exponential
 ENVELOPE_FACTOR = 10.0
 ENVELOPE_STREAK = 3
+DENSITY_FLOOR = 1e-300       # floor before a log; marginal extinction threshold
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class SimConfig:
     c_t: float = 0.1
     out_stride: int = 10
     history_stride: int = 10
-    floor: float = 1e-300
     disable_z_diffusion: bool = False
     disable_reaction: bool = False
 
@@ -68,8 +68,6 @@ class SimConfig:
                                   m_n_x=self.m.grid.n_x, n_x=self.spatial.n_x)
         if self.out_stride < 1 or self.history_stride < 1:
             raise ValidationError("strides must be >= 1")
-        if self.floor <= 0.0:
-            raise ValidationError("floor must be positive", floor=self.floor)
 
     @property
     def dt(self) -> float:
@@ -201,13 +199,12 @@ class Stepper:
                         t=t_new, violations=violations)
 
 
-def extract_u(state: SimState, epsilon: float,
-              floor: float = 1e-300) -> np.ndarray:
+def extract_u(state: SimState, epsilon: float) -> np.ndarray:
     """WKB value u = -eps log n, floored before the log only."""
-    return -epsilon * np.log(np.maximum(state.n.values, floor))
+    return -epsilon * np.log(np.maximum(state.n.values, DENSITY_FLOOR))
 
 
-def dominant_trait(state: SimState, floor: float = 1e-300) -> float:
+def dominant_trait(state: SimState) -> float:
     """Refined maximizer of the trait marginal int n dx.
 
     A maximum pinned to a trait wall is reported as the wall node itself:
@@ -216,7 +213,7 @@ def dominant_trait(state: SimState, floor: float = 1e-300) -> float:
     out-weigh the selected peak for a while.
     """
     marginal = state.n.z_marginal()
-    if float(marginal.values.max()) <= floor:
+    if float(marginal.values.max()) <= DENSITY_FLOOR:
         raise PopulationExtinct("all marginal mass at or below the floor",
                                 t=state.t,
                                 max_marginal=float(marginal.values.max()))
@@ -266,7 +263,7 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
 
     def record_output():
         times.append(state.t)
-        zbars.append(dominant_trait(state, cfg.floor))
+        zbars.append(dominant_trait(state))
         masses.append(cfg.spatial.h_x * cfg.trait.h_z *
                       float(state.n.values.sum()))
         lows.append(float(state.rho.values.min()))
@@ -282,8 +279,7 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
                 hist_t.append(state.t)
                 hist_rho.append(state.rho.values.copy())
             if k in probe_steps:
-                u_snaps[probe_steps[k]] = extract_u(state, cfg.epsilon,
-                                                    cfg.floor)
+                u_snaps[probe_steps[k]] = extract_u(state, cfg.epsilon)
             if k < n_steps:
                 state = stepper.step(state)
 

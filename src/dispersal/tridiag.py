@@ -24,6 +24,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import SolverError
+from .grids import neumann_bands
 
 
 def _factor(n: int, h: float, mus) -> tuple[np.ndarray, np.ndarray]:
@@ -32,12 +33,10 @@ def _factor(n: int, h: float, mus) -> tuple[np.ndarray, np.ndarray]:
     if mus.ndim != 1 or not np.all(mus >= 0.0):
         raise SolverError("implicit diffusion needs mu >= 0",
                           mu_min=float(np.min(mus)))
-    r = mus[:, None] / (h * h)
-    diag = np.repeat(1.0 + 2.0 * r, n, axis=1)
-    diag[:, [0, -1]] = 1.0 + r
+    main, band = neumann_bands(mus / (h * h), n)
     off = np.zeros((mus.size, n))
-    off[:, :-1] = -r                  # zero at every block end: no coupling
-    d, l, info = dpttrf(diag.ravel(), off.ravel()[:-1],
+    off[:, :-1] = band                # zero at every block end: no coupling
+    d, l, info = dpttrf((1.0 + main).ravel(), off.ravel()[:-1],
                         overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise SolverError("diffusion factorization failed", info=int(info))
@@ -74,4 +73,4 @@ class BlockDiffusion:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """rhs has shape (n_slices, n); returns the same shape."""
-        return _solve(self._factor, np.reshape(rhs, -1)).reshape(np.shape(rhs))
+        return _solve(self._factor, rhs.reshape(-1)).reshape(rhs.shape)

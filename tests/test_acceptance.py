@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersal.bundle import compute_bundle
+from dispersal.bundle import effective_hamiltonian
 from dispersal.ecology import (ThetaCache, check_H1, construct_alpha,
                                invasion_exponent, principal_eigenpair,
                                solve_theta)
-from dispersal.grids import ScalarField, SpatialGrid, TraitField, TraitGrid, \
-    default_m
+from dispersal.grids import ScalarField, SpatialGrid, TimeIndexedField, \
+    TraitField, TraitGrid, default_m
 from dispersal.harness.config import SCHEMAS
 from dispersal.harness.converge import run_convergence
 from dispersal.hj import (SelfConsistentSource, SyntheticSource,
@@ -86,14 +86,17 @@ def test_criterion_02_explicit_profile_h1(setting):
 
 def test_criterion_03_floquet_elliptic_equivalence(setting):
     sg, _, profile, m = setting
-    alpha_z = float(profile(0.3))
     theta = solve_theta(float(profile(0.25)), m)
     c = ScalarField(sg, m.values - theta.values)
-    bundle = compute_bundle(alpha_z, c, sg, (0.0, 0.05), dtau=5e-6)
-    lam = principal_eigenpair(alpha_z, c).lam
-    gap = float(abs(bundle.H[-1] - lam))
-    identity = float(np.abs(bundle.H + (bundle.phi * c.values).sum(axis=1)
-                            * sg.h_x).max())
+    # the resident frozen at every time (epsilon = 1, a constant history)
+    frozen = TimeIndexedField([0.0, 1.0], [theta.values, theta.values])
+    taus = 5e-6 * np.arange(10_001)
+    eff = effective_hamiltonian(frozen, profile, 1.0, [0.3], m, taus,
+                                dtau=5e-6)
+    H, phi = eff.H[0], np.exp(-eff.log_phi[0])
+    lam = principal_eigenpair(float(profile(0.3)), c).lam
+    gap = float(abs(H[-1] - lam))
+    identity = float(np.abs(H + (phi * c.values).sum(axis=1) * sg.h_x).max())
     ok = gap <= 1e-6 and identity <= 1e-10
     report_line(3, ok, f"|H-lam| {gap:.2e}, mass identity {identity:.2e}")
 

@@ -5,14 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dispersal import bundle
 from dispersal.bundle import (LATTICE_BLOCK_STEPS, EffectiveHamiltonian,
-                              compute_bundle, effective_hamiltonian,
-                              finite_diff_z)
-from dispersal.ecology import (construct_alpha, principal_eigenpair,
-                               rate_pair_exponent, solve_theta)
-from dispersal.errors import BundleNotConverged, ValidationError
+                              effective_hamiltonian, finite_diff_z)
+from dispersal.ecology import (DispersalProfile, construct_alpha,
+                               principal_eigenpair, rate_pair_exponent,
+                               solve_theta)
+from dispersal.errors import SolverError, ValidationError
 from dispersal.grids import (ScalarField, SpatialGrid, TimeIndexedField,
                              default_m)
+from dispersal.harness.cli import main
+from dispersal.harness.io import read_csv
 from dispersal.tridiag import BlockDiffusion
 
 
@@ -27,87 +30,128 @@ def m(grid):
 
 
 @pytest.fixture(scope="module")
-def resident_potential(grid, m):
-    theta = solve_theta(0.5, m)
-    return ScalarField(grid, m.values - theta.values)
+def theta(m):
+    return solve_theta(0.5, m).values
+
+
+def frozen_bundle(alpha, m, rho, t_end, dtau, **kw):
+    """The bundle of the steady potential m - rho at dispersal rate alpha,
+    recorded at every step of [0, t_end]: floquet-test's march."""
+    hist = TimeIndexedField(np.array([0.0, 1.0]), np.vstack([rho, rho]))
+    profile = DispersalProfile.constant(alpha, -0.5, 0.5)
+    taus = dtau * np.arange(int(round(t_end / dtau)) + 1)
+    return effective_hamiltonian(hist, profile, 1.0, np.array([0.0]), m, taus,
+                                 dtau=dtau, **kw)
 
 
 def test_constant_potential_is_exact(grid):
     # spatially flat potential: the bundle is the flat profile, H = -c0
-    c = ScalarField(grid, np.full(grid.n_x, 0.37))
-    b = compute_bundle(0.8, c, grid, (0.0, 0.2), dtau=1e-3, spin_up=1.0)
+    flat = ScalarField(grid, np.ones(grid.n_x))
+    b = frozen_bundle(0.8, flat, np.full(grid.n_x, 0.63), 0.2, 1e-3,
+                      spin_up=1.0)
     assert np.max(np.abs(b.H + 0.37)) <= 1e-13
-    assert np.max(np.abs(b.phi - 1.0)) <= 1e-13
-    assert b.harnack == pytest.approx(1.0, abs=1e-13)
+    assert np.max(np.abs(np.exp(-b.log_phi) - 1.0)) <= 1e-13
+    assert b.meta["harnack"][0] == pytest.approx(1.0, abs=1e-13)
 
 
-def test_agrees_with_elliptic_eigenpair(grid, resident_potential):
+def test_agrees_with_elliptic_eigenpair(grid, m, theta):
     # steady potential: the normalizer is the principal eigenvalue and the
     # profile the mass-normalized eigenfunction; splitting bias ~ 1e-7/step
-    pair = principal_eigenpair(0.5, resident_potential)
-    b = compute_bundle(0.5, resident_potential, grid, (0.0, 0.0), dtau=5e-6)
-    assert abs(b.H[0] - pair.lam) <= 1e-6
-    assert np.max(np.abs(b.phi[0] - pair.phi.values)) <= 1e-5
+    pair = principal_eigenpair(0.5, ScalarField(grid, m.values - theta))
+    b = frozen_bundle(0.5, m, theta, 0.0, 5e-6)
+    assert abs(b.H[0, 0] - pair.lam) <= 1e-6
+    assert np.max(np.abs(np.exp(-b.log_phi[0, 0]) - pair.phi.values)) <= 1e-5
 
 
 def test_records_unit_mass_positive_and_bounded(grid, m):
-    # genuinely time-dependent potential exercises the callable path
+    # genuinely time-dependent potential c = m - rho, frozen below t = 1
     x = grid.nodes
-
-    def c_fn(tau):
-        return 0.5 * np.cos(np.pi * x) * (1.0 + 0.4 * np.sin(tau)) + 0.1
-
-    b = compute_bundle(0.7, c_fn, grid, (0.0, 2.0), dtau=1e-3, spin_up=3.0)
-    h = grid.h_x
-    assert np.max(np.abs(h * b.phi.sum(axis=1) - 1.0)) <= 1e-10
-    assert b.phi.min() > 0.0
-    assert np.max(np.abs(b.H)) <= 0.7 + 1e-12  # |H| <= sup |c|
-
-
-def test_initial_profile_is_forgotten(grid, resident_potential):
-    x = grid.nodes
-    kw = dict(dtau=1e-4)
-    b1 = compute_bundle(0.5, resident_potential, grid, (0.0, 0.5), **kw)
-    b2 = compute_bundle(0.5, resident_potential, grid, (0.0, 0.5),
-                        initial=1.0 + 0.9 * np.cos(np.pi * x), **kw)
-    assert np.max(np.abs(b1.H - b2.H)) <= 1e-8
-    assert np.max(np.abs(b1.phi - b2.phi)) <= 1e-8
+    ts = np.linspace(0.0, 3.0, 61)
+    c = [0.5 * np.cos(np.pi * x) * (1.0 + 0.4 * np.sin(t)) + 0.1 for t in ts]
+    hist = TimeIndexedField(ts, np.array([m.values - ci for ci in c]))
+    profile = DispersalProfile.constant(0.7, -0.5, 0.5)
+    eff = effective_hamiltonian(hist, profile, 1.0, np.array([0.0]), m,
+                                np.linspace(1.0, 3.0, 2001), spin_up=3.0)
+    phi = np.exp(-eff.log_phi)
+    assert np.max(np.abs(grid.h_x * phi.sum(axis=2) - 1.0)) <= 1e-10
+    assert phi.min() > 0.0
+    assert np.max(np.abs(eff.H)) <= 0.7 + 1e-12  # |H| <= sup |c|
 
 
-def test_spinup_insensitivity_check(grid, resident_potential):
-    compute_bundle(0.5, resident_potential, grid, (0.0, 0.2), dtau=1e-3,
-                   check_insensitivity=True)
-    with pytest.raises(BundleNotConverged):
-        compute_bundle(0.5, resident_potential, grid, (0.0, 0.2), dtau=1e-3,
-                       spin_up=0.4, check_insensitivity=True)
+def test_initial_profile_is_forgotten(m, theta):
+    # a longer spin-up is the automatic one started from another profile:
+    # the one its first extra stretch leaves
+    auto = frozen_bundle(0.5, m, theta, 0.5, 1e-4)
+    other = frozen_bundle(0.5, m, theta, 0.5, 1e-4,
+                          spin_up=1.5 * auto.meta["spin_up"])
+    assert np.max(np.abs(auto.H - other.H)) <= 1e-8
+    assert np.max(np.abs(np.exp(-auto.log_phi) - np.exp(-other.log_phi))) \
+        <= 1e-8
 
 
-def test_harnack_ratio_stable_under_step_halving(grid, resident_potential):
-    ba = compute_bundle(0.5, resident_potential, grid, (0.0, 1.0), dtau=1e-3)
-    bb = compute_bundle(0.5, resident_potential, grid, (0.0, 1.0), dtau=5e-4)
-    assert ba.harnack > 1.0
-    assert abs(ba.harnack - bb.harnack) <= 0.1 * ba.harnack
+def test_spinup_insensitivity_check(m, theta):
+    # doubling the automatic spin-up leaves H in place; doubling a short
+    # one does not
+    auto = frozen_bundle(0.5, m, theta, 0.2, 1e-3)
+    doubled = frozen_bundle(0.5, m, theta, 0.2, 1e-3,
+                            spin_up=2.0 * auto.meta["spin_up"])
+    assert np.max(np.abs(doubled.H - auto.H)) <= 1e-8
+    short = frozen_bundle(0.5, m, theta, 0.2, 1e-3, spin_up=0.4)
+    short_doubled = frozen_bundle(0.5, m, theta, 0.2, 1e-3, spin_up=0.8)
+    assert np.max(np.abs(short_doubled.H - short.H)) > 1e-8
 
 
-def test_rejects_bad_inputs(grid, resident_potential):
+def test_harnack_ratio_stable_under_step_halving(m, theta):
+    ha = frozen_bundle(0.5, m, theta, 1.0, 1e-3).meta["harnack"][0]
+    hb = frozen_bundle(0.5, m, theta, 1.0, 5e-4).meta["harnack"][0]
+    assert ha > 1.0
+    assert abs(ha - hb) <= 0.1 * ha
+
+
+def test_rejects_bad_inputs(m, theta):
+    hist = TimeIndexedField(np.array([0.0, 1.0]), np.vstack([theta, theta]))
+    prof = DispersalProfile.constant(0.5, -0.5, 0.5)
+
+    def march(t_rec, **kw):
+        return effective_hamiltonian(hist, prof, 1.0, np.array([0.0]), m,
+                                     np.array([t_rec]), **kw)
+
     with pytest.raises(ValidationError):
-        compute_bundle(0.5, resident_potential, grid, (0.0, 1.0), dtau=0.0)
-    with pytest.raises(ValidationError):
-        compute_bundle(0.5, resident_potential, grid, (1.0, 0.0))
-    with pytest.raises(ValidationError):
-        compute_bundle(0.5, resident_potential, grid, (0.0, 1.0), dtau=1e-3,
-                       record_taus=np.array([2.0]))
-    with pytest.raises(ValidationError):
-        compute_bundle(0.5, resident_potential, grid, (0.0, 1.0), dtau=1e-3,
-                       initial=np.zeros(grid.n_x))
+        march(0.0, dtau=0.0)
+    # past the step cap, and with a subnormal dtau whose step count would
+    # overflow an int, the march is refused before it starts
+    with pytest.raises(ValidationError, match="step cap"):
+        march(0.0, dtau=1e-8, spin_up=1.0)
+    with pytest.raises(ValidationError, match="step cap"):
+        march(0.0, dtau=5e-324)
+    with pytest.raises(ValidationError, match="step cap"):
+        march(np.nan, spin_up=1.0)
 
 
-def test_default_record_lattice(grid, resident_potential):
-    b = compute_bundle(0.5, resident_potential, grid, (0.0, 0.01),
-                       dtau=1e-3, spin_up=0.5)
-    assert b.taus.size == 11
-    assert b.taus[0] == 0.0
-    assert b.taus[-1] == pytest.approx(0.01)
+def test_default_record_lattice(tmp_path):
+    # floquet-test records the bundle at every step of [0, t_end]
+    code = main(["floquet-test", "--override", "t_end=0.01",
+                 "--override", "dtau=1e-3", "--override", "tol=1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    taus = read_csv(tmp_path / "floquet.csv")["tau"]
+    assert taus.size == 11
+    assert taus[0] == 0.0
+    assert taus[-1] == pytest.approx(0.01)
+
+
+def test_lost_positivity_is_a_solver_error(monkeypatch, m, theta):
+    # the solves keep the profile positive; a corrupted one must not reach
+    # the log of a record
+    class Corrupted(BlockDiffusion):
+        def solve(self, rhs):
+            out = super().solve(rhs)
+            out[:, 0] = -out[:, 0]
+            return out
+
+    monkeypatch.setattr(bundle, "BlockDiffusion", Corrupted)
+    with pytest.raises(SolverError, match="positivity"):
+        frozen_bundle(0.5, m, theta, 0.01, 1e-3, spin_up=0.01)
 
 
 def test_effective_hamiltonian_matches_invasion_exponent(grid, m):

@@ -174,6 +174,16 @@ def test_eigenpair_invariants(grid64, m64):
     assert pair.residual <= 1e-10
 
 
+def _operator_diagonals(alpha, c: np.ndarray, h: float):
+    """Bands of -alpha*L - diag(c) for one rate, written out independently
+    of the package's band helper."""
+    d = h * h
+    main = 2.0 * alpha / d - c
+    main[0] = alpha / d - c[0]
+    main[-1] = alpha / d - c[-1]
+    return main, np.repeat(-alpha / d, c.size - 1)
+
+
 def test_eigenpair_dense_oracle():
     # full symmetric eigendecomposition on a small grid as the oracle
     grid = SpatialGrid(32)
@@ -183,7 +193,7 @@ def test_eigenpair_dense_oracle():
     pair = eco.principal_eigenpair(alpha, c)
 
     h = grid.h_x
-    main, off = eco._operator_diagonals(alpha, c.values, h)
+    main, off = _operator_diagonals(alpha, c.values, h)
     dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     w, v = np.linalg.eigh(dense)
     assert pair.lam == pytest.approx(w[0], abs=1e-9)
@@ -220,7 +230,7 @@ def _reference_eigenpair(alpha, c, value_tol=1e-12, residual_tol=1e-11,
     """The one-rate inverse iteration the batched kernel must reproduce bit
     for bit: 1-D arrays, BLAS dots and norms, Python-float stopping tests."""
     cv, h = c.values, c.grid.h_x
-    main, off = eco._operator_diagonals(alpha, cv, h)
+    main, off = _operator_diagonals(alpha, cv, h)
     ab = np.zeros((2, cv.size))
     ab[1] = main - (-float(cv.max()) - 1.0)
     ab[0, 1:] = off

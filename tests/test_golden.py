@@ -33,7 +33,8 @@ CASES = {
     # covers check_H1's K_lower, the self-consistent source and the
     # canonical ODE, besides a short kinetic run
     "pipeline": ["pipeline", "--override", "T=0.1"],
-    # the only caller of compute_bundle
+    # the effective-Hamiltonian march on a frozen resident, recorded at
+    # every step
     "floquet-test": ["floquet-test", "--override", "t_end=0.01",
                      "--override", "dtau=1e-4", "--override", "tol=1e-4"],
     # the effective-Hamiltonian march (h_gap, h_int) over several thousand

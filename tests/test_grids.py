@@ -16,9 +16,11 @@ from dispersal.grids import (
     argmax_refined,
     argmin_refined,
     default_m,
+    difference_tables,
     integrate,
     laplacian_x,
     laplacian_z,
+    neumann_bands,
 )
 
 
@@ -202,3 +204,85 @@ def test_time_indexed_field_interpolation():
     assert track.at(9.0) == pytest.approx([2.0, 8.0])
     with pytest.raises(ValidationError):
         TimeIndexedField(np.array([0.0, 0.0]), np.zeros((2, 2)))
+
+
+# Written-out copies of the band and table formulas that neumann_bands and
+# difference_tables replaced; the helpers must reproduce them bit for bit.
+
+
+def _diffusion_bands(mus, n, h):
+    """Bands of the stacked I - mu*L blocks, as the diffusion factor built them."""
+    r = mus[:, None] / (h * h)
+    diag = np.repeat(1.0 + 2.0 * r, n, axis=1)
+    diag[:, [0, -1]] = 1.0 + r
+    return diag, np.repeat(-r, n - 1, axis=1)
+
+
+def _operator_bands(alphas, c, h):
+    """Bands of -alpha*L - diag(c), one row per alpha."""
+    alpha = alphas[:, None]
+    d = h * h
+    main = 2.0 * alpha / d - c
+    main[:, 0] = alpha[:, 0] / d - c[0]
+    main[:, -1] = alpha[:, 0] / d - c[-1]
+    return main, np.repeat(-alpha / d, c.size - 1, axis=1)
+
+
+def _jacobian_bands(alpha, mv, theta, h):
+    """Bands of the theta Newton Jacobian alpha*L + diag(m - 2 theta)."""
+    d = h * h
+    diag = -2.0 * alpha / d + mv - 2.0 * theta
+    diag[0] = -alpha / d + mv[0] - 2.0 * theta[0]
+    diag[-1] = -alpha / d + mv[-1] - 2.0 * theta[-1]
+    return diag, np.full(mv.size - 1, alpha / d)
+
+
+@pytest.mark.parametrize("rates", [[0.37], [0.05, 0.5, 1.3, 7.9]])
+@pytest.mark.parametrize("n", [8, 64])
+def test_neumann_bands_equal_the_formulas_they_replace(rates, n):
+    h = 1.0 / n
+    rng = np.random.default_rng(n)
+    c = rng.normal(0.3, 0.5, size=n)
+    mv = 1.0 + 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) * h)
+    theta = rng.uniform(0.5, 1.5, size=n)
+    rates = np.array(rates)
+    k = rates.size
+
+    mus = 1e-3 * rates
+    main, off = neumann_bands(mus / (h * h), n)
+    assert main.shape == (k, n) and off.shape == (k, n - 1)
+    diag, band = _diffusion_bands(mus, n, h)
+    assert np.array_equal(1.0 + main, diag) and np.array_equal(off, band)
+
+    main, off = neumann_bands(rates / (h * h), n)
+    diag, band = _operator_bands(rates, c, h)
+    assert np.array_equal(main - c, diag) and np.array_equal(off, band)
+
+    for alpha in rates:   # a scalar rate gives 1-D bands
+        main, off = neumann_bands(alpha / (h * h), n)
+        assert main.shape == (n,) and off.shape == (n - 1,)
+        diag, band = _jacobian_bands(alpha, mv, theta, h)
+        assert np.array_equal(-main + mv - 2.0 * theta, diag)
+        assert np.array_equal(-off, band)
+
+
+def _copied_tables(f, h):
+    d1 = np.empty_like(f)
+    d2 = np.empty_like(f)
+    d1[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+    d1[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * h)
+    d1[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
+    d2[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / (h * h)
+    d2[0] = (2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / (h * h)
+    d2[-1] = (2 * f[-1] - 5 * f[-2] + 4 * f[-3] - f[-4]) / (h * h)
+    return d1, d2
+
+
+@pytest.mark.parametrize("shape", [(17, 17), (5, 3), (81,)])
+def test_difference_tables_equal_the_copied_tables(shape):
+    rng = np.random.default_rng(sum(shape))
+    f = np.cumsum(rng.normal(size=shape), axis=0) + 1e-3 * rng.normal(size=shape)
+    h = 0.5 / (shape[0] - 1)
+    d1, d2 = difference_tables(f, h)
+    o1, o2 = _copied_tables(f, h)
+    assert np.array_equal(d1, o1) and np.array_equal(d2, o2)

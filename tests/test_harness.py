@@ -155,6 +155,30 @@ def test_exit_code_contract(case):
         assert {"error", "message", "diagnostics"} <= set(payload)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    # about 3.3e9 spin-up steps
+    (("t_end=0", "dtau=1e-9"), "step cap"),
+    # a subnormal step: an infinite step count, and an infinite record window
+    (("t_end=0", "dtau=5e-324"), "step cap"),
+    (("dtau=5e-324",), "record window"),
+])
+def test_floquet_test_rejects_a_march_past_the_step_cap(tmp_path, capsys,
+                                                       overrides, message):
+    args = ["floquet-test", "--out", str(tmp_path)]
+    for override in overrides:
+        args += ["--override", override]
+    assert run_cli(*args) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+
+    def reject(token):
+        raise AssertionError(f"bare {token} in the diagnostic")
+
+    payload = json.loads(lines[0], parse_constant=reject)
+    assert payload["error"] == "validation"
+    assert message in payload["message"]
+
+
 def test_benchmark_hook_targets_exist():
     # perfbench/tracer.py times the program by rebinding these attributes,
     # looking each one up in vars() of its module or class; a target that is
