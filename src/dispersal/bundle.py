@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .grids import (MAX_STEPS, ScalarField, TimeIndexedField,
-                    difference_tables)
+from .grids import MAX_STEPS, ScalarField, TimeIndexedField
 from .tridiag import BlockDiffusion
 
 DEFAULT_DTAU = 1e-3
@@ -39,16 +38,6 @@ class EffectiveHamiltonian:
     log_phi: np.ndarray    # (n_z, n_t, n_x), the WKB corrector -log Phi
     epsilon: float
     meta: dict = field(default_factory=dict)
-
-    def interp_H(self, z: float, t: float) -> float:
-        """Bilinear interpolation of the table (clamped at the edges)."""
-        zi = np.clip(np.searchsorted(self.z, z) - 1, 0, self.z.size - 2)
-        ti = np.clip(np.searchsorted(self.t, t) - 1, 0, self.t.size - 2)
-        wz = np.clip((z - self.z[zi]) / (self.z[zi + 1] - self.z[zi]), 0.0, 1.0)
-        wt = np.clip((t - self.t[ti]) / (self.t[ti + 1] - self.t[ti]), 0.0, 1.0)
-        block = self.H[zi:zi + 2, ti:ti + 2]
-        return float((1 - wz) * ((1 - wt) * block[0, 0] + wt * block[0, 1]) +
-                     wz * ((1 - wt) * block[1, 0] + wt * block[1, 1]))
 
 
 def effective_hamiltonian(rho_history: TimeIndexedField,
@@ -170,10 +159,3 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
     }
     return EffectiveHamiltonian(z_nodes.copy(), t_record.copy(), H, log_phi,
                                 epsilon, meta)
-
-
-def finite_diff_z(eff: EffectiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference d/dz and d2/dz2 tables of the Hamiltonian."""
-    if eff.z.size < 5:
-        raise ValidationError("need at least 5 trait samples", n=eff.z.size)
-    return difference_tables(eff.H, eff.z[1] - eff.z[0])

@@ -21,9 +21,9 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpbtrf, dpbtrs
 
 from .errors import EigenDiverged, SolverError, ThetaDiverged, ValidationError
-from .grids import (ScalarField, SpatialGrid, difference_tables,
-                    first_difference, mirror_laplacian, neumann_bands,
-                    parabola_vertex, second_difference)
+from .grids import (ScalarField, difference_tables, first_difference,
+                    mirror_laplacian, neumann_bands, parabola_vertex,
+                    second_difference)
 from .tridiag import FactoredDiffusion
 
 DERIV_STEP_FRACTION = 1e-3   # finite-difference step as a fraction of b - a
@@ -39,17 +39,16 @@ def _logistic_residual(theta: np.ndarray, alpha: float, m: np.ndarray,
     return alpha * mirror_laplacian(theta, h) + theta * (m - theta)
 
 
-def solve_theta(alpha: float, m: ScalarField, *, residual_rtol: float = 1e-12,
-                max_newton: int = 60) -> ScalarField:
+def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     """Unique positive steady state of alpha*Lap(theta) + theta*(m - theta) = 0.
 
-    Damped Newton from theta = m, falling back to pseudo-time marching if an
-    iterate leaves the positive cone.  Each Newton step solves the tridiagonal
-    Jacobian alpha*L + diag(m - 2 theta) with LAPACK's dgtsv, called directly
-    (the routine solve_banded((1, 1), ...) dispatches to, without its
-    per-call checks).  The returned field satisfies
-    ||residual||_inf <= residual_rtol * ||m||_inf (default well inside the
-    1e-10 contract) and is strictly positive.
+    At most 60 damped Newton steps from theta = m, falling back to pseudo-time
+    marching if an iterate leaves the positive cone.  Each Newton step solves
+    the tridiagonal Jacobian alpha*L + diag(m - 2 theta) with LAPACK's dgtsv,
+    called directly (the routine solve_banded((1, 1), ...) dispatches to,
+    without its per-call checks).  The returned field satisfies
+    ||residual||_inf <= 1e-12 * ||m||_inf (well inside the 1e-10 contract)
+    and is strictly positive.
     """
     if not 0.0 < alpha < np.inf:
         raise ValidationError("dispersal rate must be positive and finite",
@@ -59,13 +58,13 @@ def solve_theta(alpha: float, m: ScalarField, *, residual_rtol: float = 1e-12,
         raise ValidationError("resource distribution must be positive",
                               min_m=float(mv.min()))
     h = m.grid.h_x
-    target = residual_rtol * float(np.max(np.abs(mv)))
+    target = 1e-12 * float(np.max(np.abs(mv)))
     # Jacobian alpha*L + diag(m - 2 theta): Neumann ends, symmetric bands
     main, off = neumann_bands(alpha / (h * h), m.grid.n_x)
     jac_main, jac_off = -main + mv, -off
     theta = mv.copy()
     history = []
-    for _ in range(max_newton):
+    for _ in range(60):
         res = _logistic_residual(theta, alpha, mv, h)
         norm = float(np.abs(res).max())
         history.append(norm)
@@ -99,25 +98,27 @@ def solve_theta(alpha: float, m: ScalarField, *, residual_rtol: float = 1e-12,
 
 
 def solve_theta_pseudotime(alpha: float, m: ScalarField, *,
-                           dt: float = 0.2, residual_target: float = 1e-12,
-                           max_steps: int = 200_000,
+                           residual_target: float = 1e-12,
                            history: list | None = None) -> ScalarField:
     """Independent theta solver: implicit diffusion + explicit logistic marching.
 
-    Slower than Newton but monotone-safe; used as the fallback and as the
-    cross-check oracle in the test suite.
+    Pseudo-time step 0.2, at most 200,000 steps.  Slower than Newton but
+    monotone-safe; used as the fallback and as the cross-check oracle in the
+    test suite.
     """
-    if alpha <= 0.0:
-        raise ValidationError("dispersal rate must be positive", alpha=alpha)
+    if not 0.0 < alpha < np.inf:
+        raise ValidationError("dispersal rate must be positive and finite",
+                              alpha=alpha)
     mv = m.values
     if mv.min() <= 0.0:
         raise ValidationError("resource distribution must be positive",
                               min_m=float(mv.min()))
     h = m.grid.h_x
+    dt = 0.2
     solver = FactoredDiffusion(m.grid.n_x, h, dt * alpha)
     theta = mv.copy()
     history = history if history is not None else []
-    for k in range(max_steps):
+    for k in range(200_000):
         growth = 1.0 + dt * (mv - theta)
         if growth.min() <= 0.0:
             raise ThetaDiverged("pseudo-time reaction factor went nonpositive",
@@ -341,7 +342,7 @@ class DispersalProfile:
     a: float
     b: float
     fn: Callable[[np.ndarray], np.ndarray]
-    dfn: Callable[[np.ndarray], np.ndarray] | None = None
+    dfn: Callable[[np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -358,13 +359,12 @@ class DispersalProfile:
         return self.fn(np.asarray(z, dtype=float))
 
     def prime(self, z):
-        if self.dfn is not None:
-            return self.dfn(np.asarray(z, dtype=float))
-        hd = 1e-6 * (self.b - self.a)
-        return (self.fn(np.asarray(z) + hd) - self.fn(np.asarray(z) - hd)) / (2 * hd)
+        return self.dfn(np.asarray(z, dtype=float))
 
-    def argmin(self, n: int = 4097) -> float:
-        """Refined minimizer of the rate over [a, b] (endpoints allowed)."""
+    def argmin(self) -> float:
+        """Refined minimizer of the rate over [a, b] (endpoints allowed), from
+        4097 samples."""
+        n = 4097
         zs = np.linspace(self.a, self.b, n)
         vals = np.asarray(self.fn(zs), dtype=float)
         j = int(np.argmin(vals))
@@ -395,15 +395,13 @@ class ThetaCache:
     1e-12 makes the sweep O(#columns) theta solves.
     """
 
-    def __init__(self, profile: DispersalProfile, m: ScalarField,
-                 quantum: float = THETA_CACHE_QUANTUM):
+    def __init__(self, profile: DispersalProfile, m: ScalarField):
         self.profile = profile
         self.m = m
-        self.quantum = quantum
         self._store: dict[int, ScalarField] = {}
 
     def theta(self, z2: float) -> ScalarField:
-        key = int(round(z2 / self.quantum))
+        key = int(round(z2 / THETA_CACHE_QUANTUM))
         hit = self._store.get(key)
         if hit is None:
             hit = self._store[key] = solve_theta(float(self.profile(z2)),
@@ -524,11 +522,9 @@ class LambdaSurface:
 
 
 def lambda_surface(profile: DispersalProfile, m: ScalarField,
-                   nz1: int = 21, nz2: int = 21,
-                   cache: ThetaCache | None = None,
-                   h_d: float | None = None) -> LambdaSurface:
+                   nz1: int = 21, nz2: int = 21) -> LambdaSurface:
     """Exponent surface plus derivative columns on an endpoint-inclusive grid."""
-    cache = cache if cache is not None else ThetaCache(profile, m)
+    cache = ThetaCache(profile, m)
     z1s = np.linspace(profile.a, profile.b, nz1)
     z2s = np.linspace(profile.a, profile.b, nz2)
     lam = lambda_table(z1s, z2s, profile, m, cache)
@@ -536,37 +532,30 @@ def lambda_surface(profile: DispersalProfile, m: ScalarField,
     d2 = np.empty_like(lam)
     for j, z2 in enumerate(z2s):
         d1[:, j], d2[:, j] = zip(*_column_derivs(z1s, z2, profile, m, cache,
-                                                 h_d))
+                                                 None))
     return LambdaSurface(z1s, z2s, lam, d1, d2)
 
 
 # ---------------------------------------------------------------------------
 # explicit U-shaped profile
 
-PROBE_SAMPLES = 17  # default rate-box sampling for the curvature ratio
+PROBE_SAMPLES = 17  # rate-box sampling for the curvature ratio
 
 
-def construct_alpha(alpha0: float, L0: float, m: ScalarField,
-                    trait_interval: tuple[float, float] = (-0.5, 0.5),
-                    probe_n: int = PROBE_SAMPLES) -> DispersalProfile:
+def construct_alpha(alpha0: float, L0: float, m: ScalarField) -> DispersalProfile:
     """Explicit U-shaped dispersal profile with certified convexity structure.
 
     Probes the rate-pair exponent surface on [alpha0, alpha0+L0]^2 to estimate
     k0 = sup |d2_rate lambda| / d_rate lambda (a sampled max, hence a lower
     estimate of the true sup), then maps z -> alpha0 - log(cos zeta)/k0 on the
     symmetric interval [-z_M, z_M] with z_M = arccos(exp(-k0 L0)), affinely
-    rescaled onto the configured trait interval.
+    rescaled onto the trait interval [-0.5, 0.5].
     """
     if alpha0 <= 0.0 or L0 <= 0.0:
         raise ValidationError("profile construction needs alpha0 > 0, L0 > 0",
                               alpha0=alpha0, L0=L0)
-    if probe_n < 5:
-        raise ValidationError("rate probe needs at least 5 samples",
-                              probe_n=probe_n)
-    a, b = trait_interval
-    if not a < b:
-        raise ValidationError("trait interval needs a < b", a=a, b=b)
-
+    a, b = -0.5, 0.5
+    probe_n = PROBE_SAMPLES
     alphas = np.linspace(alpha0, alpha0 + L0, probe_n)
     h_a = alphas[1] - alphas[0]
     if not h_a * h_a > 0.0:
@@ -645,7 +634,7 @@ class H1Report:
 
 
 def check_H1(profile: DispersalProfile, m: ScalarField,
-             n_samples: int = H1_SAMPLES, h_d: float | None = None,
+             n_samples: int = H1_SAMPLES,
              cache: ThetaCache | None = None) -> H1Report:
     """Verify uniform trait convexity and the endpoint gradient signs.
 
@@ -660,11 +649,11 @@ def check_H1(profile: DispersalProfile, m: ScalarField,
     k_lower = np.inf
     k_upper = -np.inf
     for z2 in zs:
-        for _, d2 in _column_derivs(zs, z2, profile, m, cache, h_d):
+        for _, d2 in _column_derivs(zs, z2, profile, m, cache, None):
             k_lower = min(k_lower, d2)
             k_upper = max(k_upper, d2)
-    sign_a, _ = lambda_derivs(profile.a, profile.a, profile, m, cache, h_d)
-    sign_b, _ = lambda_derivs(profile.b, profile.b, profile, m, cache, h_d)
+    sign_a, _ = lambda_derivs(profile.a, profile.a, profile, m, cache)
+    sign_b, _ = lambda_derivs(profile.b, profile.b, profile, m, cache)
     passed = bool(k_lower > 0.0 and sign_a < 0.0 and sign_b > 0.0)
     return H1Report(float(k_lower), float(k_upper), float(sign_a),
                     float(sign_b), passed, n_samples)

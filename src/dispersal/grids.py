@@ -126,7 +126,7 @@ class PhaseDensity:
         return TraitField(self.trait, self.spatial.h_x * self.values.sum(axis=0))
 
 
-def mirror_laplacian(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+def mirror_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """3-point second difference with mirror-ghost Neumann closure.
 
     The ghost convention v[-1] = v[0], v[n] = v[n-1] makes the matrix
@@ -134,15 +134,12 @@ def mirror_laplacian(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     midpoint-quadrature integral of the result vanishes identically.
     """
     v = np.asarray(values, dtype=float)
-    if axis != 0:
-        # moveaxis costs more than the stencil on the short 1-D theta solves
-        v = np.moveaxis(v, axis, 0)
     out = np.empty_like(v)
     out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
     out[0] = v[1] - v[0]
     out[-1] = v[-2] - v[-1]
     out /= h * h
-    return out if axis == 0 else np.moveaxis(out, 0, axis)
+    return out
 
 
 def neumann_bands(r, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,14 +192,6 @@ def difference_tables(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def laplacian_x(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, mirror_laplacian(f.values, f.grid.h_x))
-
-
-def laplacian_z(g: TraitField) -> TraitField:
-    return TraitField(g.grid, mirror_laplacian(g.values, g.grid.h_z))
-
-
 def integrate(f: ScalarField | TraitField) -> float:
     """Midpoint quadrature; exact for constants, second order for smooth data."""
     return float(f.grid.h * f.values.sum())
@@ -245,12 +234,13 @@ def argmax_refined(g: TraitField) -> tuple[float, float, float]:
     return z_star, -g_star, -curv
 
 
-def default_m(grid: SpatialGrid) -> ScalarField:
-    """Default resource distribution 1 + 0.5 cos(pi x).
+def default_m(grid: SpatialGrid, amp: float = 0.5) -> ScalarField:
+    """Resource distribution 1 + amp cos(pi x), by default 1 + 0.5 cos(pi x).
 
-    Nonconstant, positive, and Neumann-compatible (zero slope at both walls).
+    Neumann-compatible (zero slope at both walls); the default is also
+    nonconstant and positive.
     """
-    return ScalarField(grid, 1.0 + 0.5 * np.cos(np.pi * grid.nodes))
+    return ScalarField(grid, 1.0 + amp * np.cos(np.pi * grid.nodes))
 
 
 @dataclass(frozen=True)

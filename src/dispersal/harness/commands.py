@@ -23,12 +23,12 @@ from ..bundle import effective_hamiltonian
 from ..ecology import ThetaCache, check_H1, construct_alpha, \
     principal_eigenpair, lambda_surface, solve_theta
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
-from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitField
+from ..grids import ScalarField, SpatialGrid, TimeIndexedField, default_m
 from ..hj import SelfConsistentSource, canonical_ode, lax_oleinik, \
     solve_constrained_hj
 from ..kinetic import SimConfig, run
 from .config import ExperimentSpec
-from .converge import make_m, raise_if_failed, run_convergence, \
+from .converge import quadratic_start, raise_if_failed, run_convergence, \
     standard_setting, write_run_artifacts
 from .io import write_csv, write_json, write_plot_script
 
@@ -36,13 +36,9 @@ from .io import write_csv, write_json, write_plot_script
 FLOQUET_MAX_RECORDS = 200_000  # cap on the recorded floquet-test window
 
 
-def _quadratic_start(tg, k0: float, zbar0: float) -> TraitField:
-    return TraitField(tg, k0 * (tg.nodes - zbar0) ** 2)
-
-
 def cmd_theta(params: dict, out: Path) -> dict:
     sg = SpatialGrid(params["n_x"])
-    m = make_m(sg, params["m_amp"])
+    m = default_m(sg, params["m_amp"])
     theta = solve_theta(params["alpha"], m)
     write_csv(out / "theta.csv", ["x", "m", "theta"],
               [sg.nodes, m.values, theta.values])
@@ -59,7 +55,7 @@ def cmd_alpha_build(params: dict, out: Path) -> dict:
         raise ValidationError("alpha-build needs at least 1 sample",
                               samples=params["samples"])
     sg = SpatialGrid(params["n_x"])
-    m = make_m(sg, params["m_amp"])
+    m = default_m(sg, params["m_amp"])
     profile = construct_alpha(params["alpha0"], params["L0"], m)
     zs = np.linspace(profile.a, profile.b, params["samples"])
     write_csv(out / "alpha.csv", ["z", "alpha", "dalpha"],
@@ -136,7 +132,7 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
 def _hj_solution(params: dict):
     sg, tg, profile, m = standard_setting(params)
     src = SelfConsistentSource(profile, m, tg)
-    v0 = _quadratic_start(tg, params["K0"], params["zbar0"])
+    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     return sg, tg, profile, m, src, v0
 
 
@@ -213,7 +209,7 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
                                 **h1.to_dict())
 
     src = SelfConsistentSource(profile, m, tg, cache=cache)
-    v0 = _quadratic_start(tg, params["K0"], params["zbar0"])
+    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, T, params["dt"], record_every=10)
     can = canonical_ode(src, sol, params["zbar0"], T)
 

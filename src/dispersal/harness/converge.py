@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from ..bundle import effective_hamiltonian
-from ..ecology import DispersalProfile, construct_alpha
+from ..ecology import construct_alpha
 from ..errors import AcceptanceFailure, ValidationError
-from ..grids import ScalarField, SpatialGrid, TraitField, TraitGrid
+from ..grids import SpatialGrid, TraitField, TraitGrid, default_m
 from ..hj import SelfConsistentSource, canonical_ode, solve_constrained_hj
 from ..kinetic import RunResult, SimConfig, run
 from .io import write_csv, write_json, write_plot_script
@@ -28,17 +28,18 @@ TREND_SLACK = 1.1        # weak decrease tolerance along the scale list
 EARLY_RECORD_MULTIPLES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 
-def make_m(grid: SpatialGrid, amp: float) -> ScalarField:
-    return ScalarField(grid, 1.0 + amp * np.cos(np.pi * grid.nodes))
-
-
 def standard_setting(params: dict):
     """Grids, habitat profile, and dispersal profile shared by commands."""
     sg = SpatialGrid(params["n_x"])
-    m = make_m(sg, params["m_amp"])
+    m = default_m(sg, params["m_amp"])
     profile = construct_alpha(params["alpha0"], params["L0"], m)
     tg = TraitGrid(params["n_z"]) if "n_z" in params else None
     return sg, tg, profile, m
+
+
+def quadratic_start(tg: TraitGrid, k0: float, zbar0: float) -> TraitField:
+    """The quadratic initial value k0 (z - zbar0)^2 of the HJ solves."""
+    return TraitField(tg, k0 * (tg.nodes - zbar0) ** 2)
 
 
 def weakly_decreasing(values) -> bool:
@@ -112,31 +113,22 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
     h_t_hi = min(params["h_t_hi"], T)
 
     src = SelfConsistentSource(profile, m, tg)
-    v0 = TraitField(tg, params["K0"] * (tg.nodes - params["zbar0"]) ** 2)
+    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, T, params["hj_dt"], record_every=10)
     can = canonical_ode(src, sol, params["zbar0"], T)
 
-    def worker(eps: float):
+    cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
+                            "h_gap", "h_int", "env_lo", "env_hi")}
+    violations = []
+    for eps in eps_list:
         cfg = SimConfig(eps, T, sg, tg, profile, m, K0=params["K0"],
                         zbar0=params["zbar0"], c_t=params["c_t"])
         res = run(cfg, probe_times=probes)
         echo = dict(params)
         echo["eps"] = eps
         write_run_artifacts(out_dir / f"eps_{eps:g}", res, echo)
-        eff = None
-        if params["with_h"]:
-            z_samp = np.linspace(tg.a + tg.h_z / 2, tg.b - tg.h_z / 2,
-                                 params["z_samples"])
-            t_rec = _h_record_times(eps, 0.05, h_t_hi)
-            eff = effective_hamiltonian(res.rho_history, profile, eps,
-                                        z_samp, m, t_rec)
-        return res, eff
+        violations.append(len(res.violations))
 
-    results = [worker(e) for e in eps_list]
-
-    cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
-                            "h_gap", "h_int", "env_lo", "env_hi")}
-    for eps, (res, eff) in zip(eps_list, results):
         zb_lim = np.interp(res.times, can.times, can.zbar)
         cols["zbar_gap"].append(float(np.abs(res.zbar - zb_lim).max()))
 
@@ -165,8 +157,12 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
         second = float((w * (tg.nodes - res.zbar[-1]) ** 2).sum())
         cols["width"].append(float(np.sqrt(second)))
 
-        if eff is not None:
-            t_rec = eff.t
+        if params["with_h"]:
+            z_samp = np.linspace(tg.a + tg.h_z / 2, tg.b - tg.h_z / 2,
+                                 params["z_samples"])
+            t_rec = _h_record_times(eps, 0.05, h_t_hi)
+            eff = effective_hamiltonian(res.rho_history, profile, eps,
+                                        z_samp, m, t_rec)
             lam = np.stack([src.rate(eff.z, 0.0, zbar=res.zbar_at(t))
                             for t in t_rec], axis=1)
             mask = (t_rec >= params["h_t_lo"] - 1e-12)
@@ -200,7 +196,7 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
         "x_osc_over_eps": [float(r) for r in ratios],
         "x_osc_fitted_C": float(ratios.max()),
         "x_osc_stable": bool(ratios.max() <= 1.25 * ratios.min()),
-        "violations": [len(res.violations) for res, _ in results],
+        "violations": violations,
         "envelope_stable_2x": bool(
             max(cols["env_hi"]) <= 2.0 * min(cols["env_hi"])
             and max(cols["env_lo"]) <= 2.0 * min(cols["env_lo"])

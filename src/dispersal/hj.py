@@ -112,26 +112,6 @@ class SelfConsistentSource:
         return lambda_slope(zbar, zbar, self.profile, self.m, self.cache)
 
 
-class ExternalSource:
-    """Rate table R(z, t) from a precomputed effective Hamiltonian."""
-
-    def __init__(self, eff):
-        self.eff = eff
-
-    def rate(self, z: np.ndarray, t: float, zbar: float | None = None) -> np.ndarray:
-        tt = self.eff.t
-        j = int(np.clip(np.searchsorted(tt, t) - 1, 0, tt.size - 2))
-        w = np.clip((t - tt[j]) / (tt[j + 1] - tt[j]), 0.0, 1.0)
-        col = (1.0 - w) * self.eff.H[:, j] + w * self.eff.H[:, j + 1]
-        return np.interp(z, self.eff.z, col)
-
-    def diag_gradient(self, zbar: float, t: float = 0.0) -> float:
-        dz = 1e-4 * (self.eff.z[-1] - self.eff.z[0])
-        lo = self.rate(np.array([zbar - dz]), t)
-        hi = self.rate(np.array([zbar + dz]), t)
-        return float((hi - lo) / (2 * dz))
-
-
 @dataclass(frozen=True)
 class HJSolution:
     """Recorded constrained solution: field, minimizer path, curvature."""
@@ -153,9 +133,6 @@ class HJSolution:
         a, b = self.grid.a, self.grid.b
         if np.any(self.zbar <= a) or np.any(self.zbar >= b):
             raise TrajectoryHitBoundary("recorded minimizer left the interior")
-
-    def sigma_at(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.sigma))
 
 
 def _validate_initial(grid: TraitGrid, V0: TraitField) -> np.ndarray:
@@ -208,8 +185,8 @@ def _extract_sigma(v: np.ndarray, grid: TraitGrid, j: int,
 
 
 def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
-                         t0: float = 0.0, record_every: int = 1) -> HJSolution:
-    """Godunov marching of the constrained equation on [t0, t0+T].
+                         record_every: int = 1) -> HJSolution:
+    """Godunov marching of the constrained equation on [0, T].
 
     Each requested step is internally subdivided by halving whenever the
     gradient-dependent CFL bound demands it; the minimum is re-zeroed after
@@ -228,7 +205,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
     z = grid.nodes
     n_steps = march_steps(T, dt)
 
-    times = [t0]
+    times = [0.0]
     records = [v.copy()]
     zb, _, sig = argmin_refined(TraitField(grid, v))
     zbar = [zb]
@@ -238,11 +215,11 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
     max_drift = 0.0
     k3 = max(sig, 1.0 / sig) if sig > 0 else np.inf
 
-    t = t0
+    t = 0.0
     acc = 0.0
-    t_last_rec = t0
+    t_last_rec = 0.0
     for step in range(1, n_steps + 1):
-        t_target = t0 + min(step * dt, T)
+        t_target = min(step * dt, T)
         while t < t_target - 1e-14 * max(abs(t_target), 1.0):
             p_minus, p_plus = _one_sided_gradients(v, h)
             speed = 2.0 * max(np.max(np.abs(p_minus)), np.max(np.abs(p_plus)))
@@ -419,75 +396,3 @@ def lax_oleinik(source, V0: TraitField, T: float, dt_dp: float, reach: float,
         mults.append(low / dt_dp)
     return LaxOleinikResult(grid, np.array(times), np.array(records),
                             np.array(mults))
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    status: str              # "pass" | "fail" | "precondition-not-met"
-    orientation: str
-    max_violation: float
-    sign_changes: int
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def monotonicity_check(times: np.ndarray, zbar: np.ndarray, source,
-                       cell: float) -> MonotonicityReport:
-    """Verify the minimizer drifts against the diagonal source gradient.
-
-    The orientation field -sign(dR/dz1) must be coherent (at most one - to +
-    crossing over the traversed range, the single-well pattern); otherwise
-    the check does not apply and is reported as such.  Within the pattern,
-    every step displacement may oppose the expected direction by at most one
-    trait cell.
-    """
-    zbar = np.asarray(zbar, dtype=float)
-    if zbar.size < 2:
-        return MonotonicityReport("pass", "trivial", 0.0, 0)
-    lo = float(zbar.min()) - 2 * cell
-    hi = float(zbar.max()) + 2 * cell
-    probes = np.linspace(lo, hi, 17)
-    signs = []
-    for i, p in enumerate(probes):
-        g = source.diag_gradient(float(p), float(times[0]))
-        signs.append(0 if abs(g) < 1e-12 else (1 if g > 0 else -1))
-    crossings = 0
-    last = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if last == 0:
-            last = s
-        elif s != last:
-            crossings += 1
-            if s < last:  # + back to -: not a single well
-                return MonotonicityReport("precondition-not-met",
-                                          "gradient sign not single-well",
-                                          0.0, crossings)
-            last = s
-    if crossings > 1:
-        return MonotonicityReport("precondition-not-met",
-                                  "gradient sign not single-well",
-                                  0.0, crossings)
-
-    worst = 0.0
-    g0 = 0.0
-    for k in range(zbar.size - 1):
-        g = source.diag_gradient(float(zbar[k]), float(times[k]))
-        if abs(g) < 1e-12:
-            continue
-        if g0 == 0.0:
-            g0 = g
-        move = zbar[k + 1] - zbar[k]
-        violation = move * np.sign(g)   # expected move is -sign(g)
-        worst = max(worst, float(violation))
-    status = "pass" if worst <= cell else "fail"
-    if g0 > 0:
-        orientation = "nonincreasing"
-    elif g0 < 0:
-        orientation = "nondecreasing"
-    else:
-        orientation = "constant"
-    return MonotonicityReport(status, orientation, worst, crossings)

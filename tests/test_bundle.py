@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from dispersal import bundle
-from dispersal.bundle import (LATTICE_BLOCK_STEPS, EffectiveHamiltonian,
-                              effective_hamiltonian, finite_diff_z)
+from dispersal.bundle import LATTICE_BLOCK_STEPS, effective_hamiltonian
 from dispersal.ecology import (DispersalProfile, construct_alpha,
                                principal_eigenpair, rate_pair_exponent,
                                solve_theta)
@@ -310,31 +309,3 @@ def test_effective_hamiltonian_memory_does_not_grow_with_the_horizon(grid, m):
         tracemalloc.stop()
     assert eff.meta["spin_up"] == 1.0
     assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
-
-
-def _synthetic_table(f, zs, ts):
-    H = np.array([[f(z, t) for t in ts] for z in zs])
-    log_phi = np.zeros((zs.size, ts.size, 8))
-    return EffectiveHamiltonian(zs, ts, H, log_phi, 0.05)
-
-
-def test_finite_diff_z_orders():
-    zs = np.linspace(-0.5, 0.5, 81)
-    ts = np.array([0.0, 1.0])
-    eff = _synthetic_table(lambda z, t: np.sin(z) + 0.3 * z * z, zs, ts)
-    d1, d2 = finite_diff_z(eff)
-    hz = zs[1] - zs[0]
-    assert np.max(np.abs(d1[:, 0] - (np.cos(zs) + 0.6 * zs))) <= 2 * hz ** 2
-    assert np.max(np.abs(d2[:, 0] - (-np.sin(zs) + 0.6))) <= 60 * hz ** 2
-    with pytest.raises(ValidationError):
-        finite_diff_z(_synthetic_table(lambda z, t: z, np.linspace(0, 1, 4), ts))
-
-
-def test_bilinear_interp_is_exact_and_clamped():
-    zs = np.linspace(-0.5, 0.5, 11)
-    ts = np.linspace(0.0, 1.0, 6)
-    f = lambda z, t: 2.0 + 0.5 * z - 0.3 * t + 0.2 * z * t
-    eff = _synthetic_table(f, zs, ts)
-    assert eff.interp_H(0.137, 0.42) == pytest.approx(f(0.137, 0.42), abs=1e-12)
-    assert eff.interp_H(-0.5, 0.0) == pytest.approx(f(-0.5, 0.0), abs=1e-12)
-    assert eff.interp_H(-2.0, 5.0) == pytest.approx(f(-0.5, 1.0), abs=1e-12)

@@ -150,8 +150,9 @@ def test_theta_equals_banded_newton_reference(monkeypatch, n_x):
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5, np.nan, np.inf])
 def test_theta_rejects_a_bad_rate(m64, alpha):
-    with pytest.raises(ValidationError):
-        eco.solve_theta(alpha, m64)
+    for solver in (eco.solve_theta, eco.solve_theta_pseudotime):
+        with pytest.raises(ValidationError):
+            solver(alpha, m64)
 
 
 # ---------------------------------------------------------------------------

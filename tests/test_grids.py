@@ -18,8 +18,7 @@ from dispersal.grids import (
     default_m,
     difference_tables,
     integrate,
-    laplacian_x,
-    laplacian_z,
+    mirror_laplacian,
     neumann_bands,
 )
 
@@ -61,18 +60,17 @@ def test_field_validation():
 
 def test_laplacian_constant_in_kernel():
     g = SpatialGrid(32)
-    out = laplacian_x(ScalarField(g, np.full(32, 4.2)))
-    assert np.max(np.abs(out.values)) == 0.0
+    out = mirror_laplacian(np.full(32, 4.2), g.h_x)
+    assert np.max(np.abs(out)) == 0.0
     t = TraitGrid(64)
-    outz = laplacian_z(TraitField(t, np.ones(64)))
-    assert np.max(np.abs(outz.values)) == 0.0
+    outz = mirror_laplacian(np.ones(64), t.h_z)
+    assert np.max(np.abs(outz)) == 0.0
 
 
 def test_laplacian_quadratic_interior():
     # direct stencil evaluation: exact second derivative 2.0 away from the walls
     g = SpatialGrid(64)
-    f = ScalarField(g, g.nodes**2)
-    out = laplacian_x(f).values
+    out = mirror_laplacian(g.nodes**2, g.h_x)
     assert np.max(np.abs(out[1:-1] - 2.0)) < 1e-9
     # x^2 has zero slope at the left wall, so the mirror closure is exact there
     assert out[0] == pytest.approx(2.0, abs=1e-9)
@@ -80,18 +78,18 @@ def test_laplacian_quadratic_interior():
     assert abs(out[-1] - 2.0) > 1.0
 
 
-def test_laplacian_z_cosine():
+def test_laplacian_trait_cosine():
     t = TraitGrid(128, -0.5, 0.5)
     z = t.nodes
-    g = TraitField(t, np.cos(np.pi * (z - t.a)))
+    g = np.cos(np.pi * (z - t.a))
     exact = -np.pi**2 * np.cos(np.pi * (z - t.a))
-    err128 = np.max(np.abs(laplacian_z(g).values - exact))
+    err128 = np.max(np.abs(mirror_laplacian(g, t.h_z) - exact))
     assert err128 < 6e-4  # O(h^2); pi^4 h^2 / 12 ~ 5e-4 at n_z = 128
 
     t2 = TraitGrid(256, -0.5, 0.5)
-    g2 = TraitField(t2, np.cos(np.pi * (t2.nodes - t2.a)))
+    g2 = np.cos(np.pi * (t2.nodes - t2.a))
     exact2 = -np.pi**2 * np.cos(np.pi * (t2.nodes - t2.a))
-    err256 = np.max(np.abs(laplacian_z(g2).values - exact2))
+    err256 = np.max(np.abs(mirror_laplacian(g2, t2.h_z) - exact2))
     assert 3.0 < err128 / err256 < 5.0  # second-order convergence
 
 
@@ -102,8 +100,8 @@ def test_laplacian_green_identity_and_symmetry(n, seed):
     t = TraitGrid(n, -0.3, 0.9)
     f = TraitField(t, rng.normal(size=n))
     g = TraitField(t, rng.normal(size=n))
-    lf = laplacian_z(f)
-    lg = laplacian_z(g)
+    lf = TraitField(t, mirror_laplacian(f.values, t.h_z))
+    lg = TraitField(t, mirror_laplacian(g.values, t.h_z))
     # discrete Green identity: the Neumann Laplacian integrates to zero
     scale = max(1.0, np.max(np.abs(lf.values)))
     assert abs(integrate(lf)) < 1e-10 * scale
@@ -190,7 +188,7 @@ def test_default_m_satisfies_hypotheses():
     assert m.values.min() > 0.0
     assert m.values.max() > m.values.min()  # nonconstant
     # Neumann-compatible: mirror-ghost Laplacian stays O(1) at the walls
-    lap = laplacian_x(m).values
+    lap = mirror_laplacian(m.values, g.h_x)
     assert abs(lap[0]) < 10.0 and abs(lap[-1]) < 10.0
 
 
@@ -286,3 +284,12 @@ def test_difference_tables_equal_the_copied_tables(shape):
     d1, d2 = difference_tables(f, h)
     o1, o2 = _copied_tables(f, h)
     assert np.array_equal(d1, o1) and np.array_equal(d2, o2)
+
+
+def test_difference_tables_orders():
+    # second order on every row, the one-sided end rows included
+    zs = np.linspace(-0.5, 0.5, 81)
+    hz = zs[1] - zs[0]
+    d1, d2 = difference_tables(np.sin(zs) + 0.3 * zs * zs, hz)
+    assert np.max(np.abs(d1 - (np.cos(zs) + 0.6 * zs))) <= 2 * hz ** 2
+    assert np.max(np.abs(d2 - (-np.sin(zs) + 0.6))) <= 60 * hz ** 2

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from dispersal.bundle import EffectiveHamiltonian
 from dispersal.ecology import construct_alpha, lambda_table
 from dispersal.errors import (CurvatureCollapsed, SolverError,
                               TrajectoryHitBoundary, ValidationError)
 from dispersal.grids import SpatialGrid, TraitField, TraitGrid, default_m
 import dispersal.hj as hj
-from dispersal.hj import (ExternalSource, SelfConsistentSource,
-                          SyntheticSource, canonical_ode, lax_oleinik,
-                          monotonicity_check, solve_constrained_hj)
+from dispersal.hj import (SelfConsistentSource, SyntheticSource,
+                          canonical_ode, lax_oleinik, solve_constrained_hj)
 
 K0, ZSTART = 4.0, 0.13
 
@@ -268,46 +266,6 @@ def test_selfconsistent_computes_only_visited_columns(ecology_setup,
                          1e-3)
     assert 2 <= len(columns) <= 3
     assert len(set(columns)) == len(columns)
-
-
-def test_monotonicity_check_cases(sc_source):
-    grid = sc_source.grid
-    sol = solve_constrained_hj(sc_source, quadratic_initial(grid, center=0.25),
-                               0.5, 1e-3, record_every=25)
-    rep = monotonicity_check(sol.times, sol.zbar, sc_source, grid.h_z)
-    assert rep.status == "pass"
-    assert rep.orientation == "nonincreasing"
-
-    flat = monotonicity_check(np.array([0.0, 1.0]), np.array([0.0, 0.0]),
-                              sc_source, grid.h_z)
-    assert flat.status == "pass"
-
-    uphill = SyntheticSource(lambda z, t: 3.0 * z, grad_fn=lambda z, t: 3.0)
-    bad = monotonicity_check(np.array([0.0, 1.0]), np.array([0.1, 0.3]),
-                             uphill, grid.h_z)
-    assert bad.status == "fail"
-
-    wiggly = SyntheticSource(lambda z, t: 0.1 * np.sin(8 * np.pi * z),
-                             grad_fn=lambda z, t: 0.8 * np.pi *
-                             np.cos(8 * np.pi * z))
-    skipped = monotonicity_check(np.array([0.0, 1.0]), np.array([-0.2, 0.2]),
-                                 wiggly, grid.h_z)
-    assert skipped.status == "precondition-not-met"
-
-
-def test_external_source_interpolates_table():
-    zs = np.linspace(-0.5, 0.5, 21)
-    ts = np.linspace(0.0, 1.0, 5)
-    H = np.array([[0.3 - z * z + 0.1 * t for t in ts] for z in zs])
-    eff = EffectiveHamiltonian(zs, ts, H, np.zeros((21, 5, 8)), 0.05)
-    src = ExternalSource(eff)
-    got = src.rate(np.array([0.137]), 0.42)
-    assert got[0] == pytest.approx(0.3 - 0.137 ** 2 + 0.042, abs=5e-3)
-    grid = TraitGrid(64)
-    sol = solve_constrained_hj(src, quadratic_initial(grid, center=0.2),
-                               0.1, 1e-3, t0=2 * np.sqrt(0.05))
-    assert sol.times[0] == pytest.approx(2 * np.sqrt(0.05))
-    assert sol.times[-1] == pytest.approx(2 * np.sqrt(0.05) + 0.1)
 
 
 def test_lax_oleinik_with_prescribed_minimizer_path(sc_source):
