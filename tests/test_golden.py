@@ -29,7 +29,18 @@ FULL_COLUMN_MAX = 200
 UNPINNED = ("wall_time_s", "versions")
 
 CASES = {
-    "pde": ["pde", "--override", "T=0.1", "--override", "probes=0.05,0.1"],
+    "theta": ["theta"],
+    "alpha-build": ["alpha-build", "--override", "samples=9"],
+    # on the finer grid every theta solve of the probe box falls back from
+    # Newton to pseudo-time marching
+    "alpha-build-n128": ["alpha-build", "--override", "n_x=128",
+                         "--override", "samples=9"],
+    "lambda-surface": ["lambda-surface", "--override", "mutants=5",
+                       "--override", "residents=3"],
+    "check-h1": ["check-h1", "--override", "samples=5"],
+    "hj": ["hj", "--override", "T=0.1"],
+    "lax-oleinik": ["lax-oleinik", "--override", "T=0.1"],
+    "pde":["pde", "--override", "T=0.1", "--override", "probes=0.05,0.1"],
     # covers check_H1's K_lower, the self-consistent source and the
     # canonical ODE, besides a short kinetic run
     "pipeline": ["pipeline", "--override", "T=0.1"],
