@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpbtrf, dpbtrs
 
 from .errors import EigenDiverged, SolverError, ThetaDiverged, ValidationError
 from .grids import (ScalarField, difference_tables, first_difference,
                     mirror_laplacian, neumann_bands, parabola_vertex,
                     second_difference)
+from .lapack import dgtsv, dpbtrf, dpbtrs, dstebz
 from .tridiag import FactoredDiffusion
 
 DERIV_STEP_FRACTION = 1e-3   # finite-difference step as a fraction of b - a
@@ -426,21 +425,6 @@ def _exponents(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
     return [pair.lam for pair in principal_eigenpairs(alphas, c)]
 
 
-def invasion_exponent(z1: float, z2: float, profile: DispersalProfile,
-                      m: ScalarField, cache: ThetaCache | None = None) -> float:
-    """lambda(z1, z2): growth rate of a rare z1 mutant in a z2 resident."""
-    cache = cache if cache is not None else ThetaCache(profile, m)
-    return principal_eigenpair(float(profile(z1)),
-                               _potential(m, cache.theta(z2))).lam
-
-
-def rate_pair_exponent(alpha1: float, alpha2: float, m: ScalarField,
-                       theta: ScalarField | None = None) -> float:
-    """The exponent as a function of raw rate pairs (used by the profile probe)."""
-    theta = theta if theta is not None else solve_theta(alpha2, m)
-    return principal_eigenpair(alpha1, _potential(m, theta)).lam
-
-
 def _stencil_points(z1: float, profile: DispersalProfile,
                     h_d: float | None) -> tuple[int, float, list[float]]:
     """Side, step and mutant traits of the second-order stencil at z1.
@@ -524,6 +508,9 @@ class LambdaSurface:
 def lambda_surface(profile: DispersalProfile, m: ScalarField,
                    nz1: int = 21, nz2: int = 21) -> LambdaSurface:
     """Exponent surface plus derivative columns on an endpoint-inclusive grid."""
+    if min(nz1, nz2) < 1:
+        raise ValidationError("exponent surface needs at least 1 trait "
+                              "sample per axis", nz1=nz1, nz2=nz2)
     cache = ThetaCache(profile, m)
     z1s = np.linspace(profile.a, profile.b, nz1)
     z2s = np.linspace(profile.a, profile.b, nz2)
@@ -662,6 +649,10 @@ def check_H1(profile: DispersalProfile, m: ScalarField,
 def spectral_gap(alpha: float, c: ScalarField) -> float:
     """Difference of the two smallest eigenvalues of -alpha*L - diag(c)."""
     main, off = _operator_diagonals(alpha, c.values, c.grid.h_x)
-    vals = eigh_tridiagonal(main, off, select="i", select_range=(0, 1),
-                            eigvals_only=True)
+    if not (np.isfinite(main).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    # the call eigh_tridiagonal(select="i", select_range=(0, 1)) makes
+    _, vals, _, _, info = dstebz(main, off, 2, 0.0, 1.0, 1, 2, 0.0, "E")
+    if info != 0:
+        raise SolverError("eigenvalue bisection failed", info=int(info))
     return float(vals[1] - vals[0])

@@ -105,6 +105,10 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
         raise ValidationError("record window too large", steps=window,
                               cap=FLOQUET_MAX_RECORDS)
     sg, _, profile, m = standard_setting(params)
+    traits = {k: params[k] for k in ("z", "resident")}
+    if not all(profile.a < t < profile.b for t in traits.values()):
+        raise ValidationError("traits must be interior",
+                              a=profile.a, b=profile.b, **traits)
     theta = solve_theta(float(profile(params["resident"])), m)
     # the resident frozen at every time: epsilon = 1 puts the whole march,
     # spin-up included, past the history's last sample, which is theta

@@ -21,10 +21,10 @@ positive exactly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import SolverError
 from .grids import neumann_bands
+from .lapack import dpttrf, dpttrs
 
 
 def _factor(n: int, h: float, mus) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,7 @@ import pytest
 from dispersal import bundle
 from dispersal.bundle import LATTICE_BLOCK_STEPS, effective_hamiltonian
 from dispersal.ecology import (DispersalProfile, construct_alpha,
-                               principal_eigenpair, rate_pair_exponent,
-                               solve_theta)
+                               principal_eigenpair, solve_theta)
 from dispersal.errors import SolverError, ValidationError
 from dispersal.grids import (ScalarField, SpatialGrid, TimeIndexedField,
                              default_m)
@@ -164,8 +163,9 @@ def test_effective_hamiltonian_matches_invasion_exponent(grid, m):
     zs = np.array([-0.3, 0.25])
     eff = effective_hamiltonian(hist, prof, 0.1, zs, m,
                                 np.array([0.02, 0.05]), dtau=5e-6)
+    c = ScalarField(grid, m.values - theta_hat.values)
     for i, z in enumerate(zs):
-        lam = rate_pair_exponent(float(prof(z)), float(prof(zhat)), m)
+        lam = principal_eigenpair(float(prof(z)), c).lam
         assert np.max(np.abs(eff.H[i] - lam)) <= 1e-6
     assert eff.meta["frozen_early_extension"] is True
     assert np.all(np.array(eff.meta["harnack"]) >= 1.0)

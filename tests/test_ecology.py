@@ -1,8 +1,10 @@
 """Steady states, eigenpairs, invasion-exponent surfaces, profile construction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from dispersal import ecology as eco
@@ -359,11 +361,17 @@ def test_eigenpair_batch_rejects_a_bad_rate_in_any_row(bad):
 # invasion exponent
 
 
+def exponent(alpha1: float, theta: ScalarField, m: ScalarField) -> float:
+    """Growth rate of a rare mutant of rate alpha1 in the resident theta."""
+    c = ScalarField(m.grid, m.values - theta.values)
+    return eco.principal_eigenpair(alpha1, c).lam
+
+
 def test_diagonal_zero_identity(m64):
     profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
     cache = eco.ThetaCache(profile, m64)
     for z in np.linspace(-0.45, 0.45, 7):
-        lam = eco.invasion_exponent(float(z), float(z), profile, m64, cache)
+        lam = exponent(float(profile(z)), cache.theta(float(z)), m64)
         assert abs(lam) < 1e-8
 
 
@@ -379,8 +387,7 @@ def test_gradient_sign_matches_profile_slope(m64):
 
 def test_rate_pair_exponent_increasing_in_mutant_rate(m64):
     theta = eco.solve_theta(0.6, m64)
-    vals = [eco.rate_pair_exponent(a1, 0.6, m64, theta)
-            for a1 in np.linspace(0.5, 1.0, 6)]
+    vals = [exponent(a1, theta, m64) for a1 in np.linspace(0.5, 1.0, 6)]
     slopes = np.diff(vals)
     assert np.all(slopes > 0.0)
 
@@ -437,7 +444,8 @@ def test_same_minimizer_property(m64):
     z1s = np.linspace(-0.5, 0.5, 21)
     cell = z1s[1] - z1s[0]
     for z2 in (-0.3, 0.0, 0.4):
-        column = np.array([eco.invasion_exponent(float(z1), z2, profile, m64, cache)
+        theta = cache.theta(z2)
+        column = np.array([exponent(float(profile(z1)), theta, m64)
                            for z1 in z1s])
         j = int(np.argmin(column))
         assert abs(z1s[j] - profile.meta["z_min"]) <= cell
@@ -536,3 +544,22 @@ def test_spectral_gap_constant_potential(grid64):
     h = grid64.h_x
     discrete_mode = 2.0 * (1.0 - np.cos(np.pi * h)) / (h * h)
     assert gap == pytest.approx(0.5 * discrete_mode, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha,resident", [(0.3, 0.6), (0.55, 0.55),
+                                            (1.7, 0.4)])
+def test_spectral_gap_is_the_eigh_tridiagonal_gap(m64, alpha, resident):
+    # spectral_gap calls LAPACK's bisection with the arguments that
+    # eigh_tridiagonal passes it, so the two agree bit for bit
+    c = ScalarField(m64.grid, m64.values - eco.solve_theta(resident, m64).values)
+    main, off = eco._operator_diagonals(alpha, c.values, c.grid.h_x)
+    vals = eigh_tridiagonal(main, off, select="i", select_range=(0, 1),
+                            eigvals_only=True)
+    assert eco.spectral_gap(alpha, c) == float(vals[1] - vals[0])
+
+
+def test_spectral_gap_rejects_a_non_finite_potential(grid64):
+    # ScalarField refuses NaN itself; a bare stand-in reaches the guard
+    c = SimpleNamespace(grid=grid64, values=np.full(64, np.nan))
+    with pytest.raises(ValueError, match="NaN"):
+        eco.spectral_gap(0.5, c)

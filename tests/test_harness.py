@@ -61,6 +61,24 @@ def test_non_finite_value_is_rejected(tmp_path, capsys, command, override):
     assert payload["diagnostics"]["key"] == override.split("=")[0]
 
 
+@pytest.mark.parametrize("command,override", [
+    ("lambda-surface", "mutants=0"),       # an empty sample axis
+    ("floquet-test", "resident=-3"),      # the profile's log goes NaN there
+    ("floquet-test", "z=2"),              # extrapolated rate, passed before
+])
+def test_input_outside_the_domain_is_rejected(tmp_path, capsys, command,
+                                              override):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(command, "--out", str(tmp_path),
+                       "--override", override)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "validation"
+
+
 def test_non_finite_diagnostics_are_strict_json(tmp_path, capsys,
                                               monkeypatch):
     def blow_up(params, out):
