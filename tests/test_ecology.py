@@ -551,7 +551,8 @@ def test_spectral_gap_constant_potential(grid64):
 def test_spectral_gap_is_the_eigh_tridiagonal_gap(m64, alpha, resident):
     # spectral_gap calls LAPACK's bisection with the arguments that
     # eigh_tridiagonal passes it, so the two agree bit for bit
-    c = ScalarField(m64.grid, m64.values - eco.solve_theta(resident, m64).values)
+    theta = eco.solve_theta(resident, m64)
+    c = ScalarField(m64.grid, m64.values - theta.values)
     main, off = eco._operator_diagonals(alpha, c.values, c.grid.h_x)
     vals = eigh_tridiagonal(main, off, select="i", select_range=(0, 1),
                             eigvals_only=True)

@@ -63,6 +63,7 @@ def test_non_finite_value_is_rejected(tmp_path, capsys, command, override):
 
 @pytest.mark.parametrize("command,override", [
     ("lambda-surface", "mutants=0"),       # an empty sample axis
+    ("lambda-surface", "residents=0"),
     ("floquet-test", "resident=-3"),      # the profile's log goes NaN there
     ("floquet-test", "z=2"),              # extrapolated rate, passed before
 ])
