@@ -27,6 +27,9 @@ from .tridiag import FactoredDiffusion
 
 DERIV_STEP_FRACTION = 1e-3   # finite-difference step as a fraction of b - a
 THETA_CACHE_QUANTUM = 1e-12  # resident traits closer than this share a theta
+EIGEN_VALUE_TOL = 1e-12      # relative eigenvalue change counted as settled
+EIGEN_RESIDUAL_TOL = 1e-11   # residual target, 10x inside the 1e-10 contract
+EIGEN_MAX_ITER = 500         # inverse iterations before the cap
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +180,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def principal_eigenpairs(alphas, c, *,
-                         value_tol: float = 1e-12, residual_tol: float = 1e-11,
-                         max_iter: int = 500) -> list[EigenPair]:
+def principal_eigenpairs(alphas, c) -> list[EigenPair]:
     """Principal eigenpairs of -alpha*L - diag(c), one per rate in `alphas`.
 
     `c` is one ScalarField shared by every rate, or a sequence of them, one
@@ -190,9 +191,9 @@ def principal_eigenpairs(alphas, c, *,
     Cholesky factorization and one solve per iteration serve every row; the
     factor of a block-diagonal matrix is block-diagonal, so each row's
     arithmetic is that of a solve on its own block.  A row freezes at the
-    first iteration where its eigenvalue has settled to `value_tol` and its
-    residual is within `residual_tol`, and the factor is then cut down to
-    the rows still iterating.
+    first iteration where its eigenvalue has settled to `EIGEN_VALUE_TOL`
+    and its residual is within `EIGEN_RESIDUAL_TOL`, and the factor is then
+    cut down to the rows still iterating.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1:
@@ -258,7 +259,7 @@ def principal_eigenpairs(alphas, c, *,
     v = np.full(k * n, 1.0 / np.sqrt(n))
     lam_prev = np.full(k, np.nan)  # no previous value: the test fails
     residual = np.full(k, np.inf)
-    for it in range(max_iter):
+    for it in range(EIGEN_MAX_ITER):
         w, info = dpbtrs(cb_a, v, lower=0)
         if info != 0:
             raise SolverError("banded Cholesky solve failed", info=info)
@@ -271,19 +272,19 @@ def principal_eigenpairs(alphas, c, *,
         w2 /= np.sqrt(_row_dots(w2, w2))[:, None]
         av = matvec(main_a, off_a, w).reshape(-1, n)
         lam_it = _row_dots(w2, av)
-        settled = np.abs(lam_it - lam_prev) <= value_tol * np.maximum(
+        settled = np.abs(lam_it - lam_prev) <= EIGEN_VALUE_TOL * np.maximum(
             1.0, np.abs(lam_it))
         v, lam_prev = w, lam_it
         # the residual is read only by the stopping test and at the cap
         n_settled = np.count_nonzero(settled)
-        if it == max_iter - 1 or n_settled == settled.size:
+        if it == EIGEN_MAX_ITER - 1 or n_settled == settled.size:
             residual = scaled_residual(w2, av, lam_it)
         elif n_settled:
             residual[settled] = scaled_residual(w2[settled], av[settled],
                                                 lam_it[settled])
         else:
             continue
-        done = settled & (residual <= residual_tol)
+        done = settled & (residual <= EIGEN_RESIDUAL_TOL)
         if done.any():
             lam[rows[done]] = lam_it[done]
             vec[rows[done]] = w2[done]
@@ -305,7 +306,7 @@ def principal_eigenpairs(alphas, c, *,
         if over.size:
             i = over[0]
             raise EigenDiverged("inverse power iteration cap exceeded",
-                                iterations=max_iter,
+                                iterations=EIGEN_MAX_ITER,
                                 residual=float(residual[i]),
                                 lam=float(lam_prev[i]))
         lam[rows] = lam_prev
@@ -318,16 +319,12 @@ def principal_eigenpairs(alphas, c, *,
                       residual=float(res[i])) for i in range(k)]
 
 
-def principal_eigenpair(alpha: float, c: ScalarField, *,
-                        value_tol: float = 1e-12, residual_tol: float = 1e-11,
-                        max_iter: int = 500) -> EigenPair:
+def principal_eigenpair(alpha: float, c: ScalarField) -> EigenPair:
     """Smallest eigenvalue of -alpha*L - diag(c) with positive eigenfunction.
 
     The one-row case of `principal_eigenpairs`.
     """
-    return principal_eigenpairs([alpha], c, value_tol=value_tol,
-                                residual_tol=residual_tol,
-                                max_iter=max_iter)[0]
+    return principal_eigenpairs([alpha], c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +422,8 @@ def _exponents(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
     return [pair.lam for pair in principal_eigenpairs(alphas, c)]
 
 
-def _stencil_points(z1: float, profile: DispersalProfile,
-                    h_d: float | None) -> tuple[int, float, list[float]]:
+def _stencil_points(z1: float, profile: DispersalProfile
+                    ) -> tuple[int, float, list[float]]:
     """Side, step and mutant traits of the second-order stencil at z1.
 
     Central (side 0) in the interior: z1 - h and z1 + h, then z1, which only
@@ -435,7 +432,7 @@ def _stencil_points(z1: float, profile: DispersalProfile,
     which only the second difference reads.
     """
     a, b = profile.a, profile.b
-    h = h_d if h_d is not None else DERIV_STEP_FRACTION * (b - a)
+    h = DERIV_STEP_FRACTION * (b - a)
     if z1 - h < a:
         return 1, h, [z1, z1 + h, z1 + 2 * h, z1 + 3 * h]
     if z1 + h > b:
@@ -444,30 +441,34 @@ def _stencil_points(z1: float, profile: DispersalProfile,
 
 
 def _column_derivs(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
-                   cache: ThetaCache, h_d: float | None) -> list[tuple]:
-    """(d/dz1) lambda and (d2/dz1^2) lambda at every z1 of one resident
-    column, with all stencil points solved as one eigen batch."""
-    stencils = [_stencil_points(float(z1), profile, h_d) for z1 in z1s]
+                   cache: ThetaCache) -> list[tuple]:
+    """lambda, (d/dz1) lambda and (d2/dz1^2) lambda at every z1 of one
+    resident column, with all stencil points solved as one eigen batch.
+
+    lambda(z1) is the stencil point at z1 itself: last of a central
+    stencil, first of a one-sided one.
+    """
+    stencils = [_stencil_points(float(z1), profile) for z1 in z1s]
     lams = _exponents([z for _, _, pts in stencils for z in pts], z2,
                       profile, m, cache)
     out = []
     for side, h, pts in stencils:
         f, lams = lams[:len(pts)], lams[len(pts):]
-        out.append((first_difference(side, h, f),
+        out.append((f[0] if side else f[-1], first_difference(side, h, f),
                     second_difference(side, h, f)))
     return out
 
 
 def lambda_derivs(z1: float, z2: float, profile: DispersalProfile,
-                  m: ScalarField, cache: ThetaCache | None = None,
-                  h_d: float | None = None) -> tuple[float, float]:
+                  m: ScalarField,
+                  cache: ThetaCache | None = None) -> tuple[float, float]:
     """(d/dz1) lambda and (d2/dz1^2) lambda by second-order differences.
 
-    Central stencils in the interior; one-sided stencils within h_d of the
-    trait endpoints.
+    Central stencils in the interior; one-sided stencils within the step
+    (`DERIV_STEP_FRACTION` of the trait interval) of its endpoints.
     """
     cache = cache if cache is not None else ThetaCache(profile, m)
-    return _column_derivs([z1], z2, profile, m, cache, h_d)[0]
+    return _column_derivs([z1], z2, profile, m, cache)[0][1:]
 
 
 def lambda_slope(z1: float, z2: float, profile: DispersalProfile,
@@ -478,7 +479,7 @@ def lambda_slope(z1: float, z2: float, profile: DispersalProfile,
     interior, three near an endpoint.
     """
     cache = cache if cache is not None else ThetaCache(profile, m)
-    side, h, pts = _stencil_points(z1, profile, None)
+    side, h, pts = _stencil_points(z1, profile)
     f = _exponents(pts[:3] if side else pts[:2], z2, profile, m, cache)
     return first_difference(side, h, f)
 
@@ -514,12 +515,12 @@ def lambda_surface(profile: DispersalProfile, m: ScalarField,
     cache = ThetaCache(profile, m)
     z1s = np.linspace(profile.a, profile.b, nz1)
     z2s = np.linspace(profile.a, profile.b, nz2)
-    lam = lambda_table(z1s, z2s, profile, m, cache)
+    lam = np.empty((nz1, nz2))
     d1 = np.empty_like(lam)
     d2 = np.empty_like(lam)
     for j, z2 in enumerate(z2s):
-        d1[:, j], d2[:, j] = zip(*_column_derivs(z1s, z2, profile, m, cache,
-                                                 None))
+        lam[:, j], d1[:, j], d2[:, j] = zip(*_column_derivs(z1s, z2, profile,
+                                                            m, cache))
     return LambdaSurface(z1s, z2s, lam, d1, d2)
 
 
@@ -636,7 +637,7 @@ def check_H1(profile: DispersalProfile, m: ScalarField,
     k_lower = np.inf
     k_upper = -np.inf
     for z2 in zs:
-        for _, d2 in _column_derivs(zs, z2, profile, m, cache, None):
+        for _, _, d2 in _column_derivs(zs, z2, profile, m, cache):
             k_lower = min(k_lower, d2)
             k_upper = max(k_upper, d2)
     sign_a, _ = lambda_derivs(profile.a, profile.a, profile, m, cache)

@@ -18,7 +18,7 @@ from ..errors import ValidationError
 @dataclass(frozen=True)
 class Key:
     name: str
-    kind: str          # float | int | bool | str | floats
+    kind: str          # float | int | bool | floats
     default: object
     help: str = ""
 
@@ -130,10 +130,8 @@ def _parse_value(key: Key, raw: str):
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if key.kind == "floats":
-            parts = [p for p in raw.replace(";", ",").split(",") if p.strip()]
-            return tuple(_finite(key, raw, float(p)) for p in parts)
-        return raw.strip()
+        parts = [p for p in raw.replace(";", ",").split(",") if p.strip()]
+        return tuple(_finite(key, raw, float(p)) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"cannot parse key '{key.name}' as {key.kind}",
                               key=key.name, value=raw) from exc

@@ -31,6 +31,8 @@ CFL_MAX_HALVINGS = 40
 GRADIENT_FLOOR = 1e-9       # delta in the CFL denominator
 SIGMA_JUMP_FRACTION = 0.2   # 3-point curvature jump that triggers the 5-point fit
 DIAG_ZERO_TOL = 5e-4        # |lambda(zbar, zbar)| allowed for interpolated tables
+RESIDENT_SAMPLES = 65       # resident columns of the self-consistent table
+CANONICAL_DT = 0.01         # RK4 step of the canonical ODE
 
 
 class SyntheticSource:
@@ -66,18 +68,12 @@ class SelfConsistentSource:
     """
 
     def __init__(self, profile: DispersalProfile, m: ScalarField,
-                 grid: TraitGrid, resident_samples: int = 65,
-                 cache: ThetaCache | None = None,
-                 diag_tol: float = DIAG_ZERO_TOL):
-        if resident_samples < 9:
-            raise ValidationError("need at least 9 resident samples",
-                                  resident_samples=resident_samples)
+                 grid: TraitGrid, cache: ThetaCache | None = None):
         self.profile = profile
         self.m = m
         self.grid = grid
         self.cache = cache if cache is not None else ThetaCache(profile, m)
-        self.diag_tol = diag_tol
-        self._residents = np.linspace(profile.a, profile.b, resident_samples)
+        self._residents = np.linspace(profile.a, profile.b, RESIDENT_SAMPLES)
         self._columns: dict[int, np.ndarray] = {}
 
     def _column(self, j: int) -> np.ndarray:
@@ -101,9 +97,9 @@ class SelfConsistentSource:
         i = int(np.clip(np.searchsorted(nodes, zbar) - 1, 0, nodes.size - 2))
         diag = float(row[i] + (zbar - nodes[i]) * (row[i + 1] - row[i])
                      / (nodes[i + 1] - nodes[i]))
-        if abs(diag) > self.diag_tol:
+        if abs(diag) > DIAG_ZERO_TOL:
             raise SolverError("invasion exponent nonzero on the diagonal",
-                              zbar=float(zbar), value=diag, tol=self.diag_tol)
+                              zbar=float(zbar), value=diag, tol=DIAG_ZERO_TOL)
         if z is not self.grid.nodes and not np.array_equal(z, self.grid.nodes):
             row = np.interp(z, self.grid.nodes, row)
         return row
@@ -167,10 +163,10 @@ def _godunov_hamiltonian(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
     return np.maximum(up * up, down * down)
 
 
-def _extract_sigma(v: np.ndarray, grid: TraitGrid, j: int,
+def _extract_sigma(v: np.ndarray, grid: TraitGrid, j: int, three: float,
                    sigma_prev: float | None) -> float:
-    h = grid.h_z
-    three = (v[j - 1] - 2.0 * v[j] + v[j + 1]) / (h * h)
+    """Curvature at the minimizer node j: the 3-point value `three` that
+    `argmin_refined` returns, unless it jumps away from `sigma_prev`."""
     if sigma_prev is None or sigma_prev <= 0.0:
         return three
     if abs(three - sigma_prev) <= SIGMA_JUMP_FRACTION * abs(sigma_prev):
@@ -249,8 +245,8 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
         if j == 0 or j == v.size - 1:
             raise TrajectoryHitBoundary("minimizer reached the wall",
                                         t=t, z=float(z[j]))
-        zb, _, _ = argmin_refined(TraitField(grid, v))
-        sig_now = _extract_sigma(v, grid, j, sigma_prev)
+        zb, _, three = argmin_refined(TraitField(grid, v))
+        sig_now = _extract_sigma(v, grid, j, three, sigma_prev)
         sigma_prev = sig_now
         if step % record_every == 0 or step == n_steps:
             times.append(t)
@@ -278,9 +274,9 @@ class CanonicalTrajectory:
         return float(np.interp(t, self.times, self.zbar))
 
 
-def canonical_ode(source, sigma_track, z0: float, T: float,
-                  dt: float = 0.01) -> CanonicalTrajectory:
-    """RK4 for dzbar/dt = -dR/dz1(zbar, zbar) / sigma(t).
+def canonical_ode(source, sigma_track, z0: float,
+                  T: float) -> CanonicalTrajectory:
+    """RK4 for dzbar/dt = -dR/dz1(zbar, zbar) / sigma(t), step `CANONICAL_DT`.
 
     sigma_track is (times, values) or an HJSolution; sigma is linearly
     interpolated between its samples and must stay positive.
@@ -290,8 +286,9 @@ def canonical_ode(source, sigma_track, z0: float, T: float,
     else:
         s_times = np.asarray(sigma_track[0], dtype=float)
         s_vals = np.asarray(sigma_track[1], dtype=float)
-    if dt <= 0.0 or T <= 0.0:
-        raise ValidationError("dt and T must be positive", dt=dt, T=T)
+    dt = CANONICAL_DT
+    if T <= 0.0:
+        raise ValidationError("T must be positive", T=T)
 
     def sigma_of(t: float) -> float:
         s = float(np.interp(t, s_times, s_vals))

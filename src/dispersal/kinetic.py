@@ -47,8 +47,6 @@ class SimConfig:
     c_t: float = 0.1
     out_stride: int = 10
     history_stride: int = 10
-    disable_z_diffusion: bool = False
-    disable_reaction: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.1:
@@ -115,42 +113,29 @@ def init_population(cfg: SimConfig) -> SimState:
 
 
 class Stepper:
-    """Factored operators for one configuration, plus the bound sentinel."""
+    """Factored operators for one configuration, plus the bound sentinel,
+    whose envelope starts at the rho range of the starting state."""
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, start: SimState):
         self.cfg = cfg
         dt = cfg.dt
         eps = cfg.epsilon
         alphas = np.asarray(cfg.profile(cfg.trait.nodes), dtype=float)
         self._xdiff = BlockDiffusion(cfg.spatial.n_x, cfg.spatial.h_x,
                                      dt * alphas / eps)
-        self._zdiff = None
-        if not cfg.disable_z_diffusion:
-            self._zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z,
-                                            dt * eps)
-        self._env_lo = None
-        self._env_hi = None
+        self._zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z, dt * eps)
+        self._env_lo = float(start.rho.values.min())
+        self._env_hi = float(start.rho.values.max())
         self._streak = 0
 
     @property
     def envelope(self) -> tuple[float, float]:
-        if self._env_lo is None:
-            raise SolverError("no step taken yet")
         return self._env_lo, self._env_hi
-
-    def prime(self, state: SimState) -> None:
-        """Seed the bound envelope from a starting state."""
-        lo, hi = float(state.rho.values.min()), float(state.rho.values.max())
-        self._env_lo = lo if self._env_lo is None else min(self._env_lo, lo)
-        self._env_hi = hi if self._env_hi is None else max(self._env_hi, hi)
 
     def _watch_bounds(self, rho: np.ndarray, t: float) -> dict | None:
         """Track the running envelope of rho; return a violation record
         {t, rho_min, rho_max, envelope_lo, envelope_hi} or None."""
         lo, hi = float(rho.min()), float(rho.max())
-        if self._env_lo is None:
-            self._env_lo, self._env_hi = lo, hi
-            return None
         if lo < self._env_lo / ENVELOPE_FACTOR or \
                 hi > self._env_hi * ENVELOPE_FACTOR:
             self._streak += 1
@@ -171,12 +156,10 @@ class Stepper:
         dt, eps = cfg.dt, cfg.epsilon
         values = state.n.values                      # (n_x, n_z)
         star = self._xdiff.solve(values.T).T         # x-diffusion per z-slice
-        if self._zdiff is not None:
-            star = self._zdiff.solve(star.T).T       # z-diffusion per x-slice
-        if not cfg.disable_reaction:
-            rho_star = cfg.trait.h_z * star.sum(axis=1)
-            growth = np.exp((dt / eps) * (cfg.m.values - rho_star))
-            star = star * growth[:, None]
+        star = self._zdiff.solve(star.T).T           # z-diffusion per x-slice
+        rho_star = cfg.trait.h_z * star.sum(axis=1)
+        growth = np.exp((dt / eps) * (cfg.m.values - rho_star))
+        star = star * growth[:, None]
         t_new = state.t + dt
         # one sum and one check per step: a NaN or inf cell makes its row
         # sum non-finite, and so does a row sum that overflows
@@ -248,8 +231,7 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     dt = cfg.dt
     n_steps = march_steps(cfg.T, dt)
     state = init_population(cfg)
-    stepper = Stepper(cfg)
-    stepper.prime(state)
+    stepper = Stepper(cfg, state)
     probe_steps = {}
     for pt in probe_times:
         k = int(round(pt / dt))

@@ -307,14 +307,15 @@ def test_eigenpair_batch_equals_row_by_row(monkeypatch, n_x, resident_rate):
                for a, pair in zip(alphas, batch))
 
 
-def test_eigenpair_batch_at_the_cap_equals_row_by_row():
+def test_eigenpair_batch_at_the_cap_equals_row_by_row(monkeypatch):
     # a zero residual target freezes no row, so every row ends at the cap
+    monkeypatch.setattr(eco, "EIGEN_RESIDUAL_TOL", 0.0)
+    monkeypatch.setattr(eco, "EIGEN_MAX_ITER", 60)
     c = _column(64, 0.6)
     alphas = [0.45, 0.8, 1.3]
-    batch = eco.principal_eigenpairs(alphas, c, residual_tol=0.0, max_iter=60)
+    batch = eco.principal_eigenpairs(alphas, c)
     for a, pair in zip(alphas, batch):
-        assert _same_pair(pair, eco.principal_eigenpair(
-            a, c, residual_tol=0.0, max_iter=60))
+        assert _same_pair(pair, eco.principal_eigenpair(a, c))
         assert _matches_reference(pair, a, c, residual_tol=0.0, max_iter=60)
 
 
@@ -342,10 +343,11 @@ def test_eigenpair_batch_takes_one_potential_per_rate():
         eco.principal_eigenpairs(alphas[:2], [columns[0], _column(64, 0.6)])
 
 
-def test_eigenpair_batch_raises_at_the_cap_above_contract():
+def test_eigenpair_batch_raises_at_the_cap_above_contract(monkeypatch):
+    monkeypatch.setattr(eco, "EIGEN_MAX_ITER", 3)
     c = _column(64, 0.6)
     with pytest.raises(EigenDiverged):
-        eco.principal_eigenpairs([0.5, 0.9], c, max_iter=3)
+        eco.principal_eigenpairs([0.5, 0.9], c)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])
@@ -392,14 +394,16 @@ def test_rate_pair_exponent_increasing_in_mutant_rate(m64):
     assert np.all(slopes > 0.0)
 
 
-def test_lambda_derivs_richardson_oracle(m64):
-    # step-halving Richardson extrapolation as the derivative oracle
+def test_lambda_derivs_richardson_oracle(m64, monkeypatch):
+    # step-halving Richardson extrapolation as the derivative oracle; the
+    # trait interval has unit length, so the step is DERIV_STEP_FRACTION
     profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
     cache = eco.ThetaCache(profile, m64)
     z1, z2 = 0.12, -0.2
-    h = 1e-3
-    _, d2_h = eco.lambda_derivs(z1, z2, profile, m64, cache, h_d=h)
-    _, d2_h2 = eco.lambda_derivs(z1, z2, profile, m64, cache, h_d=h / 2)
+    _, d2_h = eco.lambda_derivs(z1, z2, profile, m64, cache)
+    monkeypatch.setattr(eco, "DERIV_STEP_FRACTION",
+                        eco.DERIV_STEP_FRACTION / 2)
+    _, d2_h2 = eco.lambda_derivs(z1, z2, profile, m64, cache)
     richardson = (4.0 * d2_h2 - d2_h) / 3.0
     assert d2_h == pytest.approx(richardson, rel=1e-2)
 
@@ -435,6 +439,15 @@ def test_surface_symmetry_under_even_profile(m64):
     zs = np.linspace(-0.4, 0.4, 5)
     table = eco.lambda_table(zs, zs, profile, m64)
     assert np.max(np.abs(table - table[::-1, ::-1])) < 1e-9
+
+
+def test_surface_values_are_the_table(m64):
+    # the surface reads lambda off its derivative stencils, central inside
+    # and one-sided at the two end samples
+    profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
+    surf = eco.lambda_surface(profile, m64, nz1=9, nz2=3)
+    table = eco.lambda_table(surf.z1, surf.z2, profile, m64)
+    assert np.array_equal(surf.lam, table)
 
 
 def test_same_minimizer_property(m64):

@@ -114,10 +114,12 @@ _GEOMETRY = {"n_x": _count(-2, 96), "m_amp": _number(-1.5, 1.5)}
 _PROFILE = {"alpha0": _number(-0.5, 3.0), "L0": _number(-0.5, 3.0)}
 # every key here is in the command's schema; the ranges keep one run cheap
 # (the hj horizon at most 20 steps unless dt is tiny enough to pass the step
-# cap, at most 9 H1 samples per axis)
+# cap, at most 9 H1 samples per axis, at most a 5 x 3 exponent surface)
 _CONTRACT_KEYS = {
     "theta": {**_GEOMETRY, "alpha": _number(-1.0, 5.0)},
     "alpha-build": {**_GEOMETRY, **_PROFILE, "samples": _count(-3, 300)},
+    "lambda-surface": {**_GEOMETRY, **_PROFILE, "mutants": _count(-3, 5),
+                       "residents": _count(-3, 3)},
     "check-h1": {**_GEOMETRY, **_PROFILE, "samples": _count(-3, 9)},
     "hj": {**_GEOMETRY, **_PROFILE, "n_z": _count(-2, 64),
            "K0": _number(-2.0, 8.0), "zbar0": _number(-0.7, 0.7),
@@ -137,6 +139,10 @@ def _contract_case(draw):
     overrides = {k: draw(keys[k]) for k in chosen}
     if command == "hj":
         overrides["T"] = draw(_number(1e-3, 0.02))
+    if command == "lambda-surface":
+        # the default 41 x 21 surface is too costly to draw often
+        for key in ("mutants", "residents"):
+            overrides.setdefault(key, draw(keys[key]))
     return command, overrides
 
 

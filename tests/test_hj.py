@@ -187,7 +187,7 @@ def test_canonical_ode_matches_argmin_path(sc_source):
     grid = sc_source.grid
     sol = solve_constrained_hj(sc_source, quadratic_initial(grid, center=0.25),
                                1.0, 1e-3, record_every=10)
-    traj = canonical_ode(sc_source, sol, 0.25, 1.0, dt=0.01)
+    traj = canonical_ode(sc_source, sol, 0.25, 1.0)
     gap = max(abs(traj.at(t) - sol.zbar[i]) for i, t in enumerate(sol.times))
     assert gap <= 2.0 * grid.h_z
     # movement is toward the dispersal minimum and strictly monotone
@@ -196,36 +196,40 @@ def test_canonical_ode_matches_argmin_path(sc_source):
     assert traj.zbar[0] - traj.zbar[-1] >= 0.005
 
 
-def test_canonical_ode_stationary_at_minimum(sc_source):
+def test_canonical_ode_stationary_at_minimum(sc_source, monkeypatch):
+    monkeypatch.setattr(hj, "CANONICAL_DT", 0.02)
     sigma_track = (np.array([0.0, 1.0]), np.array([2.0, 2.0]))
-    traj = canonical_ode(sc_source, sigma_track, 0.0, 1.0, dt=0.02)
+    traj = canonical_ode(sc_source, sigma_track, 0.0, 1.0)
     assert np.max(np.abs(traj.zbar)) <= 1e-6
 
 
-def test_canonical_ode_guards(sc_source):
+def test_canonical_ode_guards(sc_source, monkeypatch):
+    monkeypatch.setattr(hj, "CANONICAL_DT", 0.02)
     bad_sigma = (np.array([0.0, 1.0]), np.array([1.0, -0.5]))
     with pytest.raises(CurvatureCollapsed):
-        canonical_ode(sc_source, bad_sigma, 0.25, 1.0, dt=0.02)
+        canonical_ode(sc_source, bad_sigma, 0.25, 1.0)
     steep = SyntheticSource(lambda z, t: np.full_like(z, 0.0),
                             grad_fn=lambda z, t: -5.0)
     steep.profile = sc_source.profile
     ok_sigma = (np.array([0.0, 2.0]), np.array([1.0, 1.0]))
     with pytest.raises(TrajectoryHitBoundary):
-        canonical_ode(steep, ok_sigma, 0.25, 2.0, dt=0.02)
+        canonical_ode(steep, ok_sigma, 0.25, 2.0)
 
 
-def test_selfconsistent_diagonal_guard(ecology_setup):
+def test_selfconsistent_diagonal_guard(ecology_setup, monkeypatch):
+    monkeypatch.setattr(hj, "RESIDENT_SAMPLES", 9)
+    monkeypatch.setattr(hj, "DIAG_ZERO_TOL", 1e-9)
     m, profile = ecology_setup
-    strict = SelfConsistentSource(profile, m, TraitGrid(16),
-                                  resident_samples=9, diag_tol=1e-9)
+    strict = SelfConsistentSource(profile, m, TraitGrid(16))
     with pytest.raises(SolverError):
         strict.rate(strict.grid.nodes, 0.0, 0.21)
 
 
-def test_selfconsistent_rate_matches_eager_table(ecology_setup):
+def test_selfconsistent_rate_matches_eager_table(ecology_setup, monkeypatch):
+    monkeypatch.setattr(hj, "RESIDENT_SAMPLES", 9)
     m, profile = ecology_setup
     grid = TraitGrid(16)
-    src = SelfConsistentSource(profile, m, grid, resident_samples=9)
+    src = SelfConsistentSource(profile, m, grid)
     residents = np.linspace(profile.a, profile.b, 9)
     table = lambda_table(grid.nodes, residents, profile, m)
     for zbar in (profile.a, residents[3], 0.1, profile.b):
@@ -236,17 +240,19 @@ def test_selfconsistent_rate_matches_eager_table(ecology_setup):
         assert np.array_equal(src.rate(grid.nodes, 0.0, zbar), eager)
 
 
-def test_selfconsistent_guard_extrapolates_at_trait_ends(ecology_setup):
+def test_selfconsistent_guard_extrapolates_at_trait_ends(ecology_setup,
+                                                        monkeypatch):
     # the end nodes sit half a cell inside the walls, so the diagonal at
     # zbar = a or b lies beyond them and is read off a linear extrapolation
+    monkeypatch.setattr(hj, "RESIDENT_SAMPLES", 9)
     m, profile = ecology_setup
     grid = TraitGrid(16)
-    src = SelfConsistentSource(profile, m, grid, resident_samples=9)
-    loose = SelfConsistentSource(profile, m, grid, resident_samples=9,
-                                 diag_tol=np.inf)
-    for zbar in (profile.a, profile.b):
-        assert np.array_equal(src.rate(grid.nodes, 0.0, zbar),
-                              loose.rate(grid.nodes, 0.0, zbar))
+    src = SelfConsistentSource(profile, m, grid)
+    ends = (profile.a, profile.b)
+    guarded = [src.rate(grid.nodes, 0.0, zbar) for zbar in ends]
+    monkeypatch.setattr(hj, "DIAG_ZERO_TOL", np.inf)
+    loose = [src.rate(grid.nodes, 0.0, zbar) for zbar in ends]
+    assert all(np.array_equal(g, l) for g, l in zip(guarded, loose))
 
 
 def test_selfconsistent_computes_only_visited_columns(ecology_setup,

@@ -73,3 +73,26 @@ def test_negative_mu_is_rejected():
         FactoredDiffusion(N, H, -1e-3)
     with pytest.raises(SolverError):
         BlockDiffusion(N, H, np.array([0.1, -0.1]))
+
+
+def _factored_per_row(mus, rhs):
+    return np.array([FactoredDiffusion(N, H, mu).solve(row)
+                     for mu, row in zip(mus, rhs)])
+
+
+def _block(mus, rhs):
+    return BlockDiffusion(N, H, mus).solve(rhs)
+
+
+@pytest.mark.parametrize("solve", [_factored_per_row, _block],
+                         ids=["FactoredDiffusion", "BlockDiffusion"])
+def test_repeated_solves_conserve_mass(solve):
+    # the Neumann Laplacian has zero column sums, so every solve keeps h * sum
+    rng = np.random.default_rng(5)
+    mus = np.array([1e-4, 0.03, 0.3, 1.0])
+    rhs = rng.random((mus.size, N))
+    x = rhs
+    for _ in range(50):
+        x = solve(mus, x)
+    mass = H * rhs.sum(axis=1)
+    assert np.max(np.abs(H * x.sum(axis=1) - mass) / mass) <= 1e-12
