@@ -102,30 +102,6 @@ class TraitField:
         _frozen_values(self, self.values, (self.grid.n_z,))
 
 
-@dataclass(frozen=True)
-class PhaseDensity:
-    """Nonnegative density per (x_i, z_j) cell at one time."""
-
-    spatial: SpatialGrid
-    trait: TraitGrid
-    values: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        _frozen_values(self, self.values, (self.spatial.n_x, self.trait.n_z))
-        if self.values.min() < 0.0:
-            raise ValidationError("phase density must be nonnegative",
-                                  min_value=float(self.values.min()))
-
-    def rho(self) -> ScalarField:
-        """z-marginal: total population density per spatial cell."""
-        return ScalarField(self.spatial, self.trait.h_z * self.values.sum(axis=1))
-
-    def z_marginal(self) -> TraitField:
-        """x-marginal: population mass per trait cell."""
-        return TraitField(self.trait, self.spatial.h_x * self.values.sum(axis=0))
-
-
 def mirror_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     """3-point second difference with mirror-ghost Neumann closure.
 
@@ -200,8 +176,8 @@ def integrate(f: ScalarField | TraitField) -> float:
 def parabola_vertex(z_mid: float, g_left: float, g_mid: float, g_right: float,
                     h: float) -> tuple[float, float, float]:
     """Vertex location, vertex value and curvature of the 3-point parabola fit."""
-    curv = (g_left - 2.0 * g_mid + g_right) / (h * h)
-    slope = (g_right - g_left) / (2.0 * h)
+    curv = second_difference(0, h, (g_left, g_right, g_mid))
+    slope = first_difference(0, h, (g_left, g_right))
     if curv <= 0.0:
         return z_mid, g_mid, curv
     dz = -slope / curv

@@ -23,8 +23,8 @@ import numpy as np
 from .ecology import DispersalProfile, ThetaCache, lambda_slope, lambda_table
 from .errors import (CurvatureCollapsed, SolverError, TrajectoryHitBoundary,
                      ValidationError)
-from .grids import (ScalarField, TraitField, TraitGrid, argmin_refined,
-                    march_steps)
+from .grids import (MAX_STEPS, ScalarField, TraitField, TraitGrid,
+                    argmin_refined, march_steps)
 
 CFL_SAFETY = 0.9
 CFL_MAX_HALVINGS = 40
@@ -357,6 +357,9 @@ def lax_oleinik(source, V0: TraitField, T: float, dt_dp: float, reach: float,
     if window >= grid.n_z:
         raise ValidationError("reach window exceeds the trait interval",
                               window=window, n_z=grid.n_z)
+    if not T / dt_dp <= MAX_STEPS:      # a large reach admits a tiny dt_dp
+        raise ValidationError("time march exceeds the step cap", T=T,
+                              dt=dt_dp, steps=T / dt_dp, cap=MAX_STEPS)
     v = np.asarray(V0.values, dtype=float).copy()
     if constrained:
         v = v - v.min()

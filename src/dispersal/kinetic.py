@@ -24,7 +24,7 @@ import numpy as np
 from .ecology import DispersalProfile
 from .errors import (AprioriViolated, PopulationExtinct, SolverError,
                      ValidationError)
-from .grids import (PhaseDensity, ScalarField, SpatialGrid, TimeIndexedField,
+from .grids import (ScalarField, SpatialGrid, TimeIndexedField, TraitField,
                     TraitGrid, argmax_refined, march_steps)
 from .tridiag import BlockDiffusion, FactoredDiffusion
 
@@ -72,69 +72,54 @@ class SimConfig:
         return self.c_t * self.epsilon
 
 
-@dataclass(frozen=True)
-class SimState:
-    n: PhaseDensity
-    rho: ScalarField
-    t: float
-    violations: tuple = ()
-
-    def __post_init__(self):
-        check = self.n.rho()
-        scale = max(float(np.max(np.abs(check.values))), 1e-30)
-        gap = float(np.max(np.abs(check.values - self.rho.values)))
-        if gap > 1e-12 * scale:
-            raise ValidationError("cached rho is stale", gap=gap)
-
-
-def _trusted(cls, **fields):
-    """Build a frozen record from arrays the stepper has already checked.
-
-    The arrays are frozen in place, not copied, and `__post_init__` is
-    skipped, so one step validates and sums its new density once.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-def init_population(cfg: SimConfig) -> SimState:
+def init_population(cfg: SimConfig) -> np.ndarray:
     """Gaussian-in-trait start n = eps^{-1/2} exp(-K0 (z-zbar0)^2 / eps),
     constant in x; amplitude carries the half-log-eps WKB offset."""
     z = cfg.trait.nodes
     column = np.exp(-cfg.K0 * (z - cfg.zbar0) ** 2 / cfg.epsilon)
     column /= np.sqrt(cfg.epsilon)
-    values = np.tile(column, (cfg.spatial.n_x, 1))
-    n = PhaseDensity(cfg.spatial, cfg.trait, values, 0.0)
-    return SimState(n, n.rho(), 0.0)
+    return np.tile(column, (cfg.spatial.n_x, 1))
 
 
 class Stepper:
-    """Factored operators for one configuration, plus the bound sentinel,
-    whose envelope starts at the rho range of the starting state."""
+    """The march state of one configuration and the operators that advance it.
 
-    def __init__(self, cfg: SimConfig, start: SimState):
+    The state is the (n_x, n_z) density `n`, its integrated density
+    `rho` = int n dz, the time `t` and the sentinel's `violations`; the
+    bound sentinel's envelope starts at the rho range of the start density.
+    """
+
+    def __init__(self, cfg: SimConfig, n0: np.ndarray):
+        n = np.array(n0, dtype=float)
+        shape = (cfg.spatial.n_x, cfg.trait.n_z)
+        if n.shape != shape:
+            raise ValidationError("phase density shape mismatch",
+                                  expected=list(shape), got=list(n.shape))
+        # a NaN or inf cell makes its row sum non-finite, as does an overflow
+        rho = cfg.trait.h_z * n.sum(axis=1)
+        if not np.all(np.isfinite(rho)):
+            raise ValidationError("phase density contains non-finite values")
+        if n.min() < 0.0:
+            raise ValidationError("phase density must be nonnegative",
+                                  min_value=float(n.min()))
         self.cfg = cfg
-        dt = cfg.dt
-        eps = cfg.epsilon
+        self.n, self.rho, self.t = n, rho, 0.0
+        self.violations: list[dict] = []
+        dt, eps = cfg.dt, cfg.epsilon
         alphas = np.asarray(cfg.profile(cfg.trait.nodes), dtype=float)
         self._xdiff = BlockDiffusion(cfg.spatial.n_x, cfg.spatial.h_x,
                                      dt * alphas / eps)
         self._zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z, dt * eps)
-        self._env_lo = float(start.rho.values.min())
-        self._env_hi = float(start.rho.values.max())
+        self._env_lo, self._env_hi = float(rho.min()), float(rho.max())
         self._streak = 0
 
     @property
     def envelope(self) -> tuple[float, float]:
         return self._env_lo, self._env_hi
 
-    def _watch_bounds(self, rho: np.ndarray, t: float) -> dict | None:
-        """Track the running envelope of rho; return a violation record
-        {t, rho_min, rho_max, envelope_lo, envelope_hi} or None."""
+    def _watch_bounds(self, rho: np.ndarray, t: float) -> None:
+        """Track the running envelope of rho; record a violation
+        {t, rho_min, rho_max, envelope_lo, envelope_hi} outside it."""
         lo, hi = float(rho.min()), float(rho.max())
         if lo < self._env_lo / ENVELOPE_FACTOR or \
                 hi > self._env_hi * ENVELOPE_FACTOR:
@@ -144,25 +129,26 @@ class Stepper:
                     "integrated density left the running envelope",
                     t=t, rho_min=lo, rho_max=hi,
                     envelope_min=self._env_lo, envelope_max=self._env_hi)
-            return {"t": t, "rho_min": lo, "rho_max": hi,
-                    "envelope_lo": self._env_lo, "envelope_hi": self._env_hi}
+            self.violations.append(
+                {"t": t, "rho_min": lo, "rho_max": hi,
+                 "envelope_lo": self._env_lo, "envelope_hi": self._env_hi})
+            return
         self._streak = 0
         self._env_lo = min(self._env_lo, lo)
         self._env_hi = max(self._env_hi, hi)
-        return None
 
-    def step(self, state: SimState) -> SimState:
+    def step(self) -> None:
+        """Advance `n`, `rho` and `t` by one step; a step that fails a check
+        raises and leaves the state as it was."""
         cfg = self.cfg
         dt, eps = cfg.dt, cfg.epsilon
-        values = state.n.values                      # (n_x, n_z)
-        star = self._xdiff.solve(values.T).T         # x-diffusion per z-slice
+        star = self._xdiff.solve(self.n.T).T         # x-diffusion per z-slice
         star = self._zdiff.solve(star.T).T           # z-diffusion per x-slice
         rho_star = cfg.trait.h_z * star.sum(axis=1)
         growth = np.exp((dt / eps) * (cfg.m.values - rho_star))
         star = star * growth[:, None]
-        t_new = state.t + dt
-        # one sum and one check per step: a NaN or inf cell makes its row
-        # sum non-finite, and so does a row sum that overflows
+        t_new = self.t + dt
+        # one sum and one check per step, as in __init__
         rho = cfg.trait.h_z * star.sum(axis=1)
         if not np.all(np.isfinite(rho)):
             raise SolverError("non-finite density after step", t=t_new,
@@ -171,23 +157,16 @@ class Stepper:
         if star.min() < 0.0:
             raise ValidationError("phase density must be nonnegative",
                                   min_value=float(star.min()))
-        record = self._watch_bounds(rho, t_new)
-        violations = state.violations if record is None else \
-            (*state.violations, record)
-        return _trusted(SimState,
-                        n=_trusted(PhaseDensity, spatial=cfg.spatial,
-                                   trait=cfg.trait, values=star, t=t_new),
-                        rho=_trusted(ScalarField, grid=cfg.spatial,
-                                     values=rho),
-                        t=t_new, violations=violations)
+        self._watch_bounds(rho, t_new)
+        self.n, self.rho, self.t = star, rho, t_new
 
 
-def extract_u(state: SimState, epsilon: float) -> np.ndarray:
+def extract_u(n: np.ndarray, epsilon: float) -> np.ndarray:
     """WKB value u = -eps log n, floored before the log only."""
-    return -epsilon * np.log(np.maximum(state.n.values, DENSITY_FLOOR))
+    return -epsilon * np.log(np.maximum(n, DENSITY_FLOOR))
 
 
-def dominant_trait(state: SimState) -> float:
+def dominant_trait(stepper: Stepper) -> float:
     """Refined maximizer of the trait marginal int n dx.
 
     A maximum pinned to a trait wall is reported as the wall node itself:
@@ -195,10 +174,11 @@ def dominant_trait(state: SimState) -> float:
     the diffusive tail piling up against the Neumann wall can genuinely
     out-weigh the selected peak for a while.
     """
-    marginal = state.n.z_marginal()
+    cfg = stepper.cfg
+    marginal = TraitField(cfg.trait, cfg.spatial.h_x * stepper.n.sum(axis=0))
     if float(marginal.values.max()) <= DENSITY_FLOOR:
         raise PopulationExtinct("all marginal mass at or below the floor",
-                                t=state.t,
+                                t=stepper.t,
                                 max_marginal=float(marginal.values.max()))
     idx = int(np.argmax(marginal.values))
     if idx == 0 or idx == marginal.values.size - 1:
@@ -230,8 +210,7 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     history for the bundle module, and WKB snapshots at the probe times."""
     dt = cfg.dt
     n_steps = march_steps(cfg.T, dt)
-    state = init_population(cfg)
-    stepper = Stepper(cfg, state)
+    stepper = Stepper(cfg, init_population(cfg))
     probe_steps = {}
     for pt in probe_times:
         k = int(round(pt / dt))
@@ -244,12 +223,12 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     u_snaps = {}
 
     def record_output():
-        times.append(state.t)
-        zbars.append(dominant_trait(state))
+        times.append(stepper.t)
+        zbars.append(dominant_trait(stepper))
         masses.append(cfg.spatial.h_x * cfg.trait.h_z *
-                      float(state.n.values.sum()))
-        lows.append(float(state.rho.values.min()))
-        highs.append(float(state.rho.values.max()))
+                      float(stepper.n.sum()))
+        lows.append(float(stepper.rho.min()))
+        highs.append(float(stepper.rho.max()))
 
     # an overflowing step is turned into SolverError by the checks in
     # Stepper.step; numpy's own warnings would only add stderr lines
@@ -258,15 +237,15 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
             if k % cfg.out_stride == 0 or k == n_steps:
                 record_output()
             if k % cfg.history_stride == 0 or k == n_steps:
-                hist_t.append(state.t)
-                hist_rho.append(state.rho.values.copy())
+                hist_t.append(stepper.t)
+                hist_rho.append(stepper.rho)   # step() rebinds, never writes
             if k in probe_steps:
-                u_snaps[probe_steps[k]] = extract_u(state, cfg.epsilon)
+                u_snaps[probe_steps[k]] = extract_u(stepper.n, cfg.epsilon)
             if k < n_steps:
-                state = stepper.step(state)
+                stepper.step()
 
     history = TimeIndexedField(np.array(hist_t), np.array(hist_rho))
     return RunResult(cfg, np.array(times), np.array(zbars), np.array(masses),
                      np.array(lows), np.array(highs), history, u_snaps,
-                     stepper.envelope, state.violations,
+                     stepper.envelope, tuple(stepper.violations),
                      meta={"steps": n_steps, "dt": dt})

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dispersal.errors import BoundaryMinimizer, ValidationError
 from dispersal.grids import (
-    PhaseDensity,
     ScalarField,
     SpatialGrid,
     TimeIndexedField,
@@ -51,8 +50,6 @@ def test_field_validation():
         ScalarField(g, np.ones(9))
     with pytest.raises(ValidationError):
         ScalarField(g, np.array([1.0] * 7 + [np.nan]))
-    with pytest.raises(ValidationError):
-        PhaseDensity(g, TraitGrid(16), -np.ones((8, 16)))
     f = ScalarField(g, np.arange(8.0))
     with pytest.raises(ValueError):
         f.values[0] = 3.0  # fields are immutable
@@ -170,16 +167,6 @@ def test_argmax_refined_matches_negated_argmin():
     assert z_star == pytest.approx(0.07, abs=1e-9)
     assert g_star == pytest.approx(0.0, abs=1e-9)
     assert curv == pytest.approx(-6.0, rel=1e-9)
-
-
-def test_phase_density_marginals():
-    sg, tg = SpatialGrid(8), TraitGrid(16, 0.0, 1.0)
-    vals = np.outer(np.arange(1.0, 9.0), np.ones(16))
-    n = PhaseDensity(sg, tg, vals, t=0.3)
-    rho = n.rho()
-    assert rho.values == pytest.approx(np.arange(1.0, 9.0))
-    marg = n.z_marginal()
-    assert marg.values == pytest.approx(np.full(16, np.arange(1.0, 9.0).mean()))
 
 
 def test_default_m_satisfies_hypotheses():

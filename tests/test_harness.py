@@ -102,82 +102,103 @@ def test_non_finite_diagnostics_are_strict_json(tmp_path, capsys,
     assert json.loads(saved, parse_constant=reject) == payload
 
 
-def _number(lo, hi):
-    return st.one_of(st.sampled_from([0.0, -1.0, -0.5]), st.floats(lo, hi))
+def _number(lo, hi, bad=(0.0, -1.0)):
+    """(in-range strategy, out-of-range strategy) of a float key."""
+    return st.floats(lo, hi), st.sampled_from(bad)
 
 
-def _count(lo, hi):
-    return st.one_of(st.sampled_from([0, -1]), st.integers(lo, hi))
+def _count(lo, hi, bad=(0, -1)):
+    return st.integers(lo, hi), st.sampled_from(bad)
 
 
-_GEOMETRY = {"n_x": _count(-2, 96), "m_amp": _number(-1.5, 1.5)}
-_PROFILE = {"alpha0": _number(-0.5, 3.0), "L0": _number(-0.5, 3.0)}
-# every key here is in the command's schema; the ranges keep one run cheap
-# (the hj horizon at most 20 steps unless dt is tiny enough to pass the step
-# cap, at most 9 H1 samples per axis, at most a 5 x 3 exponent surface)
+_GEOMETRY = {"n_x": _count(8, 64, bad=(0, -1, 7)),
+             "m_amp": _number(0.1, 0.9, bad=(-1.5, 2.0))}
+_PROFILE = {"alpha0": _number(0.05, 3.0), "L0": _number(0.05, 3.0)}
+_TRAITS = {"n_z": _count(16, 64, bad=(0, -1, 15)), "K0": _number(0.5, 8.0),
+           "zbar0": _number(-0.4, 0.4, bad=(-0.7, 0.5)),
+           "T": _number(1e-3, 0.02)}
+# a tiny step passes the step cap only on a short horizon
+_STEP = _number(1e-3, 0.02, bad=(0.0, -1.0, 4.8e-109, 1e-300))
+# every key here is in the command's schema; the in-range values keep one
+# run cheap (the hj, lax-oleinik and pde horizons at most 0.02, at most 40
+# kinetic steps, at most 9 H1 samples per axis, at most a 5 x 3 surface)
 _CONTRACT_KEYS = {
-    "theta": {**_GEOMETRY, "alpha": _number(-1.0, 5.0)},
-    "alpha-build": {**_GEOMETRY, **_PROFILE, "samples": _count(-3, 300)},
-    "lambda-surface": {**_GEOMETRY, **_PROFILE, "mutants": _count(-3, 5),
-                       "residents": _count(-3, 3)},
-    "check-h1": {**_GEOMETRY, **_PROFILE, "samples": _count(-3, 9)},
-    "hj": {**_GEOMETRY, **_PROFILE, "n_z": _count(-2, 64),
-           "K0": _number(-2.0, 8.0), "zbar0": _number(-0.7, 0.7),
-           "dt": st.one_of(_number(1e-3, 0.02),
-                           st.sampled_from([4.8e-109, 1e-300])),
-           "record_every": _count(-2, 5),
-           "canonical": st.booleans()},
+    "theta": {**_GEOMETRY, "alpha": _number(0.01, 5.0)},
+    "alpha-build": {**_GEOMETRY, **_PROFILE, "samples": _count(1, 300)},
+    "lambda-surface": {**_GEOMETRY, **_PROFILE, "mutants": _count(1, 5),
+                       "residents": _count(1, 3)},
+    "check-h1": {**_GEOMETRY, **_PROFILE,
+                 "samples": _count(2, 9, bad=(1, 0, -1))},
+    "hj": {**_GEOMETRY, **_PROFILE, **_TRAITS, "dt": _STEP,
+           "record_every": _count(1, 5),
+           "canonical": (st.booleans(), None)},
+    "lax-oleinik": {**_GEOMETRY, **_PROFILE, **_TRAITS, "dt": _STEP,
+                    "dt_dp": _number(0.016, 0.02, bad=(0.0, 1e-13)),
+                    "reach": _number(8.0, 20.0, bad=(0.0, 1e12))},
+    "pde": {**_GEOMETRY, **_PROFILE, **_TRAITS,
+            "eps": _number(0.01, 0.1, bad=(0.0, 0.5)),
+            "c_t": _number(0.05, 0.2, bad=(0.0, 0.5)),
+            "out_stride": _count(1, 5), "history_stride": _count(1, 5)},
 }
+# drawn whether or not the case picks them: the defaults cost too much
+_CHEAP = {"lambda-surface": ("mutants", "residents"),
+          "hj": ("T",), "lax-oleinik": ("T",), "pde": ("T",)}
 
 
 @st.composite
-def _contract_case(draw):
-    command = draw(st.sampled_from(sorted(_CONTRACT_KEYS)))
+def _contract_overrides(draw, command):
     keys = _CONTRACT_KEYS[command]
     chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True,
                            max_size=4))
-    overrides = {k: draw(keys[k]) for k in chosen}
-    if command == "hj":
-        overrides["T"] = draw(_number(1e-3, 0.02))
-    if command == "lambda-surface":
-        # the default 41 x 21 surface is too costly to draw often
-        for key in ("mutants", "residents"):
-            overrides.setdefault(key, draw(keys[key]))
-    return command, overrides
+    overrides = {k: draw(keys[k][0]) for k in chosen}
+    # at most one out-of-range value, and in a minority of the runs, so
+    # that most runs get past input validation to the compute path
+    if draw(st.integers(0, 2)) == 2:
+        key = draw(st.sampled_from(sorted(k for k in keys
+                                          if keys[k][1] is not None)))
+        overrides[key] = draw(keys[key][1])
+    for key in _CHEAP.get(command, ()):
+        overrides.setdefault(key, draw(keys[key][0]))
+    return overrides
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+def _reject(token):
+    raise AssertionError(f"bare {token} in the diagnostic")
+
+
+# each example runs every command once, so every command is drawn as often
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_contract_case())
-# the draws seldom pick a tiny dt; these runs would never end without the cap
-@example(("hj", {"dt": 4.8e-109, "T": 0.01}))
-@example(("hj", {"dt": 1e-300, "T": 0.02}))
-def test_exit_code_contract(case):
-    command, overrides = case
-    args = [command]
-    for key, value in overrides.items():
-        text = str(value).lower() if isinstance(value, bool) else repr(value)
-        args += ["--override", f"{key}={text}"]
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, \
-            contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run_cli(*args, "--out", out)   # an exception here fails too
-    # a warning would be an extra stderr line outside the test harness
-    assert not caught, [str(w.message) for w in caught]
-    assert code in (0, 2, 3, 4)
-    lines = err.getvalue().splitlines()
-    if code == 0:
-        assert lines == []
-    else:
-        assert len(lines) == 1
-
-        def reject(token):
-            raise AssertionError(f"bare {token} in the diagnostic")
-
-        payload = json.loads(lines[0], parse_constant=reject)
-        assert {"error", "message", "diagnostics"} <= set(payload)
+@given(st.fixed_dictionaries({command: _contract_overrides(command)
+                              for command in _CONTRACT_KEYS}))
+# the draws seldom pick a tiny step; these runs would never end without the
+# step cap (the lax-oleinik one would make 10^13 steps)
+@example({"hj": {"dt": 4.8e-109, "T": 0.01}})
+@example({"hj": {"dt": 1e-300, "T": 0.02}})
+@example({"lax-oleinik": {"reach": 1e12, "dt_dp": 1e-13}})
+def test_exit_code_contract(runs):
+    for command, overrides in runs.items():
+        args = [command]
+        for key, value in overrides.items():
+            text = str(value).lower() if isinstance(value, bool) \
+                else repr(value)
+            args += ["--override", f"{key}={text}"]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*args, "--out", out)  # an exception fails too
+        # a warning would be an extra stderr line outside the test harness
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1
+            payload = json.loads(lines[0], parse_constant=_reject)
+            assert {"error", "message", "diagnostics"} <= set(payload)
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -195,13 +216,22 @@ def test_floquet_test_rejects_a_march_past_the_step_cap(tmp_path, capsys,
     assert run_cli(*args) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
-
-    def reject(token):
-        raise AssertionError(f"bare {token} in the diagnostic")
-
-    payload = json.loads(lines[0], parse_constant=reject)
+    payload = json.loads(lines[0], parse_constant=_reject)
     assert payload["error"] == "validation"
     assert message in payload["message"]
+
+
+def test_lax_oleinik_rejects_a_march_past_the_step_cap(tmp_path, capsys):
+    # a large reach lets a tiny dt_dp pass the reach-window check: 10^13
+    # dynamic-programming steps, rejected before the first one
+    assert run_cli("lax-oleinik", "--out", str(tmp_path),
+                   "--override", "reach=1e12",
+                   "--override", "dt_dp=1e-13") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0], parse_constant=_reject)
+    assert payload["error"] == "validation"
+    assert "step cap" in payload["message"]
 
 
 def test_benchmark_hook_targets_exist():

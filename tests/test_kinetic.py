@@ -7,10 +7,9 @@ from scipy.special import erf
 from dispersal.ecology import construct_alpha, solve_theta
 from dispersal.errors import (AprioriViolated, PopulationExtinct, SolverError,
                               ValidationError)
-from dispersal.grids import (PhaseDensity, ScalarField, SpatialGrid,
-                             TraitGrid, default_m)
+from dispersal.grids import ScalarField, SpatialGrid, TraitGrid, default_m
 from dispersal.kinetic import (ENVELOPE_FACTOR, ENVELOPE_STREAK, SimConfig,
-                               SimState, Stepper, dominant_trait, extract_u,
+                               Stepper, dominant_trait, extract_u,
                                init_population, run)
 from dispersal.tridiag import BlockDiffusion, FactoredDiffusion
 
@@ -28,18 +27,17 @@ def base_config(setting, eps=0.05, T=1.0, **kw):
     return SimConfig(eps, T, sg, tg, profile, m, **kw)
 
 
-def uniform_state(setting, value=1.0):
+def uniform_stepper(setting, cfg=None, value=1.0):
     sg, tg, _, _ = setting
-    n = PhaseDensity(sg, tg, np.full((sg.n_x, tg.n_z), value), 0.0)
-    return SimState(n, n.rho(), 0.0, ())
+    cfg = cfg or base_config(setting)
+    return Stepper(cfg, np.full((sg.n_x, tg.n_z), value))
 
 
 def test_initial_mass_matches_gaussian_quadrature(setting):
     sg, tg, _, _ = setting
     for eps, tol in ((0.05, 2e-5), (0.0125, 1e-9)):
         cfg = base_config(setting, eps=eps)
-        st = init_population(cfg)
-        mass = st.n.values.sum() * sg.h_x * tg.h_z
+        mass = init_population(cfg).sum() * sg.h_x * tg.h_z
         s = np.sqrt(cfg.K0 / eps)
         exact = np.sqrt(np.pi / cfg.K0) * 0.5 * (
             erf(s * (tg.b - cfg.zbar0)) + erf(s * (cfg.zbar0 - tg.a)))
@@ -48,9 +46,10 @@ def test_initial_mass_matches_gaussian_quadrature(setting):
 
 def test_initial_state_shape(setting):
     cfg = base_config(setting)
-    st = init_population(cfg)
+    st = Stepper(cfg, init_population(cfg))
+    assert st.t == 0.0 and st.violations == []
     # rho is constant in x by construction
-    assert np.ptp(st.rho.values) == 0.0
+    assert np.ptp(st.rho) == 0.0
     # the quadratic start is symmetric about zbar0, so refinement is exact
     assert dominant_trait(st) == pytest.approx(cfg.zbar0, abs=1e-9)
 
@@ -59,10 +58,10 @@ def test_u_extraction_inverts_initialization(setting):
     _, tg, _, _ = setting
     eps = 0.05
     cfg = base_config(setting, eps=eps)
-    st = init_population(cfg)
-    u = extract_u(st, eps)
+    n = init_population(cfg)
+    u = extract_u(n, eps)
     expect = cfg.K0 * (tg.nodes - cfg.zbar0) ** 2 + 0.5 * eps * np.log(eps)
-    above = st.n.values[0] > 1e-280
+    above = n[0] > 1e-280
     assert np.max(np.abs(u[0, above] - expect[above])) <= 1e-12
 
 
@@ -72,34 +71,59 @@ def test_u_extraction_on_frozen_resident_state(setting):
     theta = solve_theta(float(profile(np.array([0.25]))[0]), m).values
     v0 = 4.0 * (tg.nodes - 0.25) ** 2
     vals = np.outer(theta, np.exp(-v0 / eps)) / np.sqrt(eps)
-    n = PhaseDensity(sg, tg, vals, 0.0)
-    st = SimState(n, n.rho(), 0.0, ())
-    u = extract_u(st, eps)
+    u = extract_u(vals, eps)
     expect = (v0[None, :] - eps * np.log(theta)[:, None]
               + 0.5 * eps * np.log(eps))
     mask = vals > 1e-280
     assert np.max(np.abs(u[mask] - expect[mask])) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", ["shape", np.nan, np.inf, -1e-6])
+def test_stepper_rejects_a_bad_start_density(setting, bad):
+    sg, tg, _, _ = setting
+    if bad == "shape":
+        vals = np.ones((sg.n_x, tg.n_z + 1))
+    else:
+        vals = np.ones((sg.n_x, tg.n_z))
+        vals[3, 5] = bad
+    with pytest.raises(ValidationError):
+        Stepper(base_config(setting), vals)
+
+
+def test_stepper_rho_and_marginal_quadrature(setting):
+    sg, tg, _, _ = setting
+    weight = 1.0 - (tg.nodes - 0.1) ** 2
+    vals = np.outer(np.arange(1.0, sg.n_x + 1.0), weight)
+    st = Stepper(base_config(setting), vals)
+    # rho is the midpoint rule in z, per spatial cell
+    assert st.rho == pytest.approx(np.arange(1.0, sg.n_x + 1.0)
+                                   * tg.h_z * weight.sum(), rel=1e-14)
+    # the marginal in x is a multiple of the parabola, so its refined
+    # maximizer is the vertex
+    assert dominant_trait(st) == pytest.approx(0.1, abs=1e-12)
+    # the start density is copied, not aliased
+    vals[:] = 0.0
+    assert st.n.min() > 0.0
+
+
 def test_constant_environment_fixed_point(setting):
     sg, tg, profile, _ = setting
     m1 = ScalarField(sg, np.ones(sg.n_x))
     cfg = SimConfig(0.05, 1.0, sg, tg, profile, m1)
-    st = uniform_state(setting)
-    out = Stepper(cfg, st).step(st)
-    assert np.max(np.abs(out.n.values - 1.0)) <= 1e-12
+    st = uniform_stepper(setting, cfg)
+    st.step()
+    assert np.max(np.abs(st.n - 1.0)) <= 1e-12
 
 
 def test_diffusion_substeps_conserve_mass(setting):
     # the step's two diffusion solves alone, without its reaction
     cfg = base_config(setting)
-    st = init_population(cfg)
-    stepper = Stepper(cfg, st)
-    values = st.n.values
+    stepper = Stepper(cfg, init_population(cfg))
+    values = stepper.n
     for _ in range(50):
         values = stepper._xdiff.solve(values.T).T
         values = stepper._zdiff.solve(values.T).T
-    assert abs(values.sum() / st.n.values.sum() - 1.0) <= 1e-12
+    assert abs(values.sum() / stepper.n.sum() - 1.0) <= 1e-12
 
 
 def test_mass_identity_first_order_in_dt(setting):
@@ -107,14 +131,13 @@ def test_mass_identity_first_order_in_dt(setting):
     diffs = {}
     for c_t in (0.1, 0.05):
         cfg = base_config(setting, c_t=c_t)
-        st = init_population(cfg)
-        stepper = Stepper(cfg, st)
+        stepper = Stepper(cfg, init_population(cfg))
         for _ in range(3):
-            st = stepper.step(st)
-        mass0 = st.n.values.sum() * sg.h_x * cfg.trait.h_z
-        rho0 = st.rho.values
-        nxt = stepper.step(st)
-        mass1 = nxt.n.values.sum() * sg.h_x * cfg.trait.h_z
+            stepper.step()
+        mass0 = stepper.n.sum() * sg.h_x * cfg.trait.h_z
+        rho0 = stepper.rho
+        stepper.step()
+        mass1 = stepper.n.sum() * sg.h_x * cfg.trait.h_z
         lhs = cfg.epsilon * (mass1 - mass0) / cfg.dt
         rhs = (rho0 * (m.values - rho0)).sum() * sg.h_x
         diffs[c_t] = abs(lhs - rhs)
@@ -131,13 +154,11 @@ def test_single_column_relaxes_at_fast_rate(setting):
         cfg = base_config(setting, eps=eps)
         vals = np.zeros((sg.n_x, tg.n_z))
         vals[:, j0] = 0.5 / tg.h_z
-        n = PhaseDensity(sg, tg, vals, 0.0)
-        st = SimState(n, n.rho(), 0.0, ())
-        stepper = Stepper(cfg, st)
+        stepper = Stepper(cfg, vals)
         dist = []
         for _ in range(25):
-            st = stepper.step(st)
-            dist.append(np.abs(st.rho.values - theta).max())
+            stepper.step()
+            dist.append(np.abs(stepper.rho - theta).max())
         assert dist[20] < dist[5]
         # decay exponent per unit fast time t/eps
         rates.append(-np.log(dist[20] / dist[5]) / (15 * cfg.c_t))
@@ -182,13 +203,12 @@ def test_wall_pinned_argmax_is_reported_not_refined(setting):
     sg, tg, _, _ = setting
     vals = np.ones((sg.n_x, tg.n_z))
     vals[:, -1] = 5.0
-    n = PhaseDensity(sg, tg, vals, 0.0)
-    st = SimState(n, n.rho(), 0.0, ())
+    st = Stepper(base_config(setting), vals)
     assert dominant_trait(st) == tg.nodes[-1]
 
 
 def test_dominant_trait_extinct_below_floor(setting):
-    st = uniform_state(setting, value=0.0)
+    st = uniform_stepper(setting, value=0.0)
     with pytest.raises(PopulationExtinct):
         dominant_trait(st)
 
@@ -238,24 +258,28 @@ def test_config_validation(setting):
         SimConfig(0.05, 1.0, sg, tg, profile, short)
 
 
-def test_stale_rho_cache_rejected(setting):
-    sg, tg, _, _ = setting
-    n = PhaseDensity(sg, tg, np.ones((sg.n_x, tg.n_z)), 0.0)
-    bad = ScalarField(sg, np.full(sg.n_x, 2.0))
-    with pytest.raises(ValidationError):
-        SimState(n, bad, 0.0, ())
-
-
 def test_probe_times_must_land_in_horizon(setting):
     cfg = base_config(setting, T=0.2)
     with pytest.raises(ValidationError):
         run(cfg, probe_times=(0.5,))
 
 
+def _checked_density(cfg, values):
+    """The checks of the frozen-record constructors the stepper replaced: a
+    float copy of the grid's shape, finite and nonnegative, and a finite rho
+    summed again from that copy."""
+    n = np.array(values, dtype=float)
+    assert n.shape == (cfg.spatial.n_x, cfg.trait.n_z)
+    assert np.all(np.isfinite(n)) and n.min() >= 0.0
+    rho = cfg.trait.h_z * n.sum(axis=1)
+    assert np.all(np.isfinite(rho))
+    return n, rho
+
+
 class _ReferenceStepper:
     """The fully validated step the stepper must reproduce bit for bit:
-    every new state goes through the checking constructors, and rho is
-    summed again by PhaseDensity.rho()."""
+    every new density is copied and checked whole, rho is summed from the
+    checked copy, and each step builds a new violation tuple."""
 
     def __init__(self, cfg, start):
         self.cfg = cfg
@@ -264,8 +288,9 @@ class _ReferenceStepper:
                                     cfg.dt * alphas / cfg.epsilon)
         self.zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z,
                                        cfg.dt * cfg.epsilon)
-        self.lo = float(start.rho.values.min())
-        self.hi = float(start.rho.values.max())
+        self.n, self.rho = _checked_density(cfg, start)
+        self.t, self.violations = 0.0, ()
+        self.lo, self.hi = float(self.rho.min()), float(self.rho.max())
         self.streak = 0
 
     def watch(self, rho, t, violations):
@@ -279,21 +304,19 @@ class _ReferenceStepper:
         self.streak = 0
         self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
 
-    def step(self, state):
+    def step(self):
         cfg = self.cfg
         dt, eps = cfg.dt, cfg.epsilon
-        star = self.xdiff.solve(state.n.values.T).T
+        star = self.xdiff.solve(self.n.T).T
         star = self.zdiff.solve(star.T).T
         rho_star = cfg.trait.h_z * star.sum(axis=1)
         growth = np.exp((dt / eps) * (cfg.m.values - rho_star))
         star = star * growth[:, None]
-        assert np.all(np.isfinite(star))
-        t_new = state.t + dt
-        n_new = PhaseDensity(cfg.spatial, cfg.trait, star, t_new)
-        rho_new = n_new.rho()
-        violations = list(state.violations)
-        self.watch(rho_new.values, t_new, violations)
-        return SimState(n_new, rho_new, t_new, tuple(violations))
+        self.t += dt
+        self.n, self.rho = _checked_density(cfg, star)
+        violations = list(self.violations)
+        self.watch(self.rho, self.t, violations)
+        self.violations = tuple(violations)
 
 
 @pytest.mark.parametrize("variant", ["default", "hot"])
@@ -303,17 +326,16 @@ def test_step_equals_validated_reference(setting, variant):
     if variant == "hot":
         m, c_t = ScalarField(sg, np.full(sg.n_x, 20.0)), 0.2
     cfg = SimConfig(0.05, 1.0, sg, tg, profile, m, c_t=c_t)
-    state = expect = init_population(cfg)
-    stepper, reference = Stepper(cfg, state), _ReferenceStepper(cfg, expect)
+    start = init_population(cfg)
+    stepper, reference = Stepper(cfg, start), _ReferenceStepper(cfg, start)
     for _ in range(200):
-        state, expect = stepper.step(state), reference.step(expect)
-    assert np.array_equal(state.n.values, expect.n.values)
-    assert np.array_equal(state.rho.values, expect.rho.values)
-    assert state.t == expect.t == state.n.t
-    assert state.violations == expect.violations
-    assert (len(state.violations) > 0) == (variant == "hot")
-    assert not state.n.values.flags.writeable
-    assert not state.rho.values.flags.writeable
+        stepper.step()
+        reference.step()
+    assert np.array_equal(stepper.n, reference.n)
+    assert np.array_equal(stepper.rho, reference.rho)
+    assert stepper.t == reference.t
+    assert tuple(stepper.violations) == reference.violations
+    assert (len(stepper.violations) > 0) == (variant == "hot")
 
 
 class _Corrupting:
@@ -337,12 +359,15 @@ class _Corrupting:
 ])
 def test_step_rejects_a_corrupted_density(setting, value, error):
     cfg = base_config(setting)
-    state = init_population(cfg)
-    stepper = Stepper(cfg, state)
-    state = stepper.step(state)
+    stepper = Stepper(cfg, init_population(cfg))
+    stepper.step()
+    n, rho, t = stepper.n, stepper.rho, stepper.t
     stepper._zdiff = _Corrupting(stepper._zdiff, value)
     with pytest.raises(error):
-        stepper.step(state)
+        stepper.step()
+    # a rejected step leaves the state as it was
+    assert stepper.n is n and stepper.rho is rho and stepper.t == t
+    assert stepper.violations == []
 
 
 @pytest.mark.filterwarnings("error")
