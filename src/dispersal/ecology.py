@@ -385,7 +385,8 @@ class DispersalProfile:
 
 
 class ThetaCache:
-    """Steady states keyed by quantized resident trait.
+    """A run's resident ecology: the profile, the habitat m and the steady
+    states keyed by quantized resident trait.
 
     Surface sweeps revisit the same resident column many times; quantizing at
     1e-12 makes the sweep O(#columns) theta solves.
@@ -414,11 +415,10 @@ def _potential(m: ScalarField, theta: ScalarField) -> ScalarField:
     return ScalarField(m.grid, m.values - theta.values)
 
 
-def _exponents(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
-               cache: ThetaCache) -> list[float]:
+def _exponents(z1s, z2: float, cache: ThetaCache) -> list[float]:
     """lambda(z1, z2) for every z1 in z1s: one resident, one eigen batch."""
-    c = _potential(m, cache.theta(float(z2)))
-    alphas = [float(profile(z1)) for z1 in z1s]
+    c = _potential(cache.m, cache.theta(float(z2)))
+    alphas = [float(cache.profile(z1)) for z1 in z1s]
     return [pair.lam for pair in principal_eigenpairs(alphas, c)]
 
 
@@ -440,17 +440,15 @@ def _stencil_points(z1: float, profile: DispersalProfile
     return 0, h, [z1 - h, z1 + h, z1]
 
 
-def _column_derivs(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
-                   cache: ThetaCache) -> list[tuple]:
+def _column_derivs(z1s, z2: float, cache: ThetaCache) -> list[tuple]:
     """lambda, (d/dz1) lambda and (d2/dz1^2) lambda at every z1 of one
     resident column, with all stencil points solved as one eigen batch.
 
     lambda(z1) is the stencil point at z1 itself: last of a central
     stencil, first of a one-sided one.
     """
-    stencils = [_stencil_points(float(z1), profile) for z1 in z1s]
-    lams = _exponents([z for _, _, pts in stencils for z in pts], z2,
-                      profile, m, cache)
+    stencils = [_stencil_points(float(z1), cache.profile) for z1 in z1s]
+    lams = _exponents([z for _, _, pts in stencils for z in pts], z2, cache)
     out = []
     for side, h, pts in stencils:
         f, lams = lams[:len(pts)], lams[len(pts):]
@@ -459,39 +457,34 @@ def _column_derivs(z1s, z2: float, profile: DispersalProfile, m: ScalarField,
     return out
 
 
-def lambda_derivs(z1: float, z2: float, profile: DispersalProfile,
-                  m: ScalarField,
-                  cache: ThetaCache | None = None) -> tuple[float, float]:
+def lambda_derivs(z1: float, z2: float,
+                  cache: ThetaCache) -> tuple[float, float]:
     """(d/dz1) lambda and (d2/dz1^2) lambda by second-order differences.
 
     Central stencils in the interior; one-sided stencils within the step
     (`DERIV_STEP_FRACTION` of the trait interval) of its endpoints.
     """
-    cache = cache if cache is not None else ThetaCache(profile, m)
-    return _column_derivs([z1], z2, profile, m, cache)[0][1:]
+    return _column_derivs([z1], z2, cache)[0][1:]
 
 
-def lambda_slope(z1: float, z2: float, profile: DispersalProfile,
-                 m: ScalarField, cache: ThetaCache | None = None) -> float:
+def lambda_slope(z1: float, z2: float, cache: ThetaCache) -> float:
     """(d/dz1) lambda alone, bit-identical to lambda_derivs' first entry.
 
     Solves only the stencil points the first difference reads: two in the
     interior, three near an endpoint.
     """
-    cache = cache if cache is not None else ThetaCache(profile, m)
-    side, h, pts = _stencil_points(z1, profile)
-    f = _exponents(pts[:3] if side else pts[:2], z2, profile, m, cache)
+    side, h, pts = _stencil_points(z1, cache.profile)
+    f = _exponents(pts[:3] if side else pts[:2], z2, cache)
     return first_difference(side, h, f)
 
 
-def lambda_table(z1s: np.ndarray, z2s: np.ndarray, profile: DispersalProfile,
-                 m: ScalarField, cache: ThetaCache | None = None) -> np.ndarray:
+def lambda_table(z1s: np.ndarray, z2s: np.ndarray,
+                 cache: ThetaCache) -> np.ndarray:
     """Exponent values on a (z1, z2) sample product, one theta solve and one
     eigen batch per column."""
-    cache = cache if cache is not None else ThetaCache(profile, m)
     out = np.empty((len(z1s), len(z2s)))
     for j, z2 in enumerate(z2s):
-        out[:, j] = _exponents(z1s, z2, profile, m, cache)
+        out[:, j] = _exponents(z1s, z2, cache)
     return out
 
 
@@ -506,21 +499,19 @@ class LambdaSurface:
     d2lam_dz1: np.ndarray
 
 
-def lambda_surface(profile: DispersalProfile, m: ScalarField,
-                   nz1: int = 21, nz2: int = 21) -> LambdaSurface:
+def lambda_surface(cache: ThetaCache, nz1: int = 21,
+                   nz2: int = 21) -> LambdaSurface:
     """Exponent surface plus derivative columns on an endpoint-inclusive grid."""
     if min(nz1, nz2) < 1:
         raise ValidationError("exponent surface needs at least 1 trait "
                               "sample per axis", nz1=nz1, nz2=nz2)
-    cache = ThetaCache(profile, m)
-    z1s = np.linspace(profile.a, profile.b, nz1)
-    z2s = np.linspace(profile.a, profile.b, nz2)
+    z1s = np.linspace(cache.profile.a, cache.profile.b, nz1)
+    z2s = np.linspace(cache.profile.a, cache.profile.b, nz2)
     lam = np.empty((nz1, nz2))
     d1 = np.empty_like(lam)
     d2 = np.empty_like(lam)
     for j, z2 in enumerate(z2s):
-        lam[:, j], d1[:, j], d2[:, j] = zip(*_column_derivs(z1s, z2, profile,
-                                                            m, cache))
+        lam[:, j], d1[:, j], d2[:, j] = zip(*_column_derivs(z1s, z2, cache))
     return LambdaSurface(z1s, z2s, lam, d1, d2)
 
 
@@ -621,9 +612,7 @@ class H1Report:
         }
 
 
-def check_H1(profile: DispersalProfile, m: ScalarField,
-             n_samples: int = H1_SAMPLES,
-             cache: ThetaCache | None = None) -> H1Report:
+def check_H1(cache: ThetaCache, n_samples: int = H1_SAMPLES) -> H1Report:
     """Verify uniform trait convexity and the endpoint gradient signs.
 
     Passing requires min d2_z1 lambda > 0 over the sample grid together with
@@ -632,16 +621,16 @@ def check_H1(profile: DispersalProfile, m: ScalarField,
     if n_samples < 2:
         raise ValidationError("H1 check needs at least 2 samples",
                               n_samples=n_samples)
-    cache = cache if cache is not None else ThetaCache(profile, m)
-    zs = np.linspace(profile.a, profile.b, n_samples)
+    a, b = cache.profile.a, cache.profile.b
+    zs = np.linspace(a, b, n_samples)
     k_lower = np.inf
     k_upper = -np.inf
     for z2 in zs:
-        for _, _, d2 in _column_derivs(zs, z2, profile, m, cache):
+        for _, _, d2 in _column_derivs(zs, z2, cache):
             k_lower = min(k_lower, d2)
             k_upper = max(k_upper, d2)
-    sign_a, _ = lambda_derivs(profile.a, profile.a, profile, m, cache)
-    sign_b, _ = lambda_derivs(profile.b, profile.b, profile, m, cache)
+    sign_a, _ = lambda_derivs(a, a, cache)
+    sign_b, _ = lambda_derivs(b, b, cache)
     passed = bool(k_lower > 0.0 and sign_a < 0.0 and sign_b > 0.0)
     return H1Report(float(k_lower), float(k_upper), float(sign_a),
                     float(sign_b), passed, n_samples)

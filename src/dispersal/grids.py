@@ -265,3 +265,10 @@ def march_steps(T: float, dt: float) -> int:
         raise ValidationError("time march exceeds the step cap",
                               T=T, dt=dt, steps=n, cap=MAX_STEPS)
     return int(n)
+
+
+def check_records(records: float, n_z: int) -> None:
+    """Reject a march whose `records` rows of n_z values exceed MAX_STEPS."""
+    if not records * n_z <= MAX_STEPS:
+        raise ValidationError("recorded march exceeds the step cap",
+                              records=records, n_z=n_z, cap=MAX_STEPS)

@@ -20,8 +20,8 @@ import scipy
 from .. import __version__
 
 from ..bundle import effective_hamiltonian
-from ..ecology import ThetaCache, check_H1, construct_alpha, \
-    principal_eigenpair, lambda_surface, solve_theta
+from ..ecology import check_H1, construct_alpha, principal_eigenpair, \
+    lambda_surface, solve_theta
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
 from ..grids import ScalarField, SpatialGrid, TimeIndexedField, default_m
 from ..hj import SelfConsistentSource, canonical_ode, lax_oleinik, \
@@ -66,8 +66,8 @@ def cmd_alpha_build(params: dict, out: Path) -> dict:
 
 
 def cmd_lambda_surface(params: dict, out: Path) -> dict:
-    sg, _, profile, m = standard_setting(params)
-    surf = lambda_surface(profile, m, nz1=params["mutants"],
+    _, _, cache = standard_setting(params)
+    surf = lambda_surface(cache, nz1=params["mutants"],
                           nz2=params["residents"])
     n1, n2 = surf.lam.shape
     write_csv(out / "lambda.csv", ["z1", "z2", "lambda", "dlambda_dz1"],
@@ -86,8 +86,8 @@ def cmd_lambda_surface(params: dict, out: Path) -> dict:
 
 
 def cmd_check_h1(params: dict, out: Path) -> dict:
-    sg, _, profile, m = standard_setting(params)
-    report = check_H1(profile, m, n_samples=params["samples"])
+    _, _, cache = standard_setting(params)
+    report = check_H1(cache, n_samples=params["samples"])
     write_json(out / "h1.json", report.to_dict())
     if not report.passed:
         raise AcceptanceFailure("trait convexity check failed",
@@ -104,12 +104,13 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
     if not window <= FLOQUET_MAX_RECORDS:
         raise ValidationError("record window too large", steps=window,
                               cap=FLOQUET_MAX_RECORDS)
-    sg, _, profile, m = standard_setting(params)
+    sg, _, cache = standard_setting(params)
+    profile, m = cache.profile, cache.m
     traits = {k: params[k] for k in ("z", "resident")}
     if not all(profile.a < t < profile.b for t in traits.values()):
         raise ValidationError("traits must be interior",
                               a=profile.a, b=profile.b, **traits)
-    theta = solve_theta(float(profile(params["resident"])), m)
+    theta = cache.theta(params["resident"])
     # the resident frozen at every time: epsilon = 1 puts the whole march,
     # spin-up included, past the history's last sample, which is theta
     frozen = TimeIndexedField([0.0, 1.0], [theta.values, theta.values])
@@ -134,14 +135,13 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
 
 
 def _hj_solution(params: dict):
-    sg, tg, profile, m = standard_setting(params)
-    src = SelfConsistentSource(profile, m, tg)
-    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
-    return sg, tg, profile, m, src, v0
+    _, tg, cache = standard_setting(params)
+    src = SelfConsistentSource(cache, tg)
+    return tg, src, quadratic_start(tg, params["K0"], params["zbar0"])
 
 
 def cmd_hj(params: dict, out: Path) -> dict:
-    _, tg, _, _, src, v0 = _hj_solution(params)
+    tg, src, v0 = _hj_solution(params)
     sol = solve_constrained_hj(src, v0, params["T"], params["dt"],
                                record_every=params["record_every"])
     write_csv(out / "hj.csv", ["t", "zbar", "sigma", "multiplier"],
@@ -164,7 +164,7 @@ def cmd_hj(params: dict, out: Path) -> dict:
 
 
 def cmd_lax_oleinik(params: dict, out: Path) -> dict:
-    _, tg, _, _, src, v0 = _hj_solution(params)
+    tg, src, v0 = _hj_solution(params)
     sol = solve_constrained_hj(src, v0, params["T"], params["dt"])
     dp = lax_oleinik(src, v0, params["T"], params["dt_dp"], params["reach"],
                      constrained=True, zbar_path=(sol.times, sol.zbar))
@@ -180,11 +180,11 @@ def cmd_lax_oleinik(params: dict, out: Path) -> dict:
 
 
 def cmd_pde(params: dict, out: Path) -> dict:
-    sg, tg, profile, m = standard_setting(params)
+    sg, tg, cache = standard_setting(params)
     T = params["T"]
     probes = tuple(sorted({p for p in params["probes"]
                            if p <= T + 1e-12} | {T}))
-    cfg = SimConfig(params["eps"], T, sg, tg, profile, m,
+    cfg = SimConfig(params["eps"], T, sg, tg, cache.profile, cache.m,
                     K0=params["K0"], zbar0=params["zbar0"],
                     c_t=params["c_t"], out_stride=params["out_stride"],
                     history_stride=params["history_stride"])
@@ -202,22 +202,19 @@ def cmd_converge(params: dict, out: Path) -> dict:
 
 
 def cmd_pipeline(params: dict, out: Path) -> dict:
-    sg, tg, profile, m = standard_setting(params)
+    sg, tg, cache = standard_setting(params)
     T, eps = params["T"], params["eps"]
-    # one theta cache for both: residents shared by the H1 grid and the
-    # source's grid are the same traits, so sharing changes no number
-    cache = ThetaCache(profile, m)
-    h1 = check_H1(profile, m, cache=cache)
+    h1 = check_H1(cache)
     if not h1.passed:
         raise AcceptanceFailure("trait convexity check failed",
                                 **h1.to_dict())
 
-    src = SelfConsistentSource(profile, m, tg, cache=cache)
+    src = SelfConsistentSource(cache, tg)
     v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, T, params["dt"], record_every=10)
     can = canonical_ode(src, sol, params["zbar0"], T)
 
-    cfg = SimConfig(eps, T, sg, tg, profile, m, K0=params["K0"],
+    cfg = SimConfig(eps, T, sg, tg, cache.profile, cache.m, K0=params["K0"],
                     zbar0=params["zbar0"], c_t=params["c_t"])
     res = run(cfg, probe_times=(T,))
     write_run_artifacts(out / "pde", res, dict(params))
@@ -229,7 +226,7 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
                       ["'zbar_compare.csv' using 't':'zbar_eps' with lines",
                        "'zbar_compare.csv' using 't':'zbar_limit' with lines"])
 
-    theta_T = src.cache.theta(float(can.at(T)))
+    theta_T = cache.theta(float(can.at(T)))
     u_T = res.u_snaps[T]
     v_T = sol.V[-1]
     offset = 0.5 * eps * np.log(eps)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bundle import effective_hamiltonian
-from ..ecology import construct_alpha
+from ..ecology import ThetaCache, construct_alpha
 from ..errors import AcceptanceFailure, ValidationError
 from ..grids import SpatialGrid, TraitField, TraitGrid, default_m
 from ..hj import SelfConsistentSource, canonical_ode, solve_constrained_hj
@@ -29,12 +29,12 @@ EARLY_RECORD_MULTIPLES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 
 def standard_setting(params: dict):
-    """Grids, habitat profile, and dispersal profile shared by commands."""
+    """Grids and the run's one resident ecology, a `ThetaCache`."""
     sg = SpatialGrid(params["n_x"])
     m = default_m(sg, params["m_amp"])
     profile = construct_alpha(params["alpha0"], params["L0"], m)
     tg = TraitGrid(params["n_z"]) if "n_z" in params else None
-    return sg, tg, profile, m
+    return sg, tg, ThetaCache(profile, m)
 
 
 def quadratic_start(tg: TraitGrid, k0: float, zbar0: float) -> TraitField:
@@ -106,13 +106,19 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
     if len(eps_list) < 3 or not np.all(np.diff(eps_list) < 0.0):
         raise ValidationError("scale list must be strictly decreasing with "
                               "at least three entries", eps_list=eps_list)
-    T = params["T"]
-    sg, tg, profile, m = standard_setting(params)
+    T, t_lo, h_t_lo = params["T"], params["t_lo"], params["h_t_lo"]
+    h_t_hi = min(params["h_t_hi"], T)
+    t_recs = {eps: _h_record_times(eps, 0.05, h_t_hi) for eps in eps_list}
+    if not t_lo <= T or params["with_h"] and not all(
+            np.any(t >= h_t_lo - 1e-12) for t in t_recs.values()):
+        raise ValidationError("a comparison window is empty", t_lo=t_lo, T=T,
+                              h_t_lo=h_t_lo, h_t_hi=h_t_hi)
+    sg, tg, cache = standard_setting(params)
+    profile, m = cache.profile, cache.m
     probes = tuple(sorted({p for p in params["u_probes"]
                            if p <= T + 1e-12} | {T}))
-    h_t_hi = min(params["h_t_hi"], T)
 
-    src = SelfConsistentSource(profile, m, tg)
+    src = SelfConsistentSource(cache, tg)
     v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, T, params["hj_dt"], record_every=10)
     can = canonical_ode(src, sol, params["zbar0"], T)
@@ -135,9 +141,9 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
         hist = res.rho_history
         gap = 0.0
         for i, tv in enumerate(hist.times):
-            if tv < params["t_lo"] - 1e-12:
+            if tv < t_lo - 1e-12:
                 continue
-            theta = src.cache.theta(float(np.interp(tv, can.times, can.zbar)))
+            theta = cache.theta(float(np.interp(tv, can.times, can.zbar)))
             gap = max(gap, float(np.abs(hist.values[i] - theta.values).max()))
         cols["rho_gap"].append(gap)
 
@@ -160,12 +166,12 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
         if params["with_h"]:
             z_samp = np.linspace(tg.a + tg.h_z / 2, tg.b - tg.h_z / 2,
                                  params["z_samples"])
-            t_rec = _h_record_times(eps, 0.05, h_t_hi)
+            t_rec = t_recs[eps]
             eff = effective_hamiltonian(res.rho_history, profile, eps,
                                         z_samp, m, t_rec)
             lam = np.stack([src.rate(eff.z, 0.0, zbar=res.zbar_at(t))
                             for t in t_rec], axis=1)
-            mask = (t_rec >= params["h_t_lo"] - 1e-12)
+            mask = (t_rec >= h_t_lo - 1e-12)
             cols["h_gap"].append(float(np.abs(eff.H[:, mask]
                                               - lam[:, mask]).max()))
             h_bar = np.array([float(np.interp(res.zbar_at(t), eff.z,

@@ -20,11 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .ecology import DispersalProfile, ThetaCache, lambda_slope, lambda_table
+from .ecology import ThetaCache, lambda_slope, lambda_table
 from .errors import (CurvatureCollapsed, SolverError, TrajectoryHitBoundary,
                      ValidationError)
-from .grids import (MAX_STEPS, ScalarField, TraitField, TraitGrid,
-                    argmin_refined, march_steps)
+from .grids import (TraitField, TraitGrid, argmin_refined, check_records,
+                    march_steps)
 
 CFL_SAFETY = 0.9
 CFL_MAX_HALVINGS = 40
@@ -67,12 +67,10 @@ class SelfConsistentSource:
     directly (no table) for accuracy.
     """
 
-    def __init__(self, profile: DispersalProfile, m: ScalarField,
-                 grid: TraitGrid, cache: ThetaCache | None = None):
-        self.profile = profile
-        self.m = m
+    def __init__(self, cache: ThetaCache, grid: TraitGrid):
+        self.cache = cache
+        self.profile = profile = cache.profile
         self.grid = grid
-        self.cache = cache if cache is not None else ThetaCache(profile, m)
         self._residents = np.linspace(profile.a, profile.b, RESIDENT_SAMPLES)
         self._columns: dict[int, np.ndarray] = {}
 
@@ -80,7 +78,7 @@ class SelfConsistentSource:
         col = self._columns.get(j)
         if col is None:
             col = lambda_table(self.grid.nodes, self._residents[j:j + 1],
-                               self.profile, self.m, cache=self.cache)[:, 0]
+                               self.cache)[:, 0]
             self._columns[j] = col
         return col
 
@@ -105,7 +103,7 @@ class SelfConsistentSource:
         return row
 
     def diag_gradient(self, zbar: float, t: float = 0.0) -> float:
-        return lambda_slope(zbar, zbar, self.profile, self.m, self.cache)
+        return lambda_slope(zbar, zbar, self.cache)
 
 
 @dataclass(frozen=True)
@@ -200,6 +198,8 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
     h = grid.h_z
     z = grid.nodes
     n_steps = march_steps(T, dt)
+    # the start, every record_every-th step and the last
+    check_records(1 + -(-n_steps // record_every), grid.n_z)
 
     times = [0.0]
     records = [v.copy()]
@@ -357,13 +357,13 @@ def lax_oleinik(source, V0: TraitField, T: float, dt_dp: float, reach: float,
     if window >= grid.n_z:
         raise ValidationError("reach window exceeds the trait interval",
                               window=window, n_z=grid.n_z)
-    if not T / dt_dp <= MAX_STEPS:      # a large reach admits a tiny dt_dp
-        raise ValidationError("time march exceeds the step cap", T=T,
-                              dt=dt_dp, steps=T / dt_dp, cap=MAX_STEPS)
+    # one record per step, so this also caps the steps a large reach allows
+    n_steps = max(np.round(T / dt_dp), 1.0)
+    check_records(n_steps + 1, grid.n_z)
+    n_steps = int(n_steps)
     v = np.asarray(V0.values, dtype=float).copy()
     if constrained:
         v = v - v.min()
-    n_steps = max(int(round(T / dt_dp)), 1)
 
     def reflect(arr: np.ndarray) -> np.ndarray:
         return np.concatenate([arr[window - 1::-1], arr, arr[:-window - 1:-1]])

@@ -81,7 +81,7 @@ def test_criterion_01_diagonal_zero_identity():
 
 def test_criterion_02_explicit_profile_h1(setting):
     _, _, profile, m = setting
-    rep = check_H1(profile, m)
+    rep = check_H1(ThetaCache(profile, m))
     ok = rep.passed and rep.k_lower > 0.0
     report_line(2, ok, f"K in [{rep.k_lower:.3f}, {rep.k_upper:.3f}], "
                        f"signs ({rep.sign_a:.3f}, {rep.sign_b:.3f})")
@@ -145,7 +145,7 @@ def test_criterion_05_quadratic_closed_form():
 
 def test_criterion_06_canonical_equation_consistency(setting):
     _, tg, profile, m = setting
-    src = SelfConsistentSource(profile, m, tg)
+    src = SelfConsistentSource(ThetaCache(profile, m), tg)
     v0 = TraitField(tg, 4.0 * (tg.nodes - 0.25) ** 2)
     sol = solve_constrained_hj(src, v0, 1.0, 0.005, record_every=10)
     can = canonical_ode(src, sol, 0.25, 1.0)
@@ -209,7 +209,7 @@ def test_criterion_10_monotone_approach_to_ess(setting):
     sg, tg, profile, m = setting
     ess = profile.argmin()
     T = 12.0
-    src = SelfConsistentSource(profile, m, tg)
+    src = SelfConsistentSource(ThetaCache(profile, m), tg)
     v0 = TraitField(tg, 4.0 * (tg.nodes - 0.25) ** 2)
     sol = solve_constrained_hj(src, v0, T, 0.005, record_every=10)
     can = canonical_ode(src, sol, 0.25, T)

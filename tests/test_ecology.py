@@ -381,8 +381,8 @@ def test_gradient_sign_matches_profile_slope(m64):
     increasing = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
     decreasing = eco.DispersalProfile.affine(0.8, -0.3, -0.5, 0.5)
     for z1, z2 in [(-0.2, 0.1), (0.0, 0.3), (0.3, -0.25)]:
-        d1_up, _ = eco.lambda_derivs(z1, z2, increasing, m64)
-        d1_dn, _ = eco.lambda_derivs(z1, z2, decreasing, m64)
+        d1_up, _ = eco.lambda_derivs(z1, z2, eco.ThetaCache(increasing, m64))
+        d1_dn, _ = eco.lambda_derivs(z1, z2, eco.ThetaCache(decreasing, m64))
         assert d1_up > 0.0
         assert d1_dn < 0.0
 
@@ -400,10 +400,10 @@ def test_lambda_derivs_richardson_oracle(m64, monkeypatch):
     profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
     cache = eco.ThetaCache(profile, m64)
     z1, z2 = 0.12, -0.2
-    _, d2_h = eco.lambda_derivs(z1, z2, profile, m64, cache)
+    _, d2_h = eco.lambda_derivs(z1, z2, cache)
     monkeypatch.setattr(eco, "DERIV_STEP_FRACTION",
                         eco.DERIV_STEP_FRACTION / 2)
-    _, d2_h2 = eco.lambda_derivs(z1, z2, profile, m64, cache)
+    _, d2_h2 = eco.lambda_derivs(z1, z2, cache)
     richardson = (4.0 * d2_h2 - d2_h) / 3.0
     assert d2_h == pytest.approx(richardson, rel=1e-2)
 
@@ -437,7 +437,7 @@ def test_surface_symmetry_under_even_profile(m64):
                                    lambda z: 2.0 * np.asarray(z),
                                    {"kind": "even-quadratic"})
     zs = np.linspace(-0.4, 0.4, 5)
-    table = eco.lambda_table(zs, zs, profile, m64)
+    table = eco.lambda_table(zs, zs, eco.ThetaCache(profile, m64))
     assert np.max(np.abs(table - table[::-1, ::-1])) < 1e-9
 
 
@@ -445,8 +445,9 @@ def test_surface_values_are_the_table(m64):
     # the surface reads lambda off its derivative stencils, central inside
     # and one-sided at the two end samples
     profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
-    surf = eco.lambda_surface(profile, m64, nz1=9, nz2=3)
-    table = eco.lambda_table(surf.z1, surf.z2, profile, m64)
+    surf = eco.lambda_surface(eco.ThetaCache(profile, m64), nz1=9, nz2=3)
+    table = eco.lambda_table(surf.z1, surf.z2,
+                             eco.ThetaCache(profile, m64))
     assert np.array_equal(surf.lam, table)
 
 
@@ -521,7 +522,7 @@ def test_construct_alpha_rejects_bad_inputs(m64):
 
 
 def test_check_h1_passes_on_constructed_profile(profile61, m64):
-    report = eco.check_H1(profile61, m64, n_samples=9)
+    report = eco.check_H1(eco.ThetaCache(profile61, m64), n_samples=9)
     assert report.passed
     assert report.k_lower > 0.0
     assert report.sign_a < 0.0 < report.sign_b
@@ -531,12 +532,12 @@ def test_check_h1_passes_on_constructed_profile(profile61, m64):
 def test_check_h1_needs_two_samples(profile61, m64, n_samples):
     # fewer would pass the convexity test over an empty grid
     with pytest.raises(ValidationError):
-        eco.check_H1(profile61, m64, n_samples=n_samples)
+        eco.check_H1(eco.ThetaCache(profile61, m64), n_samples=n_samples)
 
 
 def test_check_h1_fails_on_constant_profile(m64):
     profile = eco.DispersalProfile.constant(0.6, -0.5, 0.5)
-    report = eco.check_H1(profile, m64, n_samples=5)
+    report = eco.check_H1(eco.ThetaCache(profile, m64), n_samples=5)
     assert not report.passed
     assert abs(report.sign_a) < 1e-6
     assert abs(report.sign_b) < 1e-6
@@ -544,7 +545,7 @@ def test_check_h1_fails_on_constant_profile(m64):
 
 def test_check_h1_fails_on_decreasing_profile(m64):
     profile = eco.DispersalProfile.affine(0.9, -0.35, -0.5, 0.5)
-    report = eco.check_H1(profile, m64, n_samples=5)
+    report = eco.check_H1(eco.ThetaCache(profile, m64), n_samples=5)
     assert not report.passed
     assert report.sign_b < 0.0
 

@@ -121,7 +121,8 @@ _TRAITS = {"n_z": _count(16, 64, bad=(0, -1, 15)), "K0": _number(0.5, 8.0),
 _STEP = _number(1e-3, 0.02, bad=(0.0, -1.0, 4.8e-109, 1e-300))
 # every key here is in the command's schema; the in-range values keep one
 # run cheap (the hj, lax-oleinik and pde horizons at most 0.02, at most 40
-# kinetic steps, at most 9 H1 samples per axis, at most a 5 x 3 surface)
+# kinetic steps, at most 9 H1 samples per axis, at most a 5 x 3 surface,
+# a floquet-test window of at most 2 fast-time steps of at least 1e-3)
 _CONTRACT_KEYS = {
     "theta": {**_GEOMETRY, "alpha": _number(0.01, 5.0)},
     "alpha-build": {**_GEOMETRY, **_PROFILE, "samples": _count(1, 300)},
@@ -129,6 +130,12 @@ _CONTRACT_KEYS = {
                        "residents": _count(1, 3)},
     "check-h1": {**_GEOMETRY, **_PROFILE,
                  "samples": _count(2, 9, bad=(1, 0, -1))},
+    "floquet-test": {**_GEOMETRY, **_PROFILE,
+                     "z": _number(-0.45, 0.45, bad=(2.0, -0.5)),
+                     "resident": _number(-0.45, 0.45, bad=(-3.0, 0.5)),
+                     "dtau": (st.floats(1e-3, 0.01), None),
+                     "t_end": _number(0.0, 0.002, bad=(-1.0,)),
+                     "tol": _number(1e-6, 1.0, bad=(-1.0,))},
     "hj": {**_GEOMETRY, **_PROFILE, **_TRAITS, "dt": _STEP,
            "record_every": _count(1, 5),
            "canonical": (st.booleans(), None)},
@@ -142,6 +149,7 @@ _CONTRACT_KEYS = {
 }
 # drawn whether or not the case picks them: the defaults cost too much
 _CHEAP = {"lambda-surface": ("mutants", "residents"),
+          "check-h1": ("samples",), "floquet-test": ("dtau", "t_end"),
           "hj": ("T",), "lax-oleinik": ("T",), "pde": ("T",)}
 
 
@@ -176,6 +184,8 @@ def _reject(token):
 @example({"hj": {"dt": 4.8e-109, "T": 0.01}})
 @example({"hj": {"dt": 1e-300, "T": 0.02}})
 @example({"lax-oleinik": {"reach": 1e12, "dt_dp": 1e-13}})
+# 2 * 10^6 steps, each recorded: within the step cap, past the record rule
+@example({"hj": {"dt": 1e-8, "record_every": 1, "T": 0.02}})
 def test_exit_code_contract(runs):
     for command, overrides in runs.items():
         args = [command]
@@ -201,6 +211,19 @@ def test_exit_code_contract(runs):
             assert {"error", "message", "diagnostics"} <= set(payload)
 
 
+def _rejection(capsys, out, command, overrides) -> str:
+    """Message of the one strict-JSON validation line a rejected run prints."""
+    args = [command, "--out", str(out)]
+    for override in overrides:
+        args += ["--override", override]
+    assert run_cli(*args) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0], parse_constant=_reject)
+    assert payload["error"] == "validation"
+    return payload["message"]
+
+
 @pytest.mark.parametrize("overrides,message", [
     # about 3.3e9 spin-up steps
     (("t_end=0", "dtau=1e-9"), "step cap"),
@@ -210,28 +233,28 @@ def test_exit_code_contract(runs):
 ])
 def test_floquet_test_rejects_a_march_past_the_step_cap(tmp_path, capsys,
                                                        overrides, message):
-    args = ["floquet-test", "--out", str(tmp_path)]
-    for override in overrides:
-        args += ["--override", override]
-    assert run_cli(*args) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0], parse_constant=_reject)
-    assert payload["error"] == "validation"
-    assert message in payload["message"]
+    assert message in _rejection(capsys, tmp_path, "floquet-test",
+                                 overrides)
 
 
 def test_lax_oleinik_rejects_a_march_past_the_step_cap(tmp_path, capsys):
     # a large reach lets a tiny dt_dp pass the reach-window check: 10^13
     # dynamic-programming steps, rejected before the first one
-    assert run_cli("lax-oleinik", "--out", str(tmp_path),
-                   "--override", "reach=1e12",
-                   "--override", "dt_dp=1e-13") == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0], parse_constant=_reject)
-    assert payload["error"] == "validation"
-    assert "step cap" in payload["message"]
+    assert "step cap" in _rejection(capsys, tmp_path, "lax-oleinik",
+                                    ("reach=1e12", "dt_dp=1e-13"))
+
+
+@pytest.mark.parametrize("command,overrides", [
+    # every step recorded: 2 * 10^6 records of 128 trait values
+    ("hj", ("dt=1e-8", "record_every=1", "T=0.02")),
+    # 10^7 dynamic-programming steps, each one recorded; the step cap
+    # alone would accept it and keep some 20 GB
+    ("lax-oleinik", ("reach=1e5", "dt_dp=1e-7")),
+])
+def test_hj_marches_reject_records_past_the_step_cap(tmp_path, capsys,
+                                                     command, overrides):
+    assert "recorded march" in _rejection(capsys, tmp_path, command,
+                                          overrides)
 
 
 def test_benchmark_hook_targets_exist():
@@ -375,6 +398,24 @@ def test_converge_smoke(tmp_path):
     assert set(report["verdicts"]) == {"zbar_gap", "rho_gap", "u_gap",
                                        "width", "h_gap", "h_int"}
     assert report["extras"]["envelope_stable_2x"] is True
+
+
+@pytest.mark.parametrize("overrides", [
+    # no H record reaches the window start: an empty mask crashed on .max()
+    ("T=0.3", "eps_list=0.05,0.04,0.03", "h_t_hi=0.3", "h_t_lo=0.5",
+     "n_z=16", "n_x=8"),
+    # the density window starts after the horizon; this one used to pay
+    # for the HJ solve and a kinetic run first
+    ("T=0.01",),
+    # an empty density window made rho_gap 0 at every scale, and passed
+    ("t_lo=5",),
+])
+def test_converge_rejects_an_empty_comparison_window(tmp_path, capsys,
+                                                     overrides):
+    assert "comparison window is empty" in _rejection(
+        capsys, tmp_path, "converge", overrides)
+    # rejected before any compute: no scale was run
+    assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
 
 
 def test_converge_rejects_short_or_increasing_lists(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dispersal.ecology import construct_alpha, lambda_table
+from dispersal.ecology import ThetaCache, construct_alpha, lambda_table
 from dispersal.errors import (CurvatureCollapsed, SolverError,
                               TrajectoryHitBoundary, ValidationError)
 from dispersal.grids import SpatialGrid, TraitField, TraitGrid, default_m
@@ -33,7 +33,7 @@ def ecology_setup():
 @pytest.fixture(scope="module")
 def sc_source(ecology_setup):
     m, profile = ecology_setup
-    return SelfConsistentSource(profile, m, TraitGrid(128))
+    return SelfConsistentSource(ThetaCache(profile, m), TraitGrid(128))
 
 
 def quadratic_exact(z, t, center=ZSTART, k=K0):
@@ -220,7 +220,7 @@ def test_selfconsistent_diagonal_guard(ecology_setup, monkeypatch):
     monkeypatch.setattr(hj, "RESIDENT_SAMPLES", 9)
     monkeypatch.setattr(hj, "DIAG_ZERO_TOL", 1e-9)
     m, profile = ecology_setup
-    strict = SelfConsistentSource(profile, m, TraitGrid(16))
+    strict = SelfConsistentSource(ThetaCache(profile, m), TraitGrid(16))
     with pytest.raises(SolverError):
         strict.rate(strict.grid.nodes, 0.0, 0.21)
 
@@ -229,9 +229,9 @@ def test_selfconsistent_rate_matches_eager_table(ecology_setup, monkeypatch):
     monkeypatch.setattr(hj, "RESIDENT_SAMPLES", 9)
     m, profile = ecology_setup
     grid = TraitGrid(16)
-    src = SelfConsistentSource(profile, m, grid)
+    src = SelfConsistentSource(ThetaCache(profile, m), grid)
     residents = np.linspace(profile.a, profile.b, 9)
-    table = lambda_table(grid.nodes, residents, profile, m)
+    table = lambda_table(grid.nodes, residents, ThetaCache(profile, m))
     for zbar in (profile.a, residents[3], 0.1, profile.b):
         j = int(np.clip(np.searchsorted(residents, zbar) - 1, 0, 7))
         w = np.clip((zbar - residents[j]) / (residents[j + 1] - residents[j]),
@@ -247,7 +247,7 @@ def test_selfconsistent_guard_extrapolates_at_trait_ends(ecology_setup,
     monkeypatch.setattr(hj, "RESIDENT_SAMPLES", 9)
     m, profile = ecology_setup
     grid = TraitGrid(16)
-    src = SelfConsistentSource(profile, m, grid)
+    src = SelfConsistentSource(ThetaCache(profile, m), grid)
     ends = (profile.a, profile.b)
     guarded = [src.rate(grid.nodes, 0.0, zbar) for zbar in ends]
     monkeypatch.setattr(hj, "DIAG_ZERO_TOL", np.inf)
@@ -266,7 +266,7 @@ def test_selfconsistent_computes_only_visited_columns(ecology_setup,
 
     monkeypatch.setattr(hj, "lambda_table", counting_table)
     grid = TraitGrid(128)
-    src = SelfConsistentSource(profile, m, grid)
+    src = SelfConsistentSource(ThetaCache(profile, m), grid)
     assert columns == []
     solve_constrained_hj(src, quadratic_initial(grid, center=0.25), 0.05,
                          1e-3)
