@@ -103,17 +103,12 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
     rec_of_step = {}
     for slot, k in enumerate(rec_steps):
         rec_of_step.setdefault(int(k), []).append(slot)
-    hist_t, hist_v = rho_history.times, rho_history.values
 
     def reaction_block(k0: int) -> np.ndarray:
         """exp(dtau * c) at the midpoints of the block of steps from k0."""
         taus_mid = (np.arange(k0, min(k0 + LATTICE_BLOCK_STEPS, k_total))
                     - k_spin + 0.5) * dtau
-        s_times = epsilon * np.maximum(taus_mid, 1.0)
-        idx = np.clip(np.searchsorted(hist_t, s_times) - 1, 0, hist_t.size - 2)
-        w = np.clip((s_times - hist_t[idx]) / (hist_t[idx + 1] - hist_t[idx]),
-                    0.0, 1.0)
-        rho = (1.0 - w)[:, None] * hist_v[idx] + w[:, None] * hist_v[idx + 1]
+        rho = rho_history.at(epsilon * np.maximum(taus_mid, 1.0))
         return np.exp(dtau * (m.values[None, :] - rho))
 
     c_rec = np.array([c_slow(float(t)) for t in t_record])

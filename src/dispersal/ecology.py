@@ -371,18 +371,6 @@ class DispersalProfile:
                                        float(zs[1] - zs[0]))
         return z_star
 
-    @staticmethod
-    def constant(value: float, a: float, b: float) -> "DispersalProfile":
-        return DispersalProfile(a, b, lambda z: np.full_like(np.asarray(z, dtype=float), value),
-                                lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-                                {"kind": "constant", "value": value})
-
-    @staticmethod
-    def affine(c0: float, c1: float, a: float, b: float) -> "DispersalProfile":
-        return DispersalProfile(a, b, lambda z: c0 + c1 * np.asarray(z, dtype=float),
-                                lambda z: np.full_like(np.asarray(z, dtype=float), c1),
-                                {"kind": "affine", "c0": c0, "c1": c1})
-
 
 class ThetaCache:
     """A run's resident ecology: the profile, the habitat m and the steady
@@ -490,18 +478,17 @@ def lambda_table(z1s: np.ndarray, z2s: np.ndarray,
 
 @dataclass(frozen=True)
 class LambdaSurface:
-    """Sampled exponent surface with first/second trait derivatives."""
+    """Sampled exponent surface with its first mutant-trait derivative."""
 
     z1: np.ndarray
     z2: np.ndarray
     lam: np.ndarray       # (n1, n2)
     dlam_dz1: np.ndarray
-    d2lam_dz1: np.ndarray
 
 
 def lambda_surface(cache: ThetaCache, nz1: int = 21,
                    nz2: int = 21) -> LambdaSurface:
-    """Exponent surface plus derivative columns on an endpoint-inclusive grid."""
+    """Exponent surface plus slope columns on an endpoint-inclusive grid."""
     if min(nz1, nz2) < 1:
         raise ValidationError("exponent surface needs at least 1 trait "
                               "sample per axis", nz1=nz1, nz2=nz2)
@@ -509,10 +496,9 @@ def lambda_surface(cache: ThetaCache, nz1: int = 21,
     z2s = np.linspace(cache.profile.a, cache.profile.b, nz2)
     lam = np.empty((nz1, nz2))
     d1 = np.empty_like(lam)
-    d2 = np.empty_like(lam)
     for j, z2 in enumerate(z2s):
-        lam[:, j], d1[:, j], d2[:, j] = zip(*_column_derivs(z1s, z2, cache))
-    return LambdaSurface(z1s, z2s, lam, d1, d2)
+        lam[:, j], d1[:, j], _ = zip(*_column_derivs(z1s, z2, cache))
+    return LambdaSurface(z1s, z2s, lam, d1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class SpatialGrid:
         return 1.0 / self.n_x
 
     @property
-    def h(self) -> float:
-        return self.h_x
-
-    @property
     def nodes(self) -> np.ndarray:
         return (np.arange(self.n_x) + 0.5) * self.h_x
 
@@ -58,10 +54,6 @@ class TraitGrid:
     @property
     def h_z(self) -> float:
         return (self.b - self.a) / self.n_z
-
-    @property
-    def h(self) -> float:
-        return self.h_z
 
     @property
     def nodes(self) -> np.ndarray:
@@ -168,11 +160,6 @@ def difference_tables(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def integrate(f: ScalarField | TraitField) -> float:
-    """Midpoint quadrature; exact for constants, second order for smooth data."""
-    return float(f.grid.h * f.values.sum())
-
-
 def parabola_vertex(z_mid: float, g_left: float, g_mid: float, g_right: float,
                     h: float) -> tuple[float, float, float]:
     """Vertex location, vertex value and curvature of the 3-point parabola fit."""
@@ -239,16 +226,16 @@ class TimeIndexedField:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    def at(self, t: float) -> np.ndarray:
-        """Linear interpolation, constant extension outside the sampled window."""
-        ts = self.times
-        if t <= ts[0]:
-            return self.values[0]
-        if t >= ts[-1]:
-            return self.values[-1]
-        k = int(np.searchsorted(ts, t)) - 1
-        w = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+    def at(self, t) -> np.ndarray:
+        """Linear interpolation at a time (one field) or an array of times
+        (one field per time), constant outside the sampled window."""
+        ts, vs = self.times, self.values
+        if ts.size == 1:
+            return np.broadcast_to(vs[0], np.shape(t) + vs.shape[1:])
+        k = np.clip(np.searchsorted(ts, t) - 1, 0, ts.size - 2)
+        # at or beyond either end w is exactly 0 or 1
+        w = np.clip((t - ts[k]) / (ts[k + 1] - ts[k]), 0.0, 1.0)[..., None]
+        return (1.0 - w) * vs[k] + w * vs[k + 1]
 
 
 MAX_STEPS = 10_000_000  # cap on the steps of one time march

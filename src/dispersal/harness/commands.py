@@ -25,7 +25,7 @@ from ..ecology import check_H1, construct_alpha, principal_eigenpair, \
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
 from ..grids import ScalarField, SpatialGrid, TimeIndexedField, default_m
 from ..hj import SelfConsistentSource, canonical_ode, lax_oleinik, \
-    solve_constrained_hj
+    lax_oleinik_steps, solve_constrained_hj
 from ..kinetic import SimConfig, run
 from .config import ExperimentSpec
 from .converge import quadratic_start, raise_if_failed, run_convergence, \
@@ -154,7 +154,8 @@ def cmd_hj(params: dict, out: Path) -> dict:
     summary = {"zbar_end": float(sol.zbar[-1]), "K3": sol.K3,
                "max_drift": sol.max_drift}
     if params["canonical"]:
-        can = canonical_ode(src, sol, params["zbar0"], params["T"])
+        can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"],
+                            params["T"])
         write_csv(out / "canonical.csv", ["t", "zbar", "sigma"],
                   [can.times, can.zbar, can.sigma])
         plots.append("'canonical.csv' using 't':'zbar' with lines")
@@ -165,6 +166,8 @@ def cmd_hj(params: dict, out: Path) -> dict:
 
 def cmd_lax_oleinik(params: dict, out: Path) -> dict:
     tg, src, v0 = _hj_solution(params)
+    # the march's own input checks, before the reference pays for a solve
+    lax_oleinik_steps(tg, params["T"], params["dt_dp"], params["reach"])
     sol = solve_constrained_hj(src, v0, params["T"], params["dt"])
     dp = lax_oleinik(src, v0, params["T"], params["dt_dp"], params["reach"],
                      constrained=True, zbar_path=(sol.times, sol.zbar))
@@ -212,7 +215,7 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
     src = SelfConsistentSource(cache, tg)
     v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, T, params["dt"], record_every=10)
-    can = canonical_ode(src, sol, params["zbar0"], T)
+    can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
     cfg = SimConfig(eps, T, sg, tg, cache.profile, cache.m, K0=params["K0"],
                     zbar0=params["zbar0"], c_t=params["c_t"])

@@ -121,7 +121,7 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
     src = SelfConsistentSource(cache, tg)
     v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, T, params["hj_dt"], record_every=10)
-    can = canonical_ode(src, sol, params["zbar0"], T)
+    can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
     cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
                             "h_gap", "h_int", "env_lo", "env_hi")}

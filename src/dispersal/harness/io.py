@@ -36,18 +36,6 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def read_csv(path: Path) -> dict[str, np.ndarray]:
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text:
-        raise ValidationError("empty csv", path=str(path))
-    header = text[0].split(",")
-    cells = [line.split(",") for line in text[1:]]
-    out = {}
-    for k, name in enumerate(header):
-        out[name] = np.array([float(row[k]) for row in cells])
-    return out
-
-
 def write_json(path: Path, payload: dict) -> None:
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True, default=plain) + "\n",

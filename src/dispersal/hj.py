@@ -16,7 +16,6 @@ allowed to share update code; their agreement is a correctness oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,28 +32,6 @@ SIGMA_JUMP_FRACTION = 0.2   # 3-point curvature jump that triggers the 5-point f
 DIAG_ZERO_TOL = 5e-4        # |lambda(zbar, zbar)| allowed for interpolated tables
 RESIDENT_SAMPLES = 65       # resident columns of the self-consistent table
 CANONICAL_DT = 0.01         # RK4 step of the canonical ODE
-
-
-class SyntheticSource:
-    """Closed-form source R(z, t) for tests and oracles."""
-
-    def __init__(self, rate_fn: Callable, grad_fn: Callable | None = None):
-        self._rate = rate_fn
-        self._grad = grad_fn
-
-    def rate(self, z: np.ndarray, t: float, zbar: float | None = None) -> np.ndarray:
-        out = np.asarray(self._rate(z, t), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise SolverError("source returned a non-finite rate", t=t)
-        return np.broadcast_to(out, np.shape(z)).astype(float)
-
-    def diag_gradient(self, zbar: float, t: float = 0.0) -> float:
-        if self._grad is not None:
-            return float(self._grad(zbar, t))
-        dz = 1e-6
-        lo = self._rate(np.array([zbar - dz]), t)
-        hi = self._rate(np.array([zbar + dz]), t)
-        return float((hi - lo) / (2 * dz))
 
 
 class SelfConsistentSource:
@@ -116,7 +93,6 @@ class HJSolution:
     zbar: np.ndarray        # (n_rec,)
     sigma: np.ndarray       # (n_rec,)
     multiplier: np.ndarray  # (n_rec,)
-    dt: float
     K3: float               # max over records of max(sigma, 1/sigma)
     max_drift: float        # max pre-normalization |min V| per unit step
 
@@ -261,7 +237,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
 
     return HJSolution(grid, np.array(times), np.array(records),
                       np.array(zbar), np.array(sigma), np.array(multiplier),
-                      dt, float(k3), float(max_drift))
+                      float(k3), float(max_drift))
 
 
 @dataclass(frozen=True)
@@ -278,14 +254,11 @@ def canonical_ode(source, sigma_track, z0: float,
                   T: float) -> CanonicalTrajectory:
     """RK4 for dzbar/dt = -dR/dz1(zbar, zbar) / sigma(t), step `CANONICAL_DT`.
 
-    sigma_track is (times, values) or an HJSolution; sigma is linearly
-    interpolated between its samples and must stay positive.
+    sigma(t) interpolates the (times, values) pair `sigma_track` linearly and
+    must stay positive; zbar must stay inside `source.profile`'s interval.
     """
-    if isinstance(sigma_track, HJSolution):
-        s_times, s_vals = sigma_track.times, sigma_track.sigma
-    else:
-        s_times = np.asarray(sigma_track[0], dtype=float)
-        s_vals = np.asarray(sigma_track[1], dtype=float)
+    s_times = np.asarray(sigma_track[0], dtype=float)
+    s_vals = np.asarray(sigma_track[1], dtype=float)
     dt = CANONICAL_DT
     if T <= 0.0:
         raise ValidationError("T must be positive", T=T)
@@ -297,8 +270,7 @@ def canonical_ode(source, sigma_track, z0: float,
                                      t=t, sigma=s)
         return s
 
-    a = getattr(source, "profile", None)
-    lo, hi = (a.a, a.b) if a is not None else (-np.inf, np.inf)
+    lo, hi = source.profile.a, source.profile.b
 
     def rhs(t: float, zz: float) -> float:
         if not lo < zz < hi:
@@ -329,23 +301,14 @@ def canonical_ode(source, sigma_track, z0: float,
 
 @dataclass(frozen=True)
 class LaxOleinikResult:
-    grid: TraitGrid
     times: np.ndarray
     V: np.ndarray            # (n_rec, n_z)
-    multiplier: np.ndarray   # zeros when unconstrained
 
 
-def lax_oleinik(source, V0: TraitField, T: float, dt_dp: float, reach: float,
-                *, constrained: bool = False,
-                zbar_path=None) -> LaxOleinikResult:
-    """Dynamic-programming (variational) marching of the same equation.
-
-    One step takes the pointwise minimum of quadratic-cost moves within
-    |dz| <= reach*dt_dp, with the trait field extended by even reflection at
-    both walls.  With `constrained` the minimum is re-zeroed after each step.
-    `zbar_path` = (times, values) feeds sources that need a minimizer.
-    """
-    grid = V0.grid
+def lax_oleinik_steps(grid: TraitGrid, T: float, dt_dp: float,
+                      reach: float) -> tuple[int, int]:
+    """Reach window (cells) and step count of a Lax-Oleinik march; rejects
+    inputs that march nothing or too much."""
     h = grid.h_z
     if dt_dp <= 0.0 or T <= 0.0 or reach <= 0.0:
         raise ValidationError("dt_dp, T, reach must be positive",
@@ -360,7 +323,22 @@ def lax_oleinik(source, V0: TraitField, T: float, dt_dp: float, reach: float,
     # one record per step, so this also caps the steps a large reach allows
     n_steps = max(np.round(T / dt_dp), 1.0)
     check_records(n_steps + 1, grid.n_z)
-    n_steps = int(n_steps)
+    return window, int(n_steps)
+
+
+def lax_oleinik(source, V0: TraitField, T: float, dt_dp: float, reach: float,
+                *, constrained: bool = False,
+                zbar_path=None) -> LaxOleinikResult:
+    """Dynamic-programming (variational) marching of the same equation.
+
+    One step takes the pointwise minimum of quadratic-cost moves within
+    |dz| <= reach*dt_dp, with the trait field extended by even reflection at
+    both walls.  With `constrained` the minimum is re-zeroed after each step.
+    `zbar_path` = (times, values) feeds sources that need a minimizer.
+    """
+    grid = V0.grid
+    h = grid.h_z
+    window, n_steps = lax_oleinik_steps(grid, T, dt_dp, reach)
     v = np.asarray(V0.values, dtype=float).copy()
     if constrained:
         v = v - v.min()
@@ -371,7 +349,6 @@ def lax_oleinik(source, V0: TraitField, T: float, dt_dp: float, reach: float,
     z = grid.nodes
     times = [0.0]
     records = [v.copy()]
-    mults = [0.0]
     t = 0.0
     for k in range(n_steps):
         zbar = None
@@ -388,11 +365,8 @@ def lax_oleinik(source, V0: TraitField, T: float, dt_dp: float, reach: float,
             np.minimum(best, cand, out=best)
         v = best
         t = min((k + 1) * dt_dp, T)
-        low = float(v.min()) if constrained else 0.0
         if constrained:
-            v -= low
+            v -= v.min()
         times.append(t)
         records.append(v.copy())
-        mults.append(low / dt_dp)
-    return LaxOleinikResult(grid, np.array(times), np.array(records),
-                            np.array(mults))
+    return LaxOleinikResult(np.array(times), np.array(records))

@@ -20,9 +20,10 @@ from dispersal.grids import ScalarField, SpatialGrid, TimeIndexedField, \
     TraitField, TraitGrid, default_m
 from dispersal.harness.config import SCHEMAS
 from dispersal.harness.converge import run_convergence
-from dispersal.hj import (SelfConsistentSource, SyntheticSource,
-                          canonical_ode, lax_oleinik, solve_constrained_hj)
+from dispersal.hj import (SelfConsistentSource, canonical_ode, lax_oleinik,
+                          solve_constrained_hj)
 from dispersal.kinetic import SimConfig, run
+from helpers import SyntheticSource
 
 EPS_LIST = (0.05, 0.025, 0.0125)
 SLACK = 1.1
@@ -148,7 +149,7 @@ def test_criterion_06_canonical_equation_consistency(setting):
     src = SelfConsistentSource(ThetaCache(profile, m), tg)
     v0 = TraitField(tg, 4.0 * (tg.nodes - 0.25) ** 2)
     sol = solve_constrained_hj(src, v0, 1.0, 0.005, record_every=10)
-    can = canonical_ode(src, sol, 0.25, 1.0)
+    can = canonical_ode(src, (sol.times, sol.sigma), 0.25, 1.0)
     gap = max(abs(sol.zbar[i] - can.at(t)) for i, t in enumerate(sol.times))
     ok = gap <= 2 * tg.h_z
     report_line(6, ok, f"sup |argmin - ode| {gap:.5f}, "
@@ -212,7 +213,7 @@ def test_criterion_10_monotone_approach_to_ess(setting):
     src = SelfConsistentSource(ThetaCache(profile, m), tg)
     v0 = TraitField(tg, 4.0 * (tg.nodes - 0.25) ** 2)
     sol = solve_constrained_hj(src, v0, T, 0.005, record_every=10)
-    can = canonical_ode(src, sol, 0.25, T)
+    can = canonical_ode(src, (sol.times, sol.sigma), 0.25, T)
 
     cfg = SimConfig(0.0125, T, sg, tg, profile, m, zbar0=0.25, c_t=0.1)
     res = run(cfg)

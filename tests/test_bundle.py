@@ -1,20 +1,21 @@
 """Principal Floquet bundle marching and the effective Hamiltonian table."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from dispersal import bundle
 from dispersal.bundle import LATTICE_BLOCK_STEPS, effective_hamiltonian
-from dispersal.ecology import (DispersalProfile, construct_alpha,
-                               principal_eigenpair, solve_theta)
+from dispersal.ecology import construct_alpha, principal_eigenpair, \
+    solve_theta
 from dispersal.errors import SolverError, ValidationError
 from dispersal.grids import (ScalarField, SpatialGrid, TimeIndexedField,
                              default_m)
 from dispersal.harness.cli import main
-from dispersal.harness.io import read_csv
 from dispersal.tridiag import BlockDiffusion
+from helpers import constant_profile, read_csv
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +37,7 @@ def frozen_bundle(alpha, m, rho, t_end, dtau, **kw):
     """The bundle of the steady potential m - rho at dispersal rate alpha,
     recorded at every step of [0, t_end]: floquet-test's march."""
     hist = TimeIndexedField(np.array([0.0, 1.0]), np.vstack([rho, rho]))
-    profile = DispersalProfile.constant(alpha, -0.5, 0.5)
+    profile = constant_profile(alpha, -0.5, 0.5)
     taus = dtau * np.arange(int(round(t_end / dtau)) + 1)
     return effective_hamiltonian(hist, profile, 1.0, np.array([0.0]), m, taus,
                                  dtau=dtau, **kw)
@@ -50,6 +51,21 @@ def test_constant_potential_is_exact(grid):
     assert np.max(np.abs(b.H + 0.37)) <= 1e-13
     assert np.max(np.abs(np.exp(-b.log_phi) - 1.0)) <= 1e-13
     assert b.meta["harnack"][0] == pytest.approx(1.0, abs=1e-13)
+
+
+def test_one_sample_history_reads_as_constant(m, theta):
+    # epsilon = 1 puts the march past the two-sample track's last sample, so
+    # both tracks give the resident theta at every step, bit for bit
+    one = TimeIndexedField(np.array([0.0]), theta[None, :])
+    profile = constant_profile(0.5, -0.5, 0.5)
+    taus = 1e-3 * np.arange(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        b = effective_hamiltonian(one, profile, 1.0, np.array([0.0]), m,
+                                  taus, dtau=1e-3, spin_up=0.5)
+    two = frozen_bundle(0.5, m, theta, 0.01, 1e-3, spin_up=0.5)
+    assert np.array_equal(b.H, two.H)
+    assert np.array_equal(b.log_phi, two.log_phi)
 
 
 def test_agrees_with_elliptic_eigenpair(grid, m, theta):
@@ -67,7 +83,7 @@ def test_records_unit_mass_positive_and_bounded(grid, m):
     ts = np.linspace(0.0, 3.0, 61)
     c = [0.5 * np.cos(np.pi * x) * (1.0 + 0.4 * np.sin(t)) + 0.1 for t in ts]
     hist = TimeIndexedField(ts, np.array([m.values - ci for ci in c]))
-    profile = DispersalProfile.constant(0.7, -0.5, 0.5)
+    profile = constant_profile(0.7, -0.5, 0.5)
     eff = effective_hamiltonian(hist, profile, 1.0, np.array([0.0]), m,
                                 np.linspace(1.0, 3.0, 2001), spin_up=3.0)
     phi = np.exp(-eff.log_phi)
@@ -108,7 +124,7 @@ def test_harnack_ratio_stable_under_step_halving(m, theta):
 
 def test_rejects_bad_inputs(m, theta):
     hist = TimeIndexedField(np.array([0.0, 1.0]), np.vstack([theta, theta]))
-    prof = DispersalProfile.constant(0.5, -0.5, 0.5)
+    prof = constant_profile(0.5, -0.5, 0.5)
 
     def march(t_rec, **kw):
         return effective_hamiltonian(hist, prof, 1.0, np.array([0.0]), m,

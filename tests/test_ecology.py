@@ -13,9 +13,9 @@ from dispersal.grids import (
     ScalarField,
     SpatialGrid,
     default_m,
-    integrate,
     mirror_laplacian,
 )
+from helpers import affine_profile, constant_profile, integrate
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +370,7 @@ def exponent(alpha1: float, theta: ScalarField, m: ScalarField) -> float:
 
 
 def test_diagonal_zero_identity(m64):
-    profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
+    profile = affine_profile(0.5, 0.3, -0.5, 0.5)
     cache = eco.ThetaCache(profile, m64)
     for z in np.linspace(-0.45, 0.45, 7):
         lam = exponent(float(profile(z)), cache.theta(float(z)), m64)
@@ -378,8 +378,8 @@ def test_diagonal_zero_identity(m64):
 
 
 def test_gradient_sign_matches_profile_slope(m64):
-    increasing = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
-    decreasing = eco.DispersalProfile.affine(0.8, -0.3, -0.5, 0.5)
+    increasing = affine_profile(0.5, 0.3, -0.5, 0.5)
+    decreasing = affine_profile(0.8, -0.3, -0.5, 0.5)
     for z1, z2 in [(-0.2, 0.1), (0.0, 0.3), (0.3, -0.25)]:
         d1_up, _ = eco.lambda_derivs(z1, z2, eco.ThetaCache(increasing, m64))
         d1_dn, _ = eco.lambda_derivs(z1, z2, eco.ThetaCache(decreasing, m64))
@@ -397,7 +397,7 @@ def test_rate_pair_exponent_increasing_in_mutant_rate(m64):
 def test_lambda_derivs_richardson_oracle(m64, monkeypatch):
     # step-halving Richardson extrapolation as the derivative oracle; the
     # trait interval has unit length, so the step is DERIV_STEP_FRACTION
-    profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
+    profile = affine_profile(0.5, 0.3, -0.5, 0.5)
     cache = eco.ThetaCache(profile, m64)
     z1, z2 = 0.12, -0.2
     _, d2_h = eco.lambda_derivs(z1, z2, cache)
@@ -409,7 +409,7 @@ def test_lambda_derivs_richardson_oracle(m64, monkeypatch):
 
 
 def test_theta_cache_counts_solves(m64, monkeypatch):
-    profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
+    profile = affine_profile(0.5, 0.3, -0.5, 0.5)
     cache = eco.ThetaCache(profile, m64)
     calls = []
     original = eco.solve_theta
@@ -444,7 +444,7 @@ def test_surface_symmetry_under_even_profile(m64):
 def test_surface_values_are_the_table(m64):
     # the surface reads lambda off its derivative stencils, central inside
     # and one-sided at the two end samples
-    profile = eco.DispersalProfile.affine(0.5, 0.3, -0.5, 0.5)
+    profile = affine_profile(0.5, 0.3, -0.5, 0.5)
     surf = eco.lambda_surface(eco.ThetaCache(profile, m64), nz1=9, nz2=3)
     table = eco.lambda_table(surf.z1, surf.z2,
                              eco.ThetaCache(profile, m64))
@@ -536,7 +536,7 @@ def test_check_h1_needs_two_samples(profile61, m64, n_samples):
 
 
 def test_check_h1_fails_on_constant_profile(m64):
-    profile = eco.DispersalProfile.constant(0.6, -0.5, 0.5)
+    profile = constant_profile(0.6, -0.5, 0.5)
     report = eco.check_H1(eco.ThetaCache(profile, m64), n_samples=5)
     assert not report.passed
     assert abs(report.sign_a) < 1e-6
@@ -544,7 +544,7 @@ def test_check_h1_fails_on_constant_profile(m64):
 
 
 def test_check_h1_fails_on_decreasing_profile(m64):
-    profile = eco.DispersalProfile.affine(0.9, -0.35, -0.5, 0.5)
+    profile = affine_profile(0.9, -0.35, -0.5, 0.5)
     report = eco.check_H1(eco.ThetaCache(profile, m64), n_samples=5)
     assert not report.passed
     assert report.sign_b < 0.0

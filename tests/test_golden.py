@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from dispersal.harness.cli import main
-from dispersal.harness.io import read_csv
+from helpers import read_csv
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FULL_COLUMN_MAX = 200

@@ -16,10 +16,10 @@ from dispersal.grids import (
     argmin_refined,
     default_m,
     difference_tables,
-    integrate,
     mirror_laplacian,
     neumann_bands,
 )
+from helpers import integrate
 
 
 def test_grid_geometry():
@@ -189,6 +189,33 @@ def test_time_indexed_field_interpolation():
     assert track.at(9.0) == pytest.approx([2.0, 8.0])
     with pytest.raises(ValidationError):
         TimeIndexedField(np.array([0.0, 0.0]), np.zeros((2, 2)))
+
+
+def _scalar_at(times, values, t):
+    """The one-time interpolation that TimeIndexedField.at replaced."""
+    if t <= times[0]:
+        return values[0]
+    if t >= times[-1]:
+        return values[-1]
+    k = int(np.searchsorted(times, t)) - 1
+    w = (t - times[k]) / (times[k + 1] - times[k])
+    return (1.0 - w) * values[k] + w * values[k + 1]
+
+
+def test_time_indexed_field_reads_an_array_of_times():
+    rng = np.random.default_rng(3)
+    track = TimeIndexedField(np.array([0.0, 0.3, 1.0, 3.0]),
+                             rng.random((4, 5)))
+    # below, on, between and above the samples
+    ts = np.array([-2.0, 0.0, 0.1, 0.3, 0.7, 1.0, 2.0 / 3.0, 2.9, 3.0, 9.0])
+    stacked = np.stack([track.at(t) for t in ts])
+    assert np.array_equal(track.at(ts), stacked)
+    assert np.array_equal(stacked, np.stack(
+        [_scalar_at(track.times, track.values, t) for t in ts]))
+    # a one-sample track reads as constant
+    single = TimeIndexedField(np.array([0.5]), track.values[:1])
+    assert np.array_equal(single.at(0.2), track.values[0])
+    assert np.array_equal(single.at(ts), np.tile(track.values[0], (10, 1)))
 
 
 # Written-out copies of the band and table formulas that neumann_bands and

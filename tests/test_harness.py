@@ -16,8 +16,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from dispersal.harness import commands
 from dispersal.harness.cli import main
 from dispersal.harness.config import SCHEMAS, load_spec
-from dispersal.harness.io import read_csv, write_csv
+from dispersal.harness.io import write_csv
 from dispersal.errors import SolverError, ValidationError
+from helpers import read_csv
 
 
 def run_cli(*args) -> int:
@@ -153,9 +154,40 @@ _CHEAP = {"lambda-surface": ("mutants", "residents"),
           "hj": ("T",), "lax-oleinik": ("T",), "pde": ("T",)}
 
 
+# the two multi-stage commands on a grid of at most 16 x 32 cells to
+# T <= 0.02; every comparison window is drawn inside the horizon, since the
+# defaults (t_lo 0.1, h_t_lo 0.2) would reject every run up front, and so
+# is each scale's first H record time, eps / 4
+_SMALL = {"n_x": _count(8, 16, bad=(0, -1, 7)),
+          "m_amp": _GEOMETRY["m_amp"], **_PROFILE,
+          **_TRAITS, "n_z": _count(16, 32, bad=(0, -1, 15)),
+          "c_t": _number(0.05, 0.2, bad=(0.0, 0.5))}
+_MULTISTAGE_KEYS = {
+    "converge": {**_SMALL, "T": _number(0.01, 0.02),
+                 "eps_list": (st.lists(st.floats(0.01, 0.04), min_size=3,
+                                       max_size=3, unique=True)
+                              .map(lambda v: tuple(sorted(v, reverse=True))),
+                              st.sampled_from([(0.05, 0.05, 0.01),
+                                               (0.05, 0.025)])),
+                 "hj_dt": _STEP,
+                 "u_probes": (st.lists(st.floats(0.0, 0.02), min_size=1,
+                                       max_size=3).map(tuple),
+                              st.sampled_from([(-1.0,)])),
+                 "t_lo": _number(0.0, 0.001, bad=(1.0,)),
+                 "with_h": (st.booleans(), None),
+                 "z_samples": _count(1, 5),
+                 "h_t_lo": _number(0.0, 0.001, bad=(1.0,)),
+                 "h_t_hi": _number(0.01, 0.02, bad=(-1.0,))},
+    "pipeline": {**_SMALL, "eps": _number(0.01, 0.1, bad=(0.0, 0.5)),
+                 "dt": _STEP},
+}
+_MULTISTAGE_CHEAP = {"converge": ("n_x", "n_z", "T", "c_t", "eps_list",
+                                  "t_lo", "z_samples", "h_t_lo"),
+                     "pipeline": ("n_x", "n_z", "T", "c_t")}
+
+
 @st.composite
-def _contract_overrides(draw, command):
-    keys = _CONTRACT_KEYS[command]
+def _contract_overrides(draw, keys, cheap):
     chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True,
                            max_size=4))
     overrides = {k: draw(keys[k][0]) for k in chosen}
@@ -165,34 +197,26 @@ def _contract_overrides(draw, command):
         key = draw(st.sampled_from(sorted(k for k in keys
                                           if keys[k][1] is not None)))
         overrides[key] = draw(keys[key][1])
-    for key in _CHEAP.get(command, ()):
+    for key in cheap:
         overrides.setdefault(key, draw(keys[key][0]))
     return overrides
 
 
-def _reject(token):
-    raise AssertionError(f"bare {token} in the diagnostic")
+def _override_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return repr(value)
 
 
-# each example runs every command once, so every command is drawn as often
-@settings(max_examples=12, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.fixed_dictionaries({command: _contract_overrides(command)
-                              for command in _CONTRACT_KEYS}))
-# the draws seldom pick a tiny step; these runs would never end without the
-# step cap (the lax-oleinik one would make 10^13 steps)
-@example({"hj": {"dt": 4.8e-109, "T": 0.01}})
-@example({"hj": {"dt": 1e-300, "T": 0.02}})
-@example({"lax-oleinik": {"reach": 1e12, "dt_dp": 1e-13}})
-# 2 * 10^6 steps, each recorded: within the step cap, past the record rule
-@example({"hj": {"dt": 1e-8, "record_every": 1, "T": 0.02}})
-def test_exit_code_contract(runs):
+def _assert_contract(runs) -> None:
+    """Each run exits 0, 2, 3 or 4, warns nothing and prints on stderr
+    nothing on success and one strict-JSON line on failure."""
     for command, overrides in runs.items():
         args = [command]
         for key, value in overrides.items():
-            text = str(value).lower() if isinstance(value, bool) \
-                else repr(value)
-            args += ["--override", f"{key}={text}"]
+            args += ["--override", f"{key}={_override_text(value)}"]
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as out, \
                 contextlib.redirect_stderr(err), \
@@ -209,6 +233,36 @@ def test_exit_code_contract(runs):
             assert len(lines) == 1
             payload = json.loads(lines[0], parse_constant=_reject)
             assert {"error", "message", "diagnostics"} <= set(payload)
+
+
+def _reject(token):
+    raise AssertionError(f"bare {token} in the diagnostic")
+
+
+# each example runs every command once, so every command is drawn as often
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({
+    command: _contract_overrides(keys, _CHEAP.get(command, ()))
+    for command, keys in _CONTRACT_KEYS.items()}))
+# the draws seldom pick a tiny step; these runs would never end without the
+# step cap (the lax-oleinik one would make 10^13 steps)
+@example({"hj": {"dt": 4.8e-109, "T": 0.01}})
+@example({"hj": {"dt": 1e-300, "T": 0.02}})
+@example({"lax-oleinik": {"reach": 1e12, "dt_dp": 1e-13}})
+# 2 * 10^6 steps, each recorded: within the step cap, past the record rule
+@example({"hj": {"dt": 1e-8, "record_every": 1, "T": 0.02}})
+def test_exit_code_contract(runs):
+    _assert_contract(runs)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.fixed_dictionaries({
+    command: _contract_overrides(keys, _MULTISTAGE_CHEAP[command])
+    for command, keys in _MULTISTAGE_KEYS.items()}))
+def test_exit_code_contract_of_converge_and_pipeline(runs):
+    _assert_contract(runs)
 
 
 def _rejection(capsys, out, command, overrides) -> str:
@@ -242,6 +296,26 @@ def test_lax_oleinik_rejects_a_march_past_the_step_cap(tmp_path, capsys):
     # dynamic-programming steps, rejected before the first one
     assert "step cap" in _rejection(capsys, tmp_path, "lax-oleinik",
                                     ("reach=1e12", "dt_dp=1e-13"))
+
+
+@pytest.mark.parametrize("override,diagnostics", [
+    ("reach=0.1", {"dt_dp": 0.015, "reach": 0.1, "h_z": 0.0078125}),
+    ("dt_dp=1e-13", {"dt_dp": 1e-13, "reach": 4.0, "h_z": 0.0078125}),
+])
+def test_lax_oleinik_checks_its_inputs_before_the_reference(
+        tmp_path, capsys, monkeypatch, override, diagnostics):
+    def reference(*args, **kwargs):
+        raise AssertionError("the Godunov reference ran")
+
+    monkeypatch.setattr(commands, "solve_constrained_hj", reference)
+    assert run_cli("lax-oleinik", "--out", str(tmp_path),
+                   "--override", override) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_reject) == {
+        "error": "validation",
+        "message": "reach window spans no cell; increase dt_dp or reach",
+        "diagnostics": diagnostics}
 
 
 @pytest.mark.parametrize("command,overrides", [

@@ -8,8 +8,9 @@ from dispersal.errors import (CurvatureCollapsed, SolverError,
                               TrajectoryHitBoundary, ValidationError)
 from dispersal.grids import SpatialGrid, TraitField, TraitGrid, default_m
 import dispersal.hj as hj
-from dispersal.hj import (SelfConsistentSource, SyntheticSource,
-                          canonical_ode, lax_oleinik, solve_constrained_hj)
+from dispersal.hj import (SelfConsistentSource, canonical_ode, lax_oleinik,
+                          solve_constrained_hj)
+from helpers import SyntheticSource
 
 K0, ZSTART = 4.0, 0.13
 
@@ -187,7 +188,7 @@ def test_canonical_ode_matches_argmin_path(sc_source):
     grid = sc_source.grid
     sol = solve_constrained_hj(sc_source, quadratic_initial(grid, center=0.25),
                                1.0, 1e-3, record_every=10)
-    traj = canonical_ode(sc_source, sol, 0.25, 1.0)
+    traj = canonical_ode(sc_source, (sol.times, sol.sigma), 0.25, 1.0)
     gap = max(abs(traj.at(t) - sol.zbar[i]) for i, t in enumerate(sol.times))
     assert gap <= 2.0 * grid.h_z
     # movement is toward the dispersal minimum and strictly monotone
