@@ -40,41 +40,112 @@ class EffectiveHamiltonian:
     meta: dict = field(default_factory=dict)
 
 
-def effective_hamiltonian(rho_history: TimeIndexedField,
-                          profile, epsilon: float,
-                          z_samples: np.ndarray, m: ScalarField,
-                          t_record: np.ndarray, *,
-                          dtau: float = DEFAULT_DTAU,
-                          spin_up: float | None = None) -> EffectiveHamiltonian:
-    """Effective Hamiltonian H_eps(z, t) for the potential m - rho_eps.
+def effective_hamiltonian(scales, profile, z_samples: np.ndarray,
+                          m: ScalarField, *, dtau: float = DEFAULT_DTAU,
+                          spin_up: float | None = None
+                          ) -> list[EffectiveHamiltonian]:
+    """Effective Hamiltonians H_eps(z, t) for the potentials m - rho_eps.
 
-    The bundles of all sampled traits are marched together in fast time
-    tau = t/epsilon, as the rows of one (n_z, n_x) array, with the potential
-    frozen below t = epsilon (and throughout the spin-up window, which
-    necessarily precedes the available history -- recorded in the metadata).
-    Each step is one stacked implicit diffusion solve with one block per
-    trait, then the exponential reaction factor, which the potential does not
-    make trait-dependent, then a per-row renormalization to unit mass.  The
-    reaction factors are built LATTICE_BLOCK_STEPS steps at a time, as the
-    march enters each block, so memory does not grow with the horizon.  The
-    Harnack ratio sup Phi / inf Phi is kept per trait, and every recorded
-    profile is checked to be strictly positive.  A march of more than
-    MAX_STEPS steps is rejected up front.
+    `scales` holds triples (rho_history, epsilon, t_record) that share the
+    other arguments; one table is returned per scale, in input order.  Every
+    trait of every scale marches in lockstep, in its scale's fast time
+    tau = t/epsilon, as a row of one (scales * n_z, n_x) array.  A step is
+    one stacked implicit diffusion solve with uncoupled blocks, so that every
+    row keeps the bits of its own march, then each scale's reaction factor
+    and a per-row renormalization to unit mass.  The potential is frozen
+    below t = epsilon, so also through the spin-up that precedes the history
+    (recorded in the metadata).  Scales march by decreasing step count and
+    drop out as they end; reaction factors are built LATTICE_BLOCK_STEPS //
+    scales steps at a time, so memory grows neither with the horizon nor
+    with the scales.  Harnack ratios sup Phi / inf Phi are kept per trait,
+    every recorded profile is checked positive, and every scale is checked,
+    step cap included, before the first step.
     """
-    if epsilon <= 0.0:
-        raise ValidationError("epsilon must be positive", epsilon=epsilon)
+    if len(scales) == 0:
+        raise ValidationError("the bundle march needs at least one scale")
+    for _, epsilon, _ in scales:
+        if epsilon <= 0.0:
+            raise ValidationError("epsilon must be positive", epsilon=epsilon)
     if not dtau > 0.0:
         raise ValidationError("dtau must be positive", dtau=dtau)
-    t_record = np.asarray(t_record, dtype=float)
-    if t_record.size == 0 or np.any(t_record < 0.0):
+    t_recs = [np.asarray(t_record, dtype=float) for _, _, t_record in scales]
+    if any(t.size == 0 or np.any(t < 0.0) for t in t_recs):
         raise ValidationError("record times must be nonnegative")
-    grid = m.grid
-    h = grid.h_x
     z_nodes = np.asarray(z_samples, dtype=float)
     if z_nodes.ndim != 1 or z_nodes.size == 0:
         raise ValidationError("trait samples must form a nonempty 1-d array")
+    h, n_x, n_z = m.grid.h_x, m.grid.n_x, z_nodes.size
     alphas = np.asarray(profile(z_nodes), dtype=float)
+    plans = [_plan(hist, epsilon, t_record, m, alphas, dtau, spin_up)
+             for (hist, epsilon, _), t_record in zip(scales, t_recs)]
 
+    march = sorted(plans, key=lambda plan: -plan["k_total"])
+    records = {}                          # step -> [(march position, slot)]
+    for i, plan in enumerate(march):
+        for slot, k in enumerate(plan["rec_steps"].tolist()):
+            records.setdefault(k, []).append((i, slot))
+    live = len(march)
+    block_steps = max(LATTICE_BLOCK_STEPS // live, 1)
+    blocks = np.empty((block_steps, live, 1, n_x))
+    mus = dtau * alphas
+    solver = BlockDiffusion(n_x, h, np.tile(mus, live))
+    v = np.ones((live * n_z, n_x))        # one bundle profile per row
+    for k in range(march[0]["k_total"] + 1):
+        for i, slot in records.get(k, ()):
+            plan, rows = march[i], v[i * n_z:(i + 1) * n_z]
+            v_min = rows.min(axis=1)
+            if v_min.min() <= 0.0:
+                raise SolverError("bundle lost positivity",
+                                  min_value=float(v_min.min()),
+                                  t=float(plan["t"][slot]))
+            plan["harnack"] = np.maximum(plan["harnack"],
+                                         rows.max(axis=1) / v_min)
+            plan["H"][:, slot] = -h * (rows @ plan["c_rec"][slot])
+            plan["log_phi"][:, slot] = -np.log(rows)
+        if march[live - 1]["k_total"] == k:
+            live = sum(plan["k_total"] > k for plan in march)
+            if live == 0:
+                break
+            # the blocks are uncoupled: each keeps the factor it had
+            v, blocks = v[:live * n_z], blocks[:, :live]
+            solver = BlockDiffusion(n_x, h, np.tile(mus, live))
+        j = k % block_steps
+        if j == 0:
+            for i, plan in enumerate(march[:live]):
+                # exp(dtau * c) at the midpoints of the block's steps
+                taus_mid = (np.arange(k, min(k + block_steps, plan["k_total"]))
+                            - plan["k_spin"] + 0.5) * dtau
+                rho = plan["history"].at(plan["epsilon"]
+                                         * np.maximum(taus_mid, 1.0))
+                block = np.exp(dtau * (m.values[None, :] - rho))
+                blocks[:block.shape[0], i, 0] = block
+                plan["c_max"] = np.maximum(plan["c_max"],
+                                           np.max(np.abs(np.log(block))))
+        v = solver.solve(v)
+        by_scale = v.reshape(live, n_z, n_x)
+        by_scale *= blocks[j]
+        v /= h * v.sum(axis=1, keepdims=True)
+
+    for plan in plans:
+        max_H = float(np.max(np.abs(plan["H"])))
+        c_bound = float(plan["c_max"]) / dtau
+        if max_H > c_bound + 1e-9:
+            raise SolverError("effective Hamiltonian exceeded the potential "
+                              "bound", max_H=max_H, bound=c_bound)
+    return [EffectiveHamiltonian(
+        z_nodes.copy(), plan["t"].copy(), plan["H"], plan["log_phi"],
+        plan["epsilon"], {"dtau": dtau,
+                          "spin_up": float(plan["k_spin"] * dtau),
+                          "harnack": plan["harnack"].tolist(),
+                          "frozen_early_extension": True})
+        for plan in plans]
+
+
+def _plan(rho_history: TimeIndexedField, epsilon: float, t_record: np.ndarray,
+          m: ScalarField, alphas: np.ndarray, dtau: float,
+          spin_up: float | None) -> dict:
+    """One scale's checked step counts and record steps, and its march
+    state: the tables, the Harnack ratios and the running max |dtau * c|."""
     def c_slow(t: float) -> np.ndarray:
         return m.values - rho_history.at(max(t, epsilon))
 
@@ -85,7 +156,7 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
         t_end = float(t_record.max())
         cbar = np.mean([c_slow(float(s)) for s in
                         np.linspace(0.0, max(t_end, epsilon), 33)], axis=0)
-        gap = spectral_gap(float(alphas.min()), ScalarField(grid, cbar))
+        gap = spectral_gap(float(alphas.min()), ScalarField(m.grid, cbar))
         spin_up = SPINUP_FACTOR / max(gap, 0.1)
     if not spin_up > 0.0:
         raise ValidationError("spin_up must be positive", spin_up=spin_up)
@@ -98,59 +169,12 @@ def effective_hamiltonian(rho_history: TimeIndexedField,
                               dtau=dtau, spin_up=spin_up,
                               steps=spin_steps + window_steps, cap=MAX_STEPS)
     k_spin = int(spin_steps)
-    k_total = k_spin + int(window_steps)
-    rec_steps = k_spin + np.round(t_record / epsilon / dtau).astype(int)
-    rec_of_step = {}
-    for slot, k in enumerate(rec_steps):
-        rec_of_step.setdefault(int(k), []).append(slot)
+    shape = (alphas.size, t_record.size)
+    return {"history": rho_history, "epsilon": epsilon, "t": t_record,
+            "k_spin": k_spin, "k_total": k_spin + int(window_steps),
+            "rec_steps": k_spin + np.round(t_record / epsilon / dtau)
+            .astype(int),
+            "c_rec": np.array([c_slow(float(t)) for t in t_record]),
+            "H": np.empty(shape), "log_phi": np.empty(shape + (m.grid.n_x,)),
+            "harnack": np.zeros(alphas.size), "c_max": 0.0}
 
-    def reaction_block(k0: int) -> np.ndarray:
-        """exp(dtau * c) at the midpoints of the block of steps from k0."""
-        taus_mid = (np.arange(k0, min(k0 + LATTICE_BLOCK_STEPS, k_total))
-                    - k_spin + 0.5) * dtau
-        rho = rho_history.at(epsilon * np.maximum(taus_mid, 1.0))
-        return np.exp(dtau * (m.values[None, :] - rho))
-
-    c_rec = np.array([c_slow(float(t)) for t in t_record])
-    n_z, n_t = z_nodes.size, t_record.size
-    H = np.empty((n_z, n_t))
-    log_phi = np.empty((n_z, n_t, grid.n_x))
-    harnacks = np.zeros(n_z)
-    c_max = 0.0                           # running max of |dtau * c|
-
-    march = BlockDiffusion(grid.n_x, h, dtau * alphas)
-    v = np.ones((n_z, grid.n_x))          # one bundle profile per trait row
-    for k in range(k_total + 1):
-        slots = rec_of_step.get(k)
-        if slots is not None:
-            v_min = v.min(axis=1)
-            if v_min.min() <= 0.0:
-                raise SolverError("bundle lost positivity",
-                                  min_value=float(v_min.min()),
-                                  t=float(t_record[slots[0]]))
-            harnacks = np.maximum(harnacks, v.max(axis=1) / v_min)
-            for slot in slots:
-                H[:, slot] = -h * (v @ c_rec[slot])
-                log_phi[:, slot] = -np.log(v)
-        if k == k_total:
-            break
-        j = k % LATTICE_BLOCK_STEPS
-        if j == 0:
-            block = reaction_block(k)
-            c_max = np.maximum(c_max, np.max(np.abs(np.log(block))))
-        v = march.solve(v)
-        v *= block[j]
-        v /= h * v.sum(axis=1, keepdims=True)
-
-    c_bound = float(c_max) / dtau
-    if float(np.max(np.abs(H))) > c_bound + 1e-9:
-        raise SolverError("effective Hamiltonian exceeded the potential bound",
-                          max_H=float(np.max(np.abs(H))), bound=c_bound)
-    meta = {
-        "dtau": dtau,
-        "spin_up": float(k_spin * dtau),
-        "harnack": harnacks.tolist(),
-        "frozen_early_extension": True,
-    }
-    return EffectiveHamiltonian(z_nodes.copy(), t_record.copy(), H, log_phi,
-                                epsilon, meta)

@@ -41,6 +41,16 @@ def _logistic_residual(theta: np.ndarray, alpha: float, m: np.ndarray,
     return alpha * mirror_laplacian(theta, h) + theta * (m - theta)
 
 
+def _theta_inputs(alpha: float, m: ScalarField) -> np.ndarray:
+    if not 0.0 < alpha < np.inf:
+        raise ValidationError("dispersal rate must be positive and finite",
+                              alpha=alpha)
+    if m.values.min() <= 0.0:
+        raise ValidationError("resource distribution must be positive",
+                              min_m=float(m.values.min()))
+    return m.values
+
+
 def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     """Unique positive steady state of alpha*Lap(theta) + theta*(m - theta) = 0.
 
@@ -52,13 +62,7 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     ||residual||_inf <= 1e-12 * ||m||_inf (well inside the 1e-10 contract)
     and is strictly positive.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValidationError("dispersal rate must be positive and finite",
-                              alpha=alpha)
-    mv = m.values
-    if mv.min() <= 0.0:
-        raise ValidationError("resource distribution must be positive",
-                              min_m=float(mv.min()))
+    mv = _theta_inputs(alpha, m)
     h = m.grid.h_x
     target = 1e-12 * float(np.max(np.abs(mv)))
     # Jacobian alpha*L + diag(m - 2 theta): Neumann ends, symmetric bands
@@ -108,13 +112,7 @@ def solve_theta_pseudotime(alpha: float, m: ScalarField, *,
     monotone-safe; used as the fallback and as the cross-check oracle in the
     test suite.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValidationError("dispersal rate must be positive and finite",
-                              alpha=alpha)
-    mv = m.values
-    if mv.min() <= 0.0:
-        raise ValidationError("resource distribution must be positive",
-                              min_m=float(mv.min()))
+    mv = _theta_inputs(alpha, m)
     h = m.grid.h_x
     dt = 0.2
     solver = FactoredDiffusion(m.grid.n_x, h, dt * alpha)

@@ -20,12 +20,11 @@ import scipy
 from .. import __version__
 
 from ..bundle import effective_hamiltonian
-from ..ecology import check_H1, construct_alpha, principal_eigenpair, \
-    lambda_surface, solve_theta
+from ..ecology import check_H1, lambda_surface, principal_eigenpair, solve_theta
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
 from ..grids import ScalarField, SpatialGrid, TimeIndexedField, default_m
-from ..hj import SelfConsistentSource, canonical_ode, lax_oleinik, \
-    lax_oleinik_steps, solve_constrained_hj
+from ..hj import SelfConsistentSource, canonical_ode, hj_steps, \
+    lax_oleinik, lax_oleinik_steps, solve_constrained_hj
 from ..kinetic import SimConfig, run
 from .config import ExperimentSpec
 from .converge import quadratic_start, raise_if_failed, run_convergence, \
@@ -34,6 +33,7 @@ from .io import write_csv, write_json, write_plot_script
 
 
 FLOQUET_MAX_RECORDS = 200_000  # cap on the recorded floquet-test window
+V_CSV_MAX_ROWS = 1_000_000  # cap on the rows of hj's V.csv, about 45 MB
 
 
 def cmd_theta(params: dict, out: Path) -> dict:
@@ -54,9 +54,7 @@ def cmd_alpha_build(params: dict, out: Path) -> dict:
     if params["samples"] < 1:
         raise ValidationError("alpha-build needs at least 1 sample",
                               samples=params["samples"])
-    sg = SpatialGrid(params["n_x"])
-    m = default_m(sg, params["m_amp"])
-    profile = construct_alpha(params["alpha0"], params["L0"], m)
+    profile = standard_setting(params)[2].profile
     zs = np.linspace(profile.a, profile.b, params["samples"])
     write_csv(out / "alpha.csv", ["z", "alpha", "dalpha"],
               [zs, profile(zs), profile.prime(zs)])
@@ -115,8 +113,8 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
     # spin-up included, past the history's last sample, which is theta
     frozen = TimeIndexedField([0.0, 1.0], [theta.values, theta.values])
     taus = dtau * np.arange(int(window) + 1)
-    eff = effective_hamiltonian(frozen, profile, 1.0, [params["z"]], m, taus,
-                                dtau=dtau)
+    eff, = effective_hamiltonian([(frozen, 1.0, taus)], profile, [params["z"]],
+                                 m, dtau=dtau)
     H = eff.H[0]
     eig = principal_eigenpair(float(profile(params["z"])),
                               ScalarField(sg, m.values - theta.values))
@@ -142,6 +140,11 @@ def _hj_solution(params: dict):
 
 def cmd_hj(params: dict, out: Path) -> dict:
     tg, src, v0 = _hj_solution(params)
+    _, n_records = hj_steps(tg, params["T"], params["dt"],
+                            params["record_every"])
+    if not n_records * tg.n_z <= V_CSV_MAX_ROWS:
+        raise ValidationError("V.csv would exceed the row cap",
+                              rows=n_records * tg.n_z, cap=V_CSV_MAX_ROWS)
     sol = solve_constrained_hj(src, v0, params["T"], params["dt"],
                                record_every=params["record_every"])
     write_csv(out / "hj.csv", ["t", "zbar", "sigma", "multiplier"],

@@ -155,6 +155,14 @@ def load_spec(command: str, config_path: str | Path | None,
     params = {k.name: k.default for k in schema.values()}
     sources = {k: "default" for k in params}
 
+    def assign(name: str, raw: str, source: str) -> None:
+        if name not in schema:
+            raise ValidationError(
+                f"unknown key '{name}' for command '{command}'",
+                key=name, command=command)
+        params[name] = _parse_value(schema[name], raw)
+        sources[name] = source
+
     if config_path is not None:
         parser = configparser.ConfigParser()
         parser.optionxform = str          # keys like T and K0 are case-exact
@@ -164,24 +172,13 @@ def load_spec(command: str, config_path: str | Path | None,
                                   path=str(config_path))
         if parser.has_section(command):
             for name, raw in parser.items(command):
-                if name not in schema:
-                    raise ValidationError(
-                        f"unknown key '{name}' for command '{command}'",
-                        key=name, command=command)
-                params[name] = _parse_value(schema[name], raw)
-                sources[name] = "file"
+                assign(name, raw, "file")
 
     for item in overrides:
         if "=" not in item:
             raise ValidationError("override must look like key=value",
                                   override=item)
         name, raw = item.split("=", 1)
-        name = name.strip()
-        if name not in schema:
-            raise ValidationError(
-                f"unknown key '{name}' for command '{command}'",
-                key=name, command=command)
-        params[name] = _parse_value(schema[name], raw)
-        sources[name] = "override"
+        assign(name.strip(), raw, "override")
 
     return ExperimentSpec(command, params, Path(out_dir), sources)

@@ -125,14 +125,13 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
 
     cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
                             "h_gap", "h_int", "env_lo", "env_hi")}
-    violations = []
+    violations, runs = [], []
     for eps in eps_list:
         cfg = SimConfig(eps, T, sg, tg, profile, m, K0=params["K0"],
                         zbar0=params["zbar0"], c_t=params["c_t"])
         res = run(cfg, probe_times=probes)
-        echo = dict(params)
-        echo["eps"] = eps
-        write_run_artifacts(out_dir / f"eps_{eps:g}", res, echo)
+        write_run_artifacts(out_dir / f"eps_{eps:g}", res,
+                            {**params, "eps": eps})
         violations.append(len(res.violations))
 
         zb_lim = np.interp(res.times, can.times, can.zbar)
@@ -163,33 +162,38 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
         second = float((w * (tg.nodes - res.zbar[-1]) ** 2).sum())
         cols["width"].append(float(np.sqrt(second)))
 
-        if params["with_h"]:
-            z_samp = np.linspace(tg.a + tg.h_z / 2, tg.b - tg.h_z / 2,
-                                 params["z_samples"])
-            t_rec = t_recs[eps]
-            eff = effective_hamiltonian(res.rho_history, profile, eps,
-                                        z_samp, m, t_rec)
-            lam = np.stack([src.rate(eff.z, 0.0, zbar=res.zbar_at(t))
-                            for t in t_rec], axis=1)
-            mask = (t_rec >= h_t_lo - 1e-12)
-            cols["h_gap"].append(float(np.abs(eff.H[:, mask]
-                                              - lam[:, mask]).max()))
-            h_bar = np.array([float(np.interp(res.zbar_at(t), eff.z,
-                                              eff.H[:, k]))
-                              for k, t in enumerate(t_rec)])
-            head = h_bar[0] * t_rec[0]
-            cums = np.concatenate(
-                [[head],
-                 head + np.cumsum(0.5 * (h_bar[1:] + h_bar[:-1])
-                                  * np.diff(t_rec))])
-            cols["h_int"].append(float(np.abs(cums).max()))
-        else:
-            cols["h_gap"].append(float("nan"))
-            cols["h_int"].append(float("nan"))
-
         lo, hi = res.envelope
         cols["env_lo"].append(float(lo))
         cols["env_hi"].append(float(hi))
+        runs.append(res)
+
+    effs = []
+    if params["with_h"]:
+        # one bundle march for every scale, after every kinetic run
+        z_samp = np.linspace(tg.a + tg.h_z / 2, tg.b - tg.h_z / 2,
+                             params["z_samples"])
+        effs = effective_hamiltonian(
+            [(res.rho_history, eps, t_recs[eps])
+             for eps, res in zip(eps_list, runs)], profile, z_samp, m)
+    for res, eff in zip(runs, effs):
+        t_rec = eff.t
+        lam = np.stack([src.rate(eff.z, 0.0, zbar=res.zbar_at(t))
+                        for t in t_rec], axis=1)
+        mask = (t_rec >= h_t_lo - 1e-12)
+        cols["h_gap"].append(float(np.abs(eff.H[:, mask]
+                                          - lam[:, mask]).max()))
+        h_bar = np.array([float(np.interp(res.zbar_at(t), eff.z,
+                                          eff.H[:, k]))
+                          for k, t in enumerate(t_rec)])
+        head = h_bar[0] * t_rec[0]
+        cums = np.concatenate(
+            [[head],
+             head + np.cumsum(0.5 * (h_bar[1:] + h_bar[:-1])
+                              * np.diff(t_rec))])
+        cols["h_int"].append(float(np.abs(cums).max()))
+    if not effs:
+        cols["h_gap"] = [float("nan")] * len(eps_list)
+        cols["h_int"] = [float("nan")] * len(eps_list)
 
     trend_names = ["zbar_gap", "rho_gap", "u_gap", "width"]
     if params["with_h"]:

@@ -30,10 +30,19 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(arrays[0]) if arrays else 0, CSV_CHUNK_ROWS):
-            # repr of a Python float from tolist() is repr(float(v))
-            cells = [list(map(repr, a[start:start + CSV_CHUNK_ROWS].tolist()))
-                     for a in arrays]
+            cells = [_cells(a[start:start + CSV_CHUNK_ROWS]) for a in arrays]
             f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _cells(values: np.ndarray) -> list[str]:
+    """repr of each value, formatted once per bit pattern (which keeps 0.0
+    and -0.0 apart) when at most half the values are distinct."""
+    keys, index = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * keys.size > values.size:
+        # repr of a Python float from tolist() is repr(float(v))
+        return list(map(repr, values.tolist()))
+    return np.array(list(map(repr, keys.view(float).tolist())),
+                    dtype=object)[index].tolist()
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -46,14 +55,9 @@ def write_plot_script(path: Path, title: str, xlabel: str, ylabel: str,
                       plots: list[str], preamble: list[str] | None = None,
                       surface: bool = False) -> None:
     """Emit a gnuplot script; `plots` are full clauses after plot/splot."""
-    lines = [
-        f"# {title}",
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        f"set title '{title}'",
-        f"set xlabel '{xlabel}'",
-        f"set ylabel '{ylabel}'",
-    ]
+    lines = [f"# {title}", "set datafile separator ','",
+             "set key autotitle columnhead", f"set title '{title}'",
+             f"set xlabel '{xlabel}'", f"set ylabel '{ylabel}'"]
     lines.extend(preamble or [])
     verb = "splot" if surface else "plot"
     lines.append(verb + " " + ", \\\n      ".join(plots))

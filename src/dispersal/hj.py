@@ -122,13 +122,8 @@ def _validate_initial(grid: TraitGrid, V0: TraitField) -> np.ndarray:
 
 def _one_sided_gradients(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     slope = (v[1:] - v[:-1]) / h
-    p_minus = np.empty_like(v)
-    p_plus = np.empty_like(v)
-    p_minus[1:] = slope
-    p_minus[0] = 0.0          # mirror ghost: zero slope into the wall
-    p_plus[:-1] = slope
-    p_plus[-1] = 0.0
-    return p_minus, p_plus
+    # mirror ghost: zero slope into the wall
+    return np.concatenate([[0.0], slope]), np.concatenate([slope, [0.0]])
 
 
 def _godunov_hamiltonian(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
@@ -154,6 +149,21 @@ def _extract_sigma(v: np.ndarray, grid: TraitGrid, j: int, three: float,
     return float(2.0 * coef[2])
 
 
+def hj_steps(grid: TraitGrid, T: float, dt: float,
+             record_every: int) -> tuple[int, int]:
+    """Steps and records (the start, every record_every-th step and the
+    last) of a Godunov march; rejects inputs that march nothing or too much."""
+    if dt <= 0.0 or T <= 0.0:
+        raise ValidationError("dt and T must be positive", dt=dt, T=T)
+    if record_every < 1:
+        raise ValidationError("record_every must be >= 1",
+                              record_every=record_every)
+    n_steps = march_steps(T, dt)
+    n_records = 1 + -(-n_steps // record_every)
+    check_records(n_records, grid.n_z)
+    return n_steps, n_records
+
+
 def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
                          record_every: int = 1) -> HJSolution:
     """Godunov marching of the constrained equation on [0, T].
@@ -165,31 +175,18 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
     (explicit coupling).
     """
     grid = V0.grid
-    if dt <= 0.0 or T <= 0.0:
-        raise ValidationError("dt and T must be positive", dt=dt, T=T)
-    if record_every < 1:
-        raise ValidationError("record_every must be >= 1",
-                              record_every=record_every)
+    n_steps, _ = hj_steps(grid, T, dt, record_every)
     v = _validate_initial(grid, V0)
     h = grid.h_z
     z = grid.nodes
-    n_steps = march_steps(T, dt)
-    # the start, every record_every-th step and the last
-    check_records(1 + -(-n_steps // record_every), grid.n_z)
 
-    times = [0.0]
-    records = [v.copy()]
+    times, records = [0.0], [v.copy()]
     zb, _, sig = argmin_refined(TraitField(grid, v))
-    zbar = [zb]
-    sigma = [sig]
-    multiplier = [0.0]
-    sigma_prev = sig
-    max_drift = 0.0
+    zbar, sigma, multiplier = [zb], [sig], [0.0]
+    sigma_prev, max_drift = sig, 0.0
     k3 = max(sig, 1.0 / sig) if sig > 0 else np.inf
 
-    t = 0.0
-    acc = 0.0
-    t_last_rec = 0.0
+    t = acc = t_last_rec = 0.0
     for step in range(1, n_steps + 1):
         t_target = min(step * dt, T)
         while t < t_target - 1e-14 * max(abs(t_target), 1.0):

@@ -95,8 +95,8 @@ def test_criterion_03_floquet_elliptic_equivalence(setting):
     # the resident frozen at every time (epsilon = 1, a constant history)
     frozen = TimeIndexedField([0.0, 1.0], [theta.values, theta.values])
     taus = 5e-6 * np.arange(10_001)
-    eff = effective_hamiltonian(frozen, profile, 1.0, [0.3], m, taus,
-                                dtau=5e-6)
+    eff, = effective_hamiltonian([(frozen, 1.0, taus)], profile, [0.3], m,
+                                 dtau=5e-6)
     H, phi = eff.H[0], np.exp(-eff.log_phi[0])
     lam = principal_eigenpair(float(profile(0.3)), c).lam
     gap = float(abs(H[-1] - lam))

@@ -39,8 +39,8 @@ def frozen_bundle(alpha, m, rho, t_end, dtau, **kw):
     hist = TimeIndexedField(np.array([0.0, 1.0]), np.vstack([rho, rho]))
     profile = constant_profile(alpha, -0.5, 0.5)
     taus = dtau * np.arange(int(round(t_end / dtau)) + 1)
-    return effective_hamiltonian(hist, profile, 1.0, np.array([0.0]), m, taus,
-                                 dtau=dtau, **kw)
+    return effective_hamiltonian([(hist, 1.0, taus)], profile,
+                                 np.array([0.0]), m, dtau=dtau, **kw)[0]
 
 
 def test_constant_potential_is_exact(grid):
@@ -61,8 +61,8 @@ def test_one_sample_history_reads_as_constant(m, theta):
     taus = 1e-3 * np.arange(11)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        b = effective_hamiltonian(one, profile, 1.0, np.array([0.0]), m,
-                                  taus, dtau=1e-3, spin_up=0.5)
+        b, = effective_hamiltonian([(one, 1.0, taus)], profile,
+                                   np.array([0.0]), m, dtau=1e-3, spin_up=0.5)
     two = frozen_bundle(0.5, m, theta, 0.01, 1e-3, spin_up=0.5)
     assert np.array_equal(b.H, two.H)
     assert np.array_equal(b.log_phi, two.log_phi)
@@ -84,8 +84,8 @@ def test_records_unit_mass_positive_and_bounded(grid, m):
     c = [0.5 * np.cos(np.pi * x) * (1.0 + 0.4 * np.sin(t)) + 0.1 for t in ts]
     hist = TimeIndexedField(ts, np.array([m.values - ci for ci in c]))
     profile = constant_profile(0.7, -0.5, 0.5)
-    eff = effective_hamiltonian(hist, profile, 1.0, np.array([0.0]), m,
-                                np.linspace(1.0, 3.0, 2001), spin_up=3.0)
+    eff, = effective_hamiltonian([(hist, 1.0, np.linspace(1.0, 3.0, 2001))],
+                                 profile, np.array([0.0]), m, spin_up=3.0)
     phi = np.exp(-eff.log_phi)
     assert np.max(np.abs(grid.h_x * phi.sum(axis=2) - 1.0)) <= 1e-10
     assert phi.min() > 0.0
@@ -127,8 +127,8 @@ def test_rejects_bad_inputs(m, theta):
     prof = constant_profile(0.5, -0.5, 0.5)
 
     def march(t_rec, **kw):
-        return effective_hamiltonian(hist, prof, 1.0, np.array([0.0]), m,
-                                     np.array([t_rec]), **kw)
+        return effective_hamiltonian([(hist, 1.0, np.array([t_rec]))], prof,
+                                     np.array([0.0]), m, **kw)
 
     with pytest.raises(ValidationError):
         march(0.0, dtau=0.0)
@@ -177,8 +177,8 @@ def test_effective_hamiltonian_matches_invasion_exponent(grid, m):
     hist = TimeIndexedField(np.array([0.0, 1.0]),
                             np.vstack([theta_hat.values, theta_hat.values]))
     zs = np.array([-0.3, 0.25])
-    eff = effective_hamiltonian(hist, prof, 0.1, zs, m,
-                                np.array([0.02, 0.05]), dtau=5e-6)
+    eff, = effective_hamiltonian([(hist, 0.1, np.array([0.02, 0.05]))], prof,
+                                 zs, m, dtau=5e-6)
     c = ScalarField(grid, m.values - theta_hat.values)
     for i, z in enumerate(zs):
         lam = principal_eigenpair(float(prof(z)), c).lam
@@ -200,10 +200,11 @@ def test_effective_hamiltonian_batch_matches_one_trait_at_a_time(grid, m):
                             np.vstack([0.9 * m.values, theta, 1.1 * theta]))
     zs = np.linspace(-0.4, 0.4, 5)
     t_rec = np.array([0.02, 0.06, 0.1])
-    batch = effective_hamiltonian(hist, prof, 0.05, zs, m, t_rec, spin_up=2.0)
+    batch, = effective_hamiltonian([(hist, 0.05, t_rec)], prof, zs, m,
+                                   spin_up=2.0)
     for i, z in enumerate(zs):
-        one = effective_hamiltonian(hist, prof, 0.05, zs[i:i + 1], m, t_rec,
-                                    spin_up=2.0)
+        one, = effective_hamiltonian([(hist, 0.05, t_rec)], prof, zs[i:i + 1],
+                                     m, spin_up=2.0)
         scale = np.max(np.abs(one.H))
         assert np.max(np.abs(batch.H[i] - one.H[0])) <= 1e-12 * scale
         assert np.max(np.abs(batch.log_phi[i] - one.log_phi[0])) <= \
@@ -216,26 +217,25 @@ def test_effective_hamiltonian_rejects_bad_inputs(grid, m):
     prof = construct_alpha(0.5, 0.5, m)
     hist = TimeIndexedField(np.array([0.0, 1.0]),
                             np.vstack([m.values, m.values]))
+
+    def march(eps, zs, t_rec, **kw):
+        return effective_hamiltonian([(hist, eps, np.array(t_rec))], prof,
+                                     zs, m, **kw)
+
     with pytest.raises(ValidationError):
-        effective_hamiltonian(hist, prof, 0.0, np.array([0.0]), m,
-                              np.array([0.1]))
+        march(0.0, np.array([0.0]), [0.1])
     with pytest.raises(ValidationError):
-        effective_hamiltonian(hist, prof, 0.05, np.array([0.0]), m,
-                              np.array([-0.1]))
+        march(0.05, np.array([0.0]), [-0.1])
     with pytest.raises(ValidationError):
-        effective_hamiltonian(hist, prof, 0.05, np.empty(0), m,
-                              np.array([0.1]))
+        march(0.05, np.empty(0), [0.1])
     with pytest.raises(ValidationError):
-        effective_hamiltonian(hist, prof, 0.05, np.array([0.0]), m,
-                              np.array([0.1]), dtau=0.0)
+        march(0.05, np.array([0.0]), [0.1], dtau=0.0)
     # a negative spin-up would read H before the march; a zero one with a
     # zero horizon would leave no step at all
     with pytest.raises(ValidationError):
-        effective_hamiltonian(hist, prof, 0.05, np.array([0.0]), m,
-                              np.array([0.1]), spin_up=-1.0)
+        march(0.05, np.array([0.0]), [0.1], spin_up=-1.0)
     with pytest.raises(ValidationError):
-        effective_hamiltonian(hist, prof, 0.05, np.array([0.0]), m,
-                              np.array([0.0]), spin_up=0.0)
+        march(0.05, np.array([0.0]), [0.0], spin_up=0.0)
 
 
 def _whole_lattice_march(rho_history, profile, epsilon, z_samples, m,
@@ -293,8 +293,8 @@ def test_streamed_march_equals_whole_lattice_march(m, spin_up, t_end, blocks):
     zs = np.array([-0.3, 0.0, 0.2])
     eps, dtau = 0.05, 1e-3
     t_rec = np.array([0.0, 0.01, 0.5 * t_end, t_end])
-    eff = effective_hamiltonian(hist, prof, eps, zs, m, t_rec, dtau=dtau,
-                                spin_up=spin_up)
+    eff, = effective_hamiltonian([(hist, eps, t_rec)], prof, zs, m,
+                                 dtau=dtau, spin_up=spin_up)
     H, log_phi, harnack, spin, k_total = _whole_lattice_march(
         hist, prof, eps, zs, m, t_rec, dtau, spin_up)
     if k_total < LATTICE_BLOCK_STEPS:
@@ -318,10 +318,75 @@ def test_effective_hamiltonian_memory_does_not_grow_with_the_horizon(grid, m):
     zs = np.array([0.0])
     tracemalloc.start()
     try:
-        eff = effective_hamiltonian(hist, prof, 0.01, zs, m, np.array([0.5]),
-                                    spin_up=1.0)
+        eff, = effective_hamiltonian([(hist, 0.01, np.array([0.5]))], prof,
+                                     zs, m, spin_up=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert eff.meta["spin_up"] == 1.0
     assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_scales_march_in_lockstep_as_they_would_alone(m):
+    # three scales with their automatic spin-ups march as rows of one array,
+    # in blocks of LATTICE_BLOCK_STEPS // 3 steps; every table must carry the
+    # bits of the scale's own one-scale march, also for the scale that ends
+    # on a block boundary and for those that end inside a block
+    prof = construct_alpha(0.5, 0.5, m)
+    hist_t = np.array([0.0, 0.03, 0.06, 0.1])
+    hist = TimeIndexedField(hist_t, np.vstack(
+        [(1.0 + 0.5 * np.sin(7.0 * t)) * m.values for t in hist_t]))
+    zs = np.array([-0.3, 0.0, 0.2])
+    dtau = bundle.DEFAULT_DTAU
+    t_rec = np.array([0.0, 0.01, 0.05, 0.1])
+    scales = [(hist, eps, t_rec) for eps in (0.05, 0.029, 0.0215)]
+    effs = effective_hamiltonian(scales, prof, zs, m)
+    block = LATTICE_BLOCK_STEPS // len(scales)
+    ends = []
+    for scale, eff in zip(scales, effs):
+        one, = effective_hamiltonian([scale], prof, zs, m)
+        assert np.array_equal(eff.H, one.H)
+        assert np.array_equal(eff.log_phi, one.log_phi)
+        assert eff.meta == one.meta
+        assert eff.epsilon == scale[1]
+        ends.append(round(eff.meta["spin_up"] / dtau)
+                    + int(np.ceil(0.1 / scale[1] / dtau)))
+    assert len(set(ends)) == 3
+    assert [end % block == 0 for end in ends] == [False, True, False]
+
+
+def test_lockstep_memory_does_not_grow_with_the_scales(m):
+    # the three-scale march holds one lattice block split between the scales,
+    # so it peaks no higher than the longest scale's march alone plus the
+    # state of the two others: their rows, tables and record potentials
+    prof = construct_alpha(0.5, 0.5, m)
+    hist = TimeIndexedField(np.array([0.0, 0.05]),
+                            np.vstack([m.values, 0.9 * m.values]))
+    zs = np.array([-0.2, 0.0, 0.2])
+    t_rec = np.array([0.0, 0.01, 0.05])
+    scales = [(hist, eps, t_rec) for eps in (0.04, 0.02, 0.01)]
+
+    def traced_peak(scales):
+        tracemalloc.start()
+        try:
+            effs = effective_hamiltonian(scales, prof, zs, m, spin_up=1.0)
+            return tracemalloc.get_traced_memory()[1], effs
+        finally:
+            tracemalloc.stop()
+
+    one_peak, _ = traced_peak(scales[2:])
+    peak, effs = traced_peak(scales)
+    n_x = m.grid.n_x
+    state = sum(eff.H.nbytes + eff.log_phi.nbytes
+                + 8 * n_x * (zs.size + t_rec.size) for eff in effs[:2])
+    # every scale marches more than one whole block of 1,024 steps
+    assert all(round(eff.meta["spin_up"] / eff.meta["dtau"])
+               + np.ceil(0.05 / eff.epsilon / eff.meta["dtau"])
+               > LATTICE_BLOCK_STEPS for eff in effs)
+    assert peak <= one_peak + state, (peak, one_peak, state)
+
+
+def test_effective_hamiltonian_needs_a_scale(m):
+    prof = constant_profile(0.5, -0.5, 0.5)
+    with pytest.raises(ValidationError, match="at least one scale"):
+        effective_hamiltonian([], prof, np.array([0.0]), m)

@@ -252,6 +252,8 @@ def _reject(token):
 @example({"lax-oleinik": {"reach": 1e12, "dt_dp": 1e-13}})
 # 2 * 10^6 steps, each recorded: within the step cap, past the record rule
 @example({"hj": {"dt": 1e-8, "record_every": 1, "T": 0.02}})
+# 10^4 steps, each recorded: within the record rule, past the V.csv row cap
+@example({"hj": {"dt": 1e-6, "record_every": 1, "T": 0.01}})
 def test_exit_code_contract(runs):
     _assert_contract(runs)
 
@@ -331,6 +333,22 @@ def test_hj_marches_reject_records_past_the_step_cap(tmp_path, capsys,
                                           overrides)
 
 
+def test_hj_rejects_a_v_csv_past_the_row_cap(tmp_path, capsys, monkeypatch):
+    # 10^4 + 1 records of 128 trait values: 1,280,128 rows of V.csv, within
+    # the record rule, rejected before the solve
+    def solve(*args, **kwargs):
+        raise AssertionError("the constrained march ran")
+
+    monkeypatch.setattr(commands, "solve_constrained_hj", solve)
+    assert run_cli("hj", "--out", str(tmp_path), "--override", "dt=1e-6",
+                   "--override", "record_every=1", "--override", "T=0.01") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_reject) == {
+        "error": "validation", "message": "V.csv would exceed the row cap",
+        "diagnostics": {"rows": 1_280_128, "cap": commands.V_CSV_MAX_ROWS}}
+
+
 def test_benchmark_hook_targets_exist():
     # perfbench/tracer.py times the program by rebinding these attributes,
     # looking each one up in vars() of its module or class; a target that is
@@ -401,6 +419,22 @@ def test_csv_cells_are_the_float_repr(tmp_path):
     write_csv(tmp_path / "x.csv", ["i", "b", "e", "m"], columns)
     rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
     expect = "\n".join(["i,b,e,m", *rows]) + "\n"
+    assert (tmp_path / "x.csv").read_bytes() == expect.encode("utf-8")
+
+
+def test_csv_repeated_values_are_the_float_repr(tmp_path):
+    # the chunks of a column with few distinct values format each bit
+    # pattern once: 0.0 and -0.0, and two NaNs of different payload, must
+    # still come out as their own repr
+    other_nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    specials = [0.0, -0.0, np.nan, other_nan, np.inf, -np.inf, 5e-324, 0.1]
+    repeats = np.tile(specials, 300)                    # 2,400 rows
+    distinct = np.arange(repeats.size) / 7.0           # formatted cell by cell
+    mixed = np.where(np.arange(repeats.size) % 3 == 0, distinct, -0.0)
+    columns = [repeats, distinct, mixed]
+    write_csv(tmp_path / "x.csv", ["r", "d", "m"], columns)
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    expect = "\n".join(["r,d,m", *rows]) + "\n"
     assert (tmp_path / "x.csv").read_bytes() == expect.encode("utf-8")
 
 
