@@ -36,13 +36,15 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
 
 def _cells(values: np.ndarray) -> list[str]:
     """repr of each value, formatted once per bit pattern (which keeps 0.0
-    and -0.0 apart) when at most half the values are distinct."""
-    keys, index = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * keys.size > values.size:
-        # repr of a Python float from tolist() is repr(float(v))
-        return list(map(repr, values.tolist()))
-    return np.array(list(map(repr, keys.view(float).tolist())),
-                    dtype=object)[index].tolist()
+    and -0.0 apart) when at most half the values are distinct.  A dict finds
+    them: np.unique would page numpy's sort code into runs that never sort."""
+    # repr of a Python float from tolist() is repr(float(v))
+    floats, keys = values.tolist(), values.view(np.int64).tolist()
+    distinct = dict(zip(keys, floats))
+    if 2 * len(distinct) > len(keys):
+        return list(map(repr, floats))
+    table = {key: repr(v) for key, v in distinct.items()}
+    return list(map(table.__getitem__, keys))
 
 
 def write_json(path: Path, payload: dict) -> None:
