@@ -58,9 +58,9 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     marching if an iterate leaves the positive cone.  Each Newton step solves
     the tridiagonal Jacobian alpha*L + diag(m - 2 theta) with LAPACK's dgtsv,
     called directly (the routine solve_banded((1, 1), ...) dispatches to,
-    without its per-call checks).  The returned field satisfies
-    ||residual||_inf <= 1e-12 * ||m||_inf (well inside the 1e-10 contract)
-    and is strictly positive.
+    without its per-call checks).  The returned field is strictly positive;
+    ||residual||_inf is <= 1e-12 * ||m||_inf from Newton and <= 1e-11 *
+    ||m||_inf from the fallback, both well inside the 1e-10 contract.
     """
     mv = _theta_inputs(alpha, m)
     h = m.grid.h_x
@@ -98,9 +98,9 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     # Newton stalled: implicit-diffusion logistic marching is unconditionally
     # positivity-preserving and converges linearly.  Its round-off floor is a
     # little above Newton's, so the target keeps 10x margin to the contract.
-    return solve_theta_pseudotime(alpha, m,
-                                  residual_target=max(target, 1e-11 * float(np.max(np.abs(mv)))),
-                                  history=history)
+    return solve_theta_pseudotime(
+        alpha, m, residual_target=1e-11 * float(np.max(np.abs(mv))),
+        history=history)
 
 
 def solve_theta_pseudotime(alpha: float, m: ScalarField, *,

@@ -82,10 +82,6 @@ class EigenDiverged(SolverError):
     code = "eigen-diverged"
 
 
-class BoundaryMinimizer(SolverError):
-    code = "boundary-minimizer"
-
-
 class TrajectoryHitBoundary(SolverError):
     code = "trajectory-hit-boundary"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryMinimizer, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -171,30 +171,6 @@ def parabola_vertex(z_mid: float, g_left: float, g_mid: float, g_right: float,
     # an interior discrete minimizer keeps |dz| <= h; clamp guards round-off
     dz = min(max(dz, -h), h)
     return z_mid + dz, g_mid + slope * dz + 0.5 * curv * dz * dz, curv
-
-
-def argmin_refined(g: TraitField) -> tuple[float, float, float]:
-    """Refined minimizer (z*, g*, curvature) of a trait field.
-
-    The leftmost minimizing node is selected before the parabolic refinement;
-    a minimizer on the first or last cell is rejected because the constraint
-    machinery assumes an interior minimum.
-    """
-    v = g.values
-    j = int(np.argmin(v))
-    if j == 0 or j == v.size - 1:
-        raise BoundaryMinimizer("discrete minimizer on the boundary cell",
-                                index=j, z=float(g.grid.nodes[j]))
-    z = g.grid.nodes
-    return parabola_vertex(float(z[j]), float(v[j - 1]), float(v[j]),
-                           float(v[j + 1]), g.grid.h_z)
-
-
-def argmax_refined(g: TraitField) -> tuple[float, float, float]:
-    """Refined maximizer of a trait field (same 3-point fit, negated)."""
-    neg = TraitField(g.grid, -g.values)
-    z_star, g_star, curv = argmin_refined(neg)
-    return z_star, -g_star, -curv
 
 
 def default_m(grid: SpatialGrid, amp: float = 0.5) -> ScalarField:

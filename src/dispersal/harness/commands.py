@@ -22,7 +22,8 @@ from .. import __version__
 from ..bundle import effective_hamiltonian
 from ..ecology import check_H1, lambda_surface, principal_eigenpair, solve_theta
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
-from ..grids import ScalarField, SpatialGrid, TimeIndexedField, default_m
+from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitGrid, \
+    default_m
 from ..hj import SelfConsistentSource, canonical_ode, hj_steps, \
     lax_oleinik, lax_oleinik_steps, solve_constrained_hj
 from ..kinetic import SimConfig, run
@@ -54,7 +55,7 @@ def cmd_alpha_build(params: dict, out: Path) -> dict:
     if params["samples"] < 1:
         raise ValidationError("alpha-build needs at least 1 sample",
                               samples=params["samples"])
-    profile = standard_setting(params)[2].profile
+    profile = standard_setting(params).profile
     zs = np.linspace(profile.a, profile.b, params["samples"])
     write_csv(out / "alpha.csv", ["z", "alpha", "dalpha"],
               [zs, profile(zs), profile.prime(zs)])
@@ -64,7 +65,7 @@ def cmd_alpha_build(params: dict, out: Path) -> dict:
 
 
 def cmd_lambda_surface(params: dict, out: Path) -> dict:
-    _, _, cache = standard_setting(params)
+    cache = standard_setting(params)
     surf = lambda_surface(cache, nz1=params["mutants"],
                           nz2=params["residents"])
     n1, n2 = surf.lam.shape
@@ -84,7 +85,7 @@ def cmd_lambda_surface(params: dict, out: Path) -> dict:
 
 
 def cmd_check_h1(params: dict, out: Path) -> dict:
-    _, _, cache = standard_setting(params)
+    cache = standard_setting(params)
     report = check_H1(cache, n_samples=params["samples"])
     write_json(out / "h1.json", report.to_dict())
     if not report.passed:
@@ -102,7 +103,7 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
     if not window <= FLOQUET_MAX_RECORDS:
         raise ValidationError("record window too large", steps=window,
                               cap=FLOQUET_MAX_RECORDS)
-    sg, _, cache = standard_setting(params)
+    cache = standard_setting(params)
     profile, m = cache.profile, cache.m
     traits = {k: params[k] for k in ("z", "resident")}
     if not all(profile.a < t < profile.b for t in traits.values()):
@@ -117,7 +118,7 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
                                  m, dtau=dtau)
     H = eff.H[0]
     eig = principal_eigenpair(float(profile(params["z"])),
-                              ScalarField(sg, m.values - theta.values))
+                              ScalarField(m.grid, m.values - theta.values))
     err = float(abs(H[-1] - eig.lam))
     write_csv(out / "floquet.csv", ["tau", "H"], [taus, H])
     write_plot_script(out / "floquet.gp", "bundle normalizer", "tau", "H",
@@ -132,19 +133,16 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
     return summary
 
 
-def _hj_solution(params: dict):
-    _, tg, cache = standard_setting(params)
-    src = SelfConsistentSource(cache, tg)
-    return tg, src, quadratic_start(tg, params["K0"], params["zbar0"])
-
-
 def cmd_hj(params: dict, out: Path) -> dict:
-    tg, src, v0 = _hj_solution(params)
+    tg = TraitGrid(params["n_z"])
     _, n_records = hj_steps(tg, params["T"], params["dt"],
                             params["record_every"])
     if not n_records * tg.n_z <= V_CSV_MAX_ROWS:
         raise ValidationError("V.csv would exceed the row cap",
                               rows=n_records * tg.n_z, cap=V_CSV_MAX_ROWS)
+    # the profile is built only once the march inputs have passed
+    src = SelfConsistentSource(standard_setting(params), tg)
+    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, params["T"], params["dt"],
                                record_every=params["record_every"])
     write_csv(out / "hj.csv", ["t", "zbar", "sigma", "multiplier"],
@@ -168,9 +166,12 @@ def cmd_hj(params: dict, out: Path) -> dict:
 
 
 def cmd_lax_oleinik(params: dict, out: Path) -> dict:
-    tg, src, v0 = _hj_solution(params)
-    # the march's own input checks, before the reference pays for a solve
+    tg = TraitGrid(params["n_z"])
+    # the march's own input checks, then the reference's, before any solve
     lax_oleinik_steps(tg, params["T"], params["dt_dp"], params["reach"])
+    hj_steps(tg, params["T"], params["dt"], 1)
+    src = SelfConsistentSource(standard_setting(params), tg)
+    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
     sol = solve_constrained_hj(src, v0, params["T"], params["dt"])
     dp = lax_oleinik(src, v0, params["T"], params["dt_dp"], params["reach"],
                      constrained=True, zbar_path=(sol.times, sol.zbar))
@@ -186,11 +187,12 @@ def cmd_lax_oleinik(params: dict, out: Path) -> dict:
 
 
 def cmd_pde(params: dict, out: Path) -> dict:
-    sg, tg, cache = standard_setting(params)
+    cache = standard_setting(params)
+    tg = TraitGrid(params["n_z"])
     T = params["T"]
     probes = tuple(sorted({p for p in params["probes"]
                            if p <= T + 1e-12} | {T}))
-    cfg = SimConfig(params["eps"], T, sg, tg, cache.profile, cache.m,
+    cfg = SimConfig(params["eps"], T, tg, cache.profile, cache.m,
                     K0=params["K0"], zbar0=params["zbar0"],
                     c_t=params["c_t"], out_stride=params["out_stride"],
                     history_stride=params["history_stride"])
@@ -208,7 +210,8 @@ def cmd_converge(params: dict, out: Path) -> dict:
 
 
 def cmd_pipeline(params: dict, out: Path) -> dict:
-    sg, tg, cache = standard_setting(params)
+    cache = standard_setting(params)
+    tg = TraitGrid(params["n_z"])
     T, eps = params["T"], params["eps"]
     h1 = check_H1(cache)
     if not h1.passed:
@@ -220,7 +223,7 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
     sol = solve_constrained_hj(src, v0, T, params["dt"], record_every=10)
     can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
-    cfg = SimConfig(eps, T, sg, tg, cache.profile, cache.m, K0=params["K0"],
+    cfg = SimConfig(eps, T, tg, cache.profile, cache.m, K0=params["K0"],
                     zbar0=params["zbar0"], c_t=params["c_t"])
     res = run(cfg, probe_times=(T,))
     write_run_artifacts(out / "pde", res, dict(params))

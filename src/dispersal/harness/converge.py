@@ -28,13 +28,12 @@ TREND_SLACK = 1.1        # weak decrease tolerance along the scale list
 EARLY_RECORD_MULTIPLES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 
-def standard_setting(params: dict):
-    """Grids and the run's one resident ecology, a `ThetaCache`."""
+def standard_setting(params: dict) -> ThetaCache:
+    """The run's one resident ecology; its habitat grid is `cache.m.grid`."""
     sg = SpatialGrid(params["n_x"])
     m = default_m(sg, params["m_amp"])
     profile = construct_alpha(params["alpha0"], params["L0"], m)
-    tg = TraitGrid(params["n_z"]) if "n_z" in params else None
-    return sg, tg, ThetaCache(profile, m)
+    return ThetaCache(profile, m)
 
 
 def quadratic_start(tg: TraitGrid, k0: float, zbar0: float) -> TraitField:
@@ -56,7 +55,7 @@ def write_run_artifacts(out: Path, res: RunResult, echo: dict) -> None:
               [res.times, res.zbar, res.mass, res.rho_min, res.rho_max])
     hist = res.rho_history
     n_t, n_x = hist.values.shape
-    xs = res.config.spatial.nodes
+    xs = res.config.m.grid.nodes
     write_csv(out / "rho.csv", ["t", "x", "rho"],
               [np.repeat(hist.times, n_x), np.tile(xs, n_t),
                hist.values.ravel()])
@@ -113,7 +112,8 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
             np.any(t >= h_t_lo - 1e-12) for t in t_recs.values()):
         raise ValidationError("a comparison window is empty", t_lo=t_lo, T=T,
                               h_t_lo=h_t_lo, h_t_hi=h_t_hi)
-    sg, tg, cache = standard_setting(params)
+    cache = standard_setting(params)
+    tg = TraitGrid(params["n_z"])
     profile, m = cache.profile, cache.m
     probes = tuple(sorted({p for p in params["u_probes"]
                            if p <= T + 1e-12} | {T}))
@@ -127,7 +127,7 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
                             "h_gap", "h_int", "env_lo", "env_hi")}
     violations, runs = [], []
     for eps in eps_list:
-        cfg = SimConfig(eps, T, sg, tg, profile, m, K0=params["K0"],
+        cfg = SimConfig(eps, T, tg, profile, m, K0=params["K0"],
                         zbar0=params["zbar0"], c_t=params["c_t"])
         res = run(cfg, probe_times=probes)
         write_run_artifacts(out_dir / f"eps_{eps:g}", res,

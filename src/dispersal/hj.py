@@ -22,8 +22,8 @@ import numpy as np
 from .ecology import ThetaCache, lambda_slope, lambda_table
 from .errors import (CurvatureCollapsed, SolverError, TrajectoryHitBoundary,
                      ValidationError)
-from .grids import (TraitField, TraitGrid, argmin_refined, check_records,
-                    march_steps)
+from .grids import (TraitField, TraitGrid, check_records, march_steps,
+                    parabola_vertex)
 
 CFL_SAFETY = 0.9
 CFL_MAX_HALVINGS = 40
@@ -120,6 +120,21 @@ def _validate_initial(grid: TraitGrid, V0: TraitField) -> np.ndarray:
     return v - v.min()
 
 
+def _minimizer(v: np.ndarray, grid: TraitGrid,
+               t: float) -> tuple[int, float, float]:
+    """Leftmost minimizing node j of v, the refined minimizer zbar and the
+    3-point curvature there; the constraint rejects a minimizer on a wall."""
+    j = int(np.argmin(v))
+    z = grid.nodes
+    if j == 0 or j == v.size - 1:
+        raise TrajectoryHitBoundary("minimizer reached the wall",
+                                    t=t, z=float(z[j]))
+    TraitField(grid, v)  # rejects a non-finite value
+    zbar, _, curv = parabola_vertex(float(z[j]), float(v[j - 1]), float(v[j]),
+                                    float(v[j + 1]), grid.h_z)
+    return j, zbar, curv
+
+
 def _one_sided_gradients(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     slope = (v[1:] - v[:-1]) / h
     # mirror ghost: zero slope into the wall
@@ -135,7 +150,7 @@ def _godunov_hamiltonian(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
 def _extract_sigma(v: np.ndarray, grid: TraitGrid, j: int, three: float,
                    sigma_prev: float | None) -> float:
     """Curvature at the minimizer node j: the 3-point value `three` that
-    `argmin_refined` returns, unless it jumps away from `sigma_prev`."""
+    `_minimizer` returns, unless it jumps away from `sigma_prev`."""
     if sigma_prev is None or sigma_prev <= 0.0:
         return three
     if abs(three - sigma_prev) <= SIGMA_JUMP_FRACTION * abs(sigma_prev):
@@ -181,7 +196,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
     z = grid.nodes
 
     times, records = [0.0], [v.copy()]
-    zb, _, sig = argmin_refined(TraitField(grid, v))
+    _, zb, sig = _minimizer(v, grid, 0.0)
     zbar, sigma, multiplier = [zb], [sig], [0.0]
     sigma_prev, max_drift = sig, 0.0
     k3 = max(sig, 1.0 / sig) if sig > 0 else np.inf
@@ -201,11 +216,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
                 if halvings > CFL_MAX_HALVINGS:
                     raise SolverError("step collapsed under the CFL bound",
                                       t=t, bound=bound)
-            j = int(np.argmin(v))
-            if j == 0 or j == v.size - 1:
-                raise TrajectoryHitBoundary("minimizer reached the wall",
-                                            t=t, z=float(z[j]))
-            zb_now, _, _ = argmin_refined(TraitField(grid, v))
+            _, zb_now, _ = _minimizer(v, grid, t)
             ham = _godunov_hamiltonian(p_minus, p_plus)
             v = v - dt_sub * ham + dt_sub * source.rate(z, t, zb_now)
             low = float(v.min())
@@ -214,11 +225,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
             acc += low
             t += dt_sub
         t = t_target
-        j = int(np.argmin(v))
-        if j == 0 or j == v.size - 1:
-            raise TrajectoryHitBoundary("minimizer reached the wall",
-                                        t=t, z=float(z[j]))
-        zb, _, three = argmin_refined(TraitField(grid, v))
+        j, zb, three = _minimizer(v, grid, t)
         sig_now = _extract_sigma(v, grid, j, three, sigma_prev)
         sigma_prev = sig_now
         if step % record_every == 0 or step == n_steps:

@@ -24,8 +24,8 @@ import numpy as np
 from .ecology import DispersalProfile
 from .errors import (AprioriViolated, PopulationExtinct, SolverError,
                      ValidationError)
-from .grids import (ScalarField, SpatialGrid, TimeIndexedField, TraitField,
-                    TraitGrid, argmax_refined, march_steps)
+from .grids import (ScalarField, TimeIndexedField, TraitField, TraitGrid,
+                    march_steps, parabola_vertex)
 from .tridiag import BlockDiffusion, FactoredDiffusion
 
 MAX_REACTION_COURANT = 0.2   # dt/eps cap for the frozen-rho exponential
@@ -38,7 +38,6 @@ DENSITY_FLOOR = 1e-300       # floor before a log; marginal extinction threshold
 class SimConfig:
     epsilon: float
     T: float
-    spatial: SpatialGrid
     trait: TraitGrid
     profile: DispersalProfile
     m: ScalarField
@@ -61,9 +60,6 @@ class SimConfig:
         if not self.trait.a < self.zbar0 < self.trait.b:
             raise ValidationError("initial trait must be interior",
                                   zbar0=self.zbar0)
-        if self.m.grid.n_x != self.spatial.n_x:
-            raise ValidationError("resource field lives on a different grid",
-                                  m_n_x=self.m.grid.n_x, n_x=self.spatial.n_x)
         if self.out_stride < 1 or self.history_stride < 1:
             raise ValidationError("strides must be >= 1")
 
@@ -78,7 +74,7 @@ def init_population(cfg: SimConfig) -> np.ndarray:
     z = cfg.trait.nodes
     column = np.exp(-cfg.K0 * (z - cfg.zbar0) ** 2 / cfg.epsilon)
     column /= np.sqrt(cfg.epsilon)
-    return np.tile(column, (cfg.spatial.n_x, 1))
+    return np.tile(column, (cfg.m.grid.n_x, 1))
 
 
 class Stepper:
@@ -91,7 +87,7 @@ class Stepper:
 
     def __init__(self, cfg: SimConfig, n0: np.ndarray):
         n = np.array(n0, dtype=float)
-        shape = (cfg.spatial.n_x, cfg.trait.n_z)
+        shape = (cfg.m.grid.n_x, cfg.trait.n_z)
         if n.shape != shape:
             raise ValidationError("phase density shape mismatch",
                                   expected=list(shape), got=list(n.shape))
@@ -107,7 +103,7 @@ class Stepper:
         self.violations: list[dict] = []
         dt, eps = cfg.dt, cfg.epsilon
         alphas = np.asarray(cfg.profile(cfg.trait.nodes), dtype=float)
-        self._xdiff = BlockDiffusion(cfg.spatial.n_x, cfg.spatial.h_x,
+        self._xdiff = BlockDiffusion(cfg.m.grid.n_x, cfg.m.grid.h_x,
                                      dt * alphas / eps)
         self._zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z, dt * eps)
         self._env_lo, self._env_hi = float(rho.min()), float(rho.max())
@@ -175,15 +171,18 @@ def dominant_trait(stepper: Stepper) -> float:
     out-weigh the selected peak for a while.
     """
     cfg = stepper.cfg
-    marginal = TraitField(cfg.trait, cfg.spatial.h_x * stepper.n.sum(axis=0))
-    if float(marginal.values.max()) <= DENSITY_FLOOR:
+    g = TraitField(cfg.trait, cfg.m.grid.h_x * stepper.n.sum(axis=0)).values
+    if float(g.max()) <= DENSITY_FLOOR:
         raise PopulationExtinct("all marginal mass at or below the floor",
                                 t=stepper.t,
-                                max_marginal=float(marginal.values.max()))
-    idx = int(np.argmax(marginal.values))
-    if idx == 0 or idx == marginal.values.size - 1:
-        return float(marginal.grid.nodes[idx])
-    z_star, _, _ = argmax_refined(marginal)
+                                max_marginal=float(g.max()))
+    j = int(np.argmax(g))
+    z = cfg.trait.nodes
+    if j == 0 or j == g.size - 1:
+        return float(z[j])
+    # the minimum's fit of the negated marginal g; negation is exact
+    z_star, _, _ = parabola_vertex(float(z[j]), -float(g[j - 1]), -float(g[j]),
+                                   -float(g[j + 1]), cfg.trait.h_z)
     return z_star
 
 
@@ -225,7 +224,7 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     def record_output():
         times.append(stepper.t)
         zbars.append(dominant_trait(stepper))
-        masses.append(cfg.spatial.h_x * cfg.trait.h_z *
+        masses.append(cfg.m.grid.h_x * cfg.trait.h_z *
                       float(stepper.n.sum()))
         lows.append(float(stepper.rho.min()))
         highs.append(float(stepper.rho.max()))

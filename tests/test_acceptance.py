@@ -207,7 +207,7 @@ def test_criterion_09_a_priori_bounds(sweep):
 
 
 def test_criterion_10_monotone_approach_to_ess(setting):
-    sg, tg, profile, m = setting
+    _, tg, profile, m = setting
     ess = profile.argmin()
     T = 12.0
     src = SelfConsistentSource(ThetaCache(profile, m), tg)
@@ -215,7 +215,7 @@ def test_criterion_10_monotone_approach_to_ess(setting):
     sol = solve_constrained_hj(src, v0, T, 0.005, record_every=10)
     can = canonical_ode(src, (sol.times, sol.sigma), 0.25, T)
 
-    cfg = SimConfig(0.0125, T, sg, tg, profile, m, zbar0=0.25, c_t=0.1)
+    cfg = SimConfig(0.0125, T, tg, profile, m, zbar0=0.25, c_t=0.1)
     res = run(cfg)
 
     kin_jitter = float(np.diff(res.zbar).max())     # signed: + moves uphill

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispersal.errors import BoundaryMinimizer, ValidationError
+from dispersal.errors import ValidationError
 from dispersal.grids import (
     ScalarField,
     SpatialGrid,
     TimeIndexedField,
     TraitField,
     TraitGrid,
-    argmax_refined,
-    argmin_refined,
     default_m,
     difference_tables,
     mirror_laplacian,
     neumann_bands,
+    parabola_vertex,
 )
 from helpers import integrate
 
@@ -130,43 +129,16 @@ def test_integrate_richardson_ratio():
     st.floats(min_value=0.5, max_value=40.0),
     st.floats(min_value=-0.2, max_value=0.2),
 )
-def test_argmin_refined_exact_parabola(curv_half, z0):
+def test_parabola_vertex_exact_parabola(curv_half, z0):
     t = TraitGrid(64, -0.5, 0.5)
-    g = TraitField(t, curv_half * (t.nodes - z0) ** 2)
-    z_star, g_star, sigma = argmin_refined(g)
+    v = curv_half * (t.nodes - z0) ** 2
+    j = int(np.argmin(v))
+    z_star, g_star, sigma = parabola_vertex(float(t.nodes[j]), float(v[j - 1]),
+                                            float(v[j]), float(v[j + 1]),
+                                            t.h_z)
     assert z_star == pytest.approx(z0, abs=1e-9)
     assert g_star == pytest.approx(0.0, abs=1e-9)
     assert sigma == pytest.approx(2.0 * curv_half, rel=1e-9)
-
-
-def test_argmin_tie_breaks_leftmost():
-    t = TraitGrid(16, 0.0, 1.0)
-    v = np.full(16, 5.0)
-    v[6] = 1.0
-    v[7] = 1.0  # two equal discrete minima; node 6 must anchor the fit
-    z_star, _, curv = argmin_refined(TraitField(t, v))
-    z6 = t.nodes[6]
-    h = t.h_z
-    # by the 3-point formula around node 6: slope -2/h, curvature 4/h^2
-    assert curv == pytest.approx(4.0 / h**2, rel=1e-12)
-    assert z_star == pytest.approx(z6 + h / 2, abs=1e-12)
-
-
-def test_argmin_boundary_rejected():
-    t = TraitGrid(16, 0.0, 1.0)
-    with pytest.raises(BoundaryMinimizer):
-        argmin_refined(TraitField(t, t.nodes))
-    with pytest.raises(BoundaryMinimizer):
-        argmin_refined(TraitField(t, -t.nodes))
-
-
-def test_argmax_refined_matches_negated_argmin():
-    t = TraitGrid(32, -0.5, 0.5)
-    g = TraitField(t, -3.0 * (t.nodes - 0.07) ** 2)
-    z_star, g_star, curv = argmax_refined(g)
-    assert z_star == pytest.approx(0.07, abs=1e-9)
-    assert g_star == pytest.approx(0.0, abs=1e-9)
-    assert curv == pytest.approx(-6.0, rel=1e-9)
 
 
 def test_default_m_satisfies_hypotheses():

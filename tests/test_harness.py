@@ -320,6 +320,22 @@ def test_lax_oleinik_checks_its_inputs_before_the_reference(
         "diagnostics": diagnostics}
 
 
+@pytest.mark.parametrize("command,overrides,message", [
+    # n_x = 256 alone makes the profile's theta solves fail (exit 3)
+    ("hj", ("dt=0", "n_x=256"), "dt and T must be positive"),
+    ("lax-oleinik", ("dt_dp=0", "n_x=256"),
+     "dt_dp, T, reach must be positive"),
+    ("lax-oleinik", ("dt=0",), "dt and T must be positive"),
+])
+def test_hj_commands_check_march_inputs_before_the_profile(
+        tmp_path, capsys, monkeypatch, command, overrides, message):
+    def setting(params):
+        raise AssertionError("the profile was built")
+
+    monkeypatch.setattr(commands, "standard_setting", setting)
+    assert _rejection(capsys, tmp_path, command, overrides) == message
+
+
 @pytest.mark.parametrize("command,overrides", [
     # every step recorded: 2 * 10^6 records of 128 trait values
     ("hj", ("dt=1e-8", "record_every=1", "T=0.02")),

@@ -23,6 +23,29 @@ def zero_source():
     return SyntheticSource(lambda z, t: np.zeros_like(z))
 
 
+def test_minimizer_tie_breaks_leftmost():
+    t = TraitGrid(16, 0.0, 1.0)
+    v = np.full(16, 5.0)
+    v[6] = 1.0
+    v[7] = 1.0  # two equal discrete minima; node 6 must anchor the fit
+    j, z_star, curv = hj._minimizer(v, t, 0.0)
+    z6 = t.nodes[6]
+    h = t.h_z
+    # by the 3-point formula around node 6: slope -2/h, curvature 4/h^2
+    assert j == 6
+    assert curv == pytest.approx(4.0 / h**2, rel=1e-12)
+    assert z_star == pytest.approx(z6 + h / 2, abs=1e-12)
+
+
+def test_minimizer_on_a_wall_is_rejected():
+    t = TraitGrid(16, 0.0, 1.0)
+    for v, wall in ((t.nodes, 0), (-t.nodes, -1)):
+        with pytest.raises(TrajectoryHitBoundary) as info:
+            hj._minimizer(v, t, 0.25)
+        assert str(info.value) == "minimizer reached the wall"
+        assert info.value.diagnostics == {"t": 0.25, "z": t.nodes[wall]}
+
+
 @pytest.fixture(scope="module")
 def ecology_setup():
     sg = SpatialGrid(64)

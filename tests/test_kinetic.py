@@ -24,7 +24,7 @@ def setting():
 
 def base_config(setting, eps=0.05, T=1.0, **kw):
     sg, tg, profile, m = setting
-    return SimConfig(eps, T, sg, tg, profile, m, **kw)
+    return SimConfig(eps, T, tg, profile, m, **kw)
 
 
 def uniform_stepper(setting, cfg=None, value=1.0):
@@ -109,7 +109,7 @@ def test_stepper_rho_and_marginal_quadrature(setting):
 def test_constant_environment_fixed_point(setting):
     sg, tg, profile, _ = setting
     m1 = ScalarField(sg, np.ones(sg.n_x))
-    cfg = SimConfig(0.05, 1.0, sg, tg, profile, m1)
+    cfg = SimConfig(0.05, 1.0, tg, profile, m1)
     st = uniform_stepper(setting, cfg)
     st.step()
     assert np.max(np.abs(st.n - 1.0)) <= 1e-12
@@ -207,6 +207,16 @@ def test_wall_pinned_argmax_is_reported_not_refined(setting):
     assert dominant_trait(st) == tg.nodes[-1]
 
 
+def test_dominant_trait_refines_an_interior_peak(setting):
+    # marginal -3 (z - 0.07)^2 + 1: the 3-point fit of the peak is exact
+    sg, _, profile, m = setting
+    tg = TraitGrid(32)
+    column = 1.0 - 3.0 * (tg.nodes - 0.07) ** 2
+    st = Stepper(SimConfig(0.05, 1.0, tg, profile, m),
+                 np.tile(column, (sg.n_x, 1)))
+    assert dominant_trait(st) == pytest.approx(0.07, abs=1e-9)
+
+
 def test_dominant_trait_extinct_below_floor(setting):
     st = uniform_stepper(setting, value=0.0)
     with pytest.raises(PopulationExtinct):
@@ -236,26 +246,23 @@ def test_envelope_and_history_bookkeeping(setting):
 def test_sentinel_aborts_reaction_overshoot_cycle(setting):
     sg, tg, profile, _ = setting
     hot = ScalarField(sg, np.full(sg.n_x, 30.0))
-    cfg = SimConfig(0.05, 1.0, sg, tg, profile, hot, c_t=0.2)
+    cfg = SimConfig(0.05, 1.0, tg, profile, hot, c_t=0.2)
     with pytest.raises(AprioriViolated):
         run(cfg)
 
 
 def test_config_validation(setting):
-    sg, tg, profile, m = setting
+    _, tg, profile, m = setting
     with pytest.raises(ValidationError):
-        SimConfig(0.2, 1.0, sg, tg, profile, m)          # eps > 0.1
+        SimConfig(0.2, 1.0, tg, profile, m)          # eps > 0.1
     with pytest.raises(ValidationError):
-        SimConfig(0.05, -1.0, sg, tg, profile, m)
+        SimConfig(0.05, -1.0, tg, profile, m)
     with pytest.raises(ValidationError):
-        SimConfig(0.05, 1.0, sg, tg, profile, m, c_t=0.5)
+        SimConfig(0.05, 1.0, tg, profile, m, c_t=0.5)
     with pytest.raises(ValidationError):
-        SimConfig(0.05, 1.0, sg, tg, profile, m, zbar0=0.5)
+        SimConfig(0.05, 1.0, tg, profile, m, zbar0=0.5)
     with pytest.raises(ValidationError):
-        SimConfig(0.05, 1.0, sg, tg, profile, m, K0=-1.0)
-    short = ScalarField(SpatialGrid(32), np.ones(32))
-    with pytest.raises(ValidationError):
-        SimConfig(0.05, 1.0, sg, tg, profile, short)
+        SimConfig(0.05, 1.0, tg, profile, m, K0=-1.0)
 
 
 def test_probe_times_must_land_in_horizon(setting):
@@ -269,7 +276,7 @@ def _checked_density(cfg, values):
     float copy of the grid's shape, finite and nonnegative, and a finite rho
     summed again from that copy."""
     n = np.array(values, dtype=float)
-    assert n.shape == (cfg.spatial.n_x, cfg.trait.n_z)
+    assert n.shape == (cfg.m.grid.n_x, cfg.trait.n_z)
     assert np.all(np.isfinite(n)) and n.min() >= 0.0
     rho = cfg.trait.h_z * n.sum(axis=1)
     assert np.all(np.isfinite(rho))
@@ -284,7 +291,7 @@ class _ReferenceStepper:
     def __init__(self, cfg, start):
         self.cfg = cfg
         alphas = np.asarray(cfg.profile(cfg.trait.nodes), dtype=float)
-        self.xdiff = BlockDiffusion(cfg.spatial.n_x, cfg.spatial.h_x,
+        self.xdiff = BlockDiffusion(cfg.m.grid.n_x, cfg.m.grid.h_x,
                                     cfg.dt * alphas / cfg.epsilon)
         self.zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z,
                                        cfg.dt * cfg.epsilon)
@@ -325,7 +332,7 @@ def test_step_equals_validated_reference(setting, variant):
     c_t = 0.1
     if variant == "hot":
         m, c_t = ScalarField(sg, np.full(sg.n_x, 20.0)), 0.2
-    cfg = SimConfig(0.05, 1.0, sg, tg, profile, m, c_t=c_t)
+    cfg = SimConfig(0.05, 1.0, tg, profile, m, c_t=c_t)
     start = init_population(cfg)
     stepper, reference = Stepper(cfg, start), _ReferenceStepper(cfg, start)
     for _ in range(200):
@@ -375,7 +382,7 @@ def test_run_reports_an_overflowing_reaction_without_warnings(setting):
     # exp(c_t * m) overflows to inf in the first step: the step's finiteness
     # check raises, and no numpy warning is printed ahead of the diagnostic
     sg, tg, profile, _ = setting
-    cfg = SimConfig(0.05, 0.1, sg, tg, profile,
+    cfg = SimConfig(0.05, 0.1, tg, profile,
                     ScalarField(sg, np.full(sg.n_x, 1e4)))
     with pytest.raises(SolverError):
         run(cfg)
