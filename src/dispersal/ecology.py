@@ -30,6 +30,7 @@ THETA_CACHE_QUANTUM = 1e-12  # resident traits closer than this share a theta
 EIGEN_VALUE_TOL = 1e-12      # relative eigenvalue change counted as settled
 EIGEN_RESIDUAL_TOL = 1e-11   # residual target, 10x inside the 1e-10 contract
 EIGEN_MAX_ITER = 500         # inverse iterations before the cap
+THETA_CONTRACT = 1e-10       # ||residual||_inf / ||m||_inf of every theta
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,8 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     called directly (the routine solve_banded((1, 1), ...) dispatches to,
     without its per-call checks).  The returned field is strictly positive;
     ||residual||_inf is <= 1e-12 * ||m||_inf from Newton and <= 1e-11 *
-    ||m||_inf from the fallback, both well inside the 1e-10 contract.
+    ||m||_inf from the fallback, or within the 1e-10 * ||m||_inf contract
+    where the fallback stops at a floating-point fixed point (fine grids).
     """
     mv = _theta_inputs(alpha, m)
     h = m.grid.h_x
@@ -110,7 +112,9 @@ def solve_theta_pseudotime(alpha: float, m: ScalarField, *,
 
     Pseudo-time step 0.2, at most 200,000 steps.  Slower than Newton but
     monotone-safe; used as the fallback and as the cross-check oracle in the
-    test suite.
+    test suite.  An iterate equal to its predecessor bit for bit is a
+    floating-point fixed point: it is returned if its residual is within
+    the `THETA_CONTRACT` * ||m||_inf contract, and raises otherwise.
     """
     mv = _theta_inputs(alpha, m)
     h = m.grid.h_x
@@ -123,12 +127,19 @@ def solve_theta_pseudotime(alpha: float, m: ScalarField, *,
         if growth.min() <= 0.0:
             raise ThetaDiverged("pseudo-time reaction factor went nonpositive",
                                 step=k, min_factor=float(growth.min()))
-        theta = solver.solve(theta * growth)
+        prev, theta = theta, solver.solve(theta * growth)
         if k % 8 == 0:
             norm = float(np.abs(_logistic_residual(theta, alpha, mv, h)).max())
             history.append(norm)
             if norm <= residual_target:
                 return ScalarField(m.grid, theta)
+            if np.array_equal(theta, prev):
+                contract = THETA_CONTRACT * float(np.max(np.abs(mv)))
+                if norm <= contract:
+                    return ScalarField(m.grid, theta)
+                raise ThetaDiverged("steady state iteration reached a fixed "
+                                    "point above the contract", step=k,
+                                    residual=norm, contract=contract)
     raise ThetaDiverged("steady state iteration exhausted",
                         residual_history=history[-20:], target=residual_target)
 
@@ -451,17 +462,6 @@ def lambda_derivs(z1: float, z2: float,
     (`DERIV_STEP_FRACTION` of the trait interval) of its endpoints.
     """
     return _column_derivs([z1], z2, cache)[0][1:]
-
-
-def lambda_slope(z1: float, z2: float, cache: ThetaCache) -> float:
-    """(d/dz1) lambda alone, bit-identical to lambda_derivs' first entry.
-
-    Solves only the stencil points the first difference reads: two in the
-    interior, three near an endpoint.
-    """
-    side, h, pts = _stencil_points(z1, cache.profile)
-    f = _exponents(pts[:3] if side else pts[:2], z2, cache)
-    return first_difference(side, h, f)
 
 
 def lambda_table(z1s: np.ndarray, z2s: np.ndarray,

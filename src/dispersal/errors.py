@@ -8,7 +8,6 @@ numbers were at hand when the failure was detected.
 from __future__ import annotations
 
 import math
-from pathlib import PurePath
 
 
 class DispersalError(Exception):
@@ -25,39 +24,26 @@ class DispersalError(Exception):
         return {
             "error": self.code,
             "message": str(self),
-            "diagnostics": _strict(self.diagnostics),
+            "diagnostics": strict(self.diagnostics),
         }
 
 
-def plain(value):
-    """JSON builtin for a numpy scalar or array or a path.
-
-    This is the ``default`` hook of json.dumps, so other types raise TypeError.
-    """
-    if isinstance(value, PurePath):
-        return str(value)
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if hasattr(value, "item"):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
-def _strict(value):
-    """A diagnostic as strict JSON: builtins only, with the non-finite floats
-    as the strings "nan", "inf" and "-inf", inside lists and dicts too."""
+def strict(value):
+    """`value` as strict JSON builtins, with the non-finite floats as the
+    strings "nan", "inf" and "-inf", inside lists, tuples and dicts too.
+    Anything with `tolist()` (a numpy scalar or array) goes through it;
+    anything else (a path, say) becomes its str."""
     if isinstance(value, float):
         return value if math.isfinite(value) else str(float(value))
     if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
+        return [strict(v) for v in value]
     if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
+        return {k: strict(v) for k, v in value.items()}
     if value is None or isinstance(value, (str, int)):
         return value
-    try:
-        return _strict(plain(value))
-    except TypeError:
-        return str(value)
+    if hasattr(value, "tolist"):
+        return strict(value.tolist())
+    return str(value)
 
 
 class ValidationError(DispersalError):

@@ -24,12 +24,10 @@ from ..ecology import check_H1, lambda_surface, principal_eigenpair, solve_theta
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
 from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitGrid, \
     default_m
-from ..hj import SelfConsistentSource, canonical_ode, hj_steps, \
-    lax_oleinik, lax_oleinik_steps, solve_constrained_hj
-from ..kinetic import SimConfig, run
+from ..hj import canonical_ode, hj_steps, lax_oleinik, lax_oleinik_steps
 from .config import ExperimentSpec
-from .converge import quadratic_start, raise_if_failed, run_convergence, \
-    standard_setting, write_run_artifacts
+from .converge import limit_march, raise_if_failed, run_convergence, \
+    run_scale, standard_setting
 from .io import write_csv, write_json, write_plot_script
 
 
@@ -141,10 +139,8 @@ def cmd_hj(params: dict, out: Path) -> dict:
         raise ValidationError("V.csv would exceed the row cap",
                               rows=n_records * tg.n_z, cap=V_CSV_MAX_ROWS)
     # the profile is built only once the march inputs have passed
-    src = SelfConsistentSource(standard_setting(params), tg)
-    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
-    sol = solve_constrained_hj(src, v0, params["T"], params["dt"],
-                               record_every=params["record_every"])
+    src, _, sol = limit_march(standard_setting(params), tg, params,
+                              params["dt"], params["record_every"])
     write_csv(out / "hj.csv", ["t", "zbar", "sigma", "multiplier"],
               [sol.times, sol.zbar, sol.sigma, sol.multiplier])
     n_rec, n_z = sol.V.shape
@@ -170,9 +166,8 @@ def cmd_lax_oleinik(params: dict, out: Path) -> dict:
     # the march's own input checks, then the reference's, before any solve
     lax_oleinik_steps(tg, params["T"], params["dt_dp"], params["reach"])
     hj_steps(tg, params["T"], params["dt"], 1)
-    src = SelfConsistentSource(standard_setting(params), tg)
-    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
-    sol = solve_constrained_hj(src, v0, params["T"], params["dt"])
+    src, v0, sol = limit_march(standard_setting(params), tg, params,
+                               params["dt"])
     dp = lax_oleinik(src, v0, params["T"], params["dt_dp"], params["reach"],
                      constrained=True, zbar_path=(sol.times, sol.zbar))
     gap = float(np.abs(sol.V[-1] - dp.V[-1]).max())
@@ -187,17 +182,10 @@ def cmd_lax_oleinik(params: dict, out: Path) -> dict:
 
 
 def cmd_pde(params: dict, out: Path) -> dict:
-    cache = standard_setting(params)
-    tg = TraitGrid(params["n_z"])
-    T = params["T"]
-    probes = tuple(sorted({p for p in params["probes"]
-                           if p <= T + 1e-12} | {T}))
-    cfg = SimConfig(params["eps"], T, tg, cache.profile, cache.m,
-                    K0=params["K0"], zbar0=params["zbar0"],
-                    c_t=params["c_t"], out_stride=params["out_stride"],
+    res = run_scale(out, standard_setting(params), TraitGrid(params["n_z"]),
+                    params, params["eps"], params["probes"],
+                    out_stride=params["out_stride"],
                     history_stride=params["history_stride"])
-    res = run(cfg, probe_times=probes)
-    write_run_artifacts(out, res, dict(params))
     return {"zbar_end": float(res.zbar[-1]), "mass_end": float(res.mass[-1]),
             "envelope": list(res.envelope),
             "violations": len(res.violations)}
@@ -210,23 +198,21 @@ def cmd_converge(params: dict, out: Path) -> dict:
 
 
 def cmd_pipeline(params: dict, out: Path) -> dict:
-    cache = standard_setting(params)
     tg = TraitGrid(params["n_z"])
     T, eps = params["T"], params["eps"]
+    # the march's own input check before the profile is built
+    hj_steps(tg, T, params["dt"], 10)
+    cache = standard_setting(params)
     h1 = check_H1(cache)
     if not h1.passed:
         raise AcceptanceFailure("trait convexity check failed",
                                 **h1.to_dict())
 
-    src = SelfConsistentSource(cache, tg)
-    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
-    sol = solve_constrained_hj(src, v0, T, params["dt"], record_every=10)
+    src, _, sol = limit_march(cache, tg, params, params["dt"],
+                              record_every=10)
     can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
-    cfg = SimConfig(eps, T, tg, cache.profile, cache.m, K0=params["K0"],
-                    zbar0=params["zbar0"], c_t=params["c_t"])
-    res = run(cfg, probe_times=(T,))
-    write_run_artifacts(out / "pde", res, dict(params))
+    res = run_scale(out / "pde", cache, tg, params, eps, ())
 
     zb_lim = np.interp(res.times, can.times, can.zbar)
     write_csv(out / "zbar_compare.csv", ["t", "zbar_eps", "zbar_limit"],

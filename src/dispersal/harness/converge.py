@@ -20,7 +20,8 @@ from ..bundle import effective_hamiltonian
 from ..ecology import ThetaCache, construct_alpha
 from ..errors import AcceptanceFailure, ValidationError
 from ..grids import SpatialGrid, TraitField, TraitGrid, default_m
-from ..hj import SelfConsistentSource, canonical_ode, solve_constrained_hj
+from ..hj import HJSolution, SelfConsistentSource, canonical_ode, hj_steps, \
+    solve_constrained_hj
 from ..kinetic import RunResult, SimConfig, run
 from .io import write_csv, write_json, write_plot_script
 
@@ -36,36 +37,44 @@ def standard_setting(params: dict) -> ThetaCache:
     return ThetaCache(profile, m)
 
 
-def quadratic_start(tg: TraitGrid, k0: float, zbar0: float) -> TraitField:
-    """The quadratic initial value k0 (z - zbar0)^2 of the HJ solves."""
-    return TraitField(tg, k0 * (tg.nodes - zbar0) ** 2)
+def limit_march(cache: ThetaCache, tg: TraitGrid, params: dict, dt: float,
+                record_every: int = 1
+                ) -> tuple[SelfConsistentSource, TraitField, HJSolution]:
+    """The rare-mutation limit of a run: its self-consistent source, the
+    quadratic start K0 (z - zbar0)^2 and the constrained HJ march to T."""
+    src = SelfConsistentSource(cache, tg)
+    v0 = TraitField(tg, params["K0"] * (tg.nodes - params["zbar0"]) ** 2)
+    sol = solve_constrained_hj(src, v0, params["T"], dt,
+                               record_every=record_every)
+    return src, v0, sol
 
 
-def weakly_decreasing(values) -> bool:
-    v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)):
-        return False
-    return bool(np.all(v[1:] <= TREND_SLACK * v[:-1]))
-
-
-def write_run_artifacts(out: Path, res: RunResult, echo: dict) -> None:
+def run_scale(out: Path, cache: ThetaCache, tg: TraitGrid, params: dict,
+              eps: float, probes: tuple, **strides) -> RunResult:
+    """One kinetic run at scale eps, its artifacts written to `out`: WKB
+    snapshots at the `probes` up to T and at T itself; `strides` are
+    SimConfig's output and history strides."""
+    T = params["T"]
+    cfg = SimConfig(eps, T, tg, cache.profile, cache.m, K0=params["K0"],
+                    zbar0=params["zbar0"], c_t=params["c_t"], **strides)
+    res = run(cfg, probe_times=tuple(sorted(
+        {p for p in probes if p <= T + 1e-12} | {T})))
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "run.csv",
               ["t", "zbar_eps", "mass", "rho_min", "rho_max"],
               [res.times, res.zbar, res.mass, res.rho_min, res.rho_max])
     hist = res.rho_history
     n_t, n_x = hist.values.shape
-    xs = res.config.m.grid.nodes
+    xs = cache.m.grid.nodes
     write_csv(out / "rho.csv", ["t", "x", "rho"],
               [np.repeat(hist.times, n_x), np.tile(xs, n_t),
                hist.values.ravel()])
-    zs = res.config.trait.nodes
     for pt, u in sorted(res.u_snaps.items()):
         n_xs, n_z = u.shape
         write_csv(out / f"u_snap_{pt:g}.csv", ["z", "x", "u"],
-                  [np.repeat(zs, n_xs), np.tile(xs, n_z), u.T.ravel()])
+                  [np.repeat(tg.nodes, n_xs), np.tile(xs, n_z), u.T.ravel()])
     write_json(out / "meta.json", {
-        "config": echo,
+        "config": {**params, "eps": eps},
         "envelope": list(res.envelope),
         "violations": list(res.violations),
         "steps": res.meta.get("steps"),
@@ -73,6 +82,14 @@ def write_run_artifacts(out: Path, res: RunResult, echo: dict) -> None:
     })
     write_plot_script(out / "run.gp", "dominant trait", "t", "trait",
                       ["'run.csv' using 't':'zbar_eps' with lines"])
+    return res
+
+
+def weakly_decreasing(values) -> bool:
+    v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        return False
+    return bool(np.all(v[1:] <= TREND_SLACK * v[:-1]))
 
 
 @dataclass(frozen=True)
@@ -112,26 +129,21 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
             np.any(t >= h_t_lo - 1e-12) for t in t_recs.values()):
         raise ValidationError("a comparison window is empty", t_lo=t_lo, T=T,
                               h_t_lo=h_t_lo, h_t_hi=h_t_hi)
-    cache = standard_setting(params)
     tg = TraitGrid(params["n_z"])
-    profile, m = cache.profile, cache.m
-    probes = tuple(sorted({p for p in params["u_probes"]
-                           if p <= T + 1e-12} | {T}))
+    # the march's own input check before the profile is built
+    hj_steps(tg, T, params["hj_dt"], 10)
+    cache = standard_setting(params)
 
-    src = SelfConsistentSource(cache, tg)
-    v0 = quadratic_start(tg, params["K0"], params["zbar0"])
-    sol = solve_constrained_hj(src, v0, T, params["hj_dt"], record_every=10)
+    src, _, sol = limit_march(cache, tg, params, params["hj_dt"],
+                              record_every=10)
     can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
     cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
                             "h_gap", "h_int", "env_lo", "env_hi")}
     violations, runs = [], []
     for eps in eps_list:
-        cfg = SimConfig(eps, T, tg, profile, m, K0=params["K0"],
-                        zbar0=params["zbar0"], c_t=params["c_t"])
-        res = run(cfg, probe_times=probes)
-        write_run_artifacts(out_dir / f"eps_{eps:g}", res,
-                            {**params, "eps": eps})
+        res = run_scale(out_dir / f"eps_{eps:g}", cache, tg, params, eps,
+                        params["u_probes"])
         violations.append(len(res.violations))
 
         zb_lim = np.interp(res.times, can.times, can.zbar)
@@ -148,8 +160,7 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
 
         offset = 0.5 * eps * np.log(eps)
         u_gap = x_osc = 0.0
-        for pt in probes:
-            u = res.u_snaps[pt]
+        for pt, u in sorted(res.u_snaps.items()):
             v_t = sol.V[int(np.argmin(np.abs(sol.times - pt)))]
             u_gap = max(u_gap,
                         float(np.abs(u.mean(axis=0) - offset - v_t).max()))
@@ -174,7 +185,8 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
                              params["z_samples"])
         effs = effective_hamiltonian(
             [(res.rho_history, eps, t_recs[eps])
-             for eps, res in zip(eps_list, runs)], profile, z_samp, m)
+             for eps, res in zip(eps_list, runs)],
+            cache.profile, z_samp, cache.m)
     for res, eff in zip(runs, effs):
         t_rec = eff.t
         lam = np.stack([src.rate(eff.z, 0.0, zbar=res.zbar_at(t))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ValidationError, plain
+from ..errors import ValidationError, strict
 
 
 CSV_CHUNK_ROWS = 1024  # rows converted per write: bounds the Python strings alive
@@ -49,7 +49,8 @@ def _cells(values: np.ndarray) -> list[str]:
 
 def write_json(path: Path, payload: dict) -> None:
     Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=plain) + "\n",
+        json.dumps(strict(payload), indent=2, sort_keys=True,
+                   allow_nan=False) + "\n",
         encoding="utf-8")
 
 

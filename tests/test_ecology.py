@@ -8,13 +8,14 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from dispersal import ecology as eco
-from dispersal.errors import EigenDiverged, ValidationError
+from dispersal.errors import EigenDiverged, ThetaDiverged, ValidationError
 from dispersal.grids import (
     ScalarField,
     SpatialGrid,
     default_m,
     mirror_laplacian,
 )
+from dispersal.tridiag import FactoredDiffusion
 from helpers import affine_profile, constant_profile, integrate
 
 
@@ -60,6 +61,32 @@ def test_theta_newton_vs_pseudotime_oracle(grid64, m64):
     target = 1e-12 * float(np.max(m64.values))
     marched = eco.solve_theta_pseudotime(0.5, m64, residual_target=target)
     assert np.max(np.abs(newton.values - marched.values)) < 1e-8
+
+
+def test_theta_fallback_returns_a_fixed_point_within_the_contract(grid64,
+                                                                 m64):
+    # a zero target is never met: the march stops at an iterate one more
+    # step leaves bit for bit unchanged, whose residual meets the contract
+    history = []
+    theta = eco.solve_theta_pseudotime(0.5, m64, residual_target=0.0,
+                                       history=history).values
+    step = FactoredDiffusion(64, grid64.h_x, 0.2 * 0.5)
+    assert np.array_equal(step.solve(theta * (1.0 + 0.2 * (m64.values
+                                                          - theta))), theta)
+    res = 0.5 * mirror_laplacian(theta, grid64.h_x) + \
+        theta * (m64.values - theta)
+    assert 0.0 < np.max(np.abs(res)) <= eco.THETA_CONTRACT * np.max(m64.values)
+    assert 0.0 < history[-1] <= eco.THETA_CONTRACT * np.max(m64.values)
+
+
+def test_theta_fallback_raises_at_a_fixed_point_above_the_contract(
+        m64, monkeypatch):
+    monkeypatch.setattr(eco, "THETA_CONTRACT", 1e-14)
+    with pytest.raises(ThetaDiverged, match="fixed point") as exc:
+        eco.solve_theta_pseudotime(0.5, m64, residual_target=0.0)
+    diag = exc.value.diagnostics
+    assert diag["contract"] == 1e-14 * np.max(m64.values)
+    assert diag["residual"] > diag["contract"]
 
 
 def test_theta_rejects_bad_inputs(grid64, m64):

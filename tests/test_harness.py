@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dispersal.harness import commands
+from dispersal.harness import commands, converge
 from dispersal.harness.cli import main
 from dispersal.harness.config import SCHEMAS, load_spec
 from dispersal.harness.io import write_csv
@@ -309,7 +309,7 @@ def test_lax_oleinik_checks_its_inputs_before_the_reference(
     def reference(*args, **kwargs):
         raise AssertionError("the Godunov reference ran")
 
-    monkeypatch.setattr(commands, "solve_constrained_hj", reference)
+    monkeypatch.setattr(converge, "solve_constrained_hj", reference)
     assert run_cli("lax-oleinik", "--out", str(tmp_path),
                    "--override", override) == 2
     lines = capsys.readouterr().err.strip().splitlines()
@@ -326,6 +326,8 @@ def test_lax_oleinik_checks_its_inputs_before_the_reference(
     ("lax-oleinik", ("dt_dp=0", "n_x=256"),
      "dt_dp, T, reach must be positive"),
     ("lax-oleinik", ("dt=0",), "dt and T must be positive"),
+    ("pipeline", ("dt=0", "n_x=256"), "dt and T must be positive"),
+    ("converge", ("hj_dt=0", "n_x=256"), "dt and T must be positive"),
 ])
 def test_hj_commands_check_march_inputs_before_the_profile(
         tmp_path, capsys, monkeypatch, command, overrides, message):
@@ -333,6 +335,7 @@ def test_hj_commands_check_march_inputs_before_the_profile(
         raise AssertionError("the profile was built")
 
     monkeypatch.setattr(commands, "standard_setting", setting)
+    monkeypatch.setattr(converge, "standard_setting", setting)
     assert _rejection(capsys, tmp_path, command, overrides) == message
 
 
@@ -355,7 +358,7 @@ def test_hj_rejects_a_v_csv_past_the_row_cap(tmp_path, capsys, monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("the constrained march ran")
 
-    monkeypatch.setattr(commands, "solve_constrained_hj", solve)
+    monkeypatch.setattr(converge, "solve_constrained_hj", solve)
     assert run_cli("hj", "--out", str(tmp_path), "--override", "dt=1e-6",
                    "--override", "record_every=1", "--override", "T=0.01") == 2
     lines = capsys.readouterr().err.strip().splitlines()
@@ -504,6 +507,23 @@ def test_degenerate_start_stays_at_the_minimum(tmp_path):
     cols = read_csv(tmp_path / "run.csv")
     h_z = 1.0 / 128
     assert np.abs(cols["zbar_eps"]).max() <= 2 * h_z
+
+
+def test_converge_without_h_writes_strict_json(tmp_path):
+    # with no bundle march h_gap and h_int are NaN at every scale; the JSON
+    # sidecars carry them as the string "nan", never as a bare NaN
+    code = run_cli("converge", "--out", str(tmp_path),
+                   "--override", "with_h=false", "--override", "T=0.2",
+                   "--override", "eps_list=0.1,0.08,0.06",
+                   "--override", "u_probes=0.2", "--override", "t_lo=0.1",
+                   "--override", "c_t=0.05")
+    assert code == 0
+    for name in ("report.json", "summary.json"):
+        payload = json.loads((tmp_path / name).read_text(encoding="utf-8"),
+                             parse_constant=_reject)
+        report = payload["summary"] if name == "summary.json" else payload
+        assert report["metrics"]["h_gap"] == ["nan"] * 3
+        assert report["metrics"]["h_int"] == ["nan"] * 3
 
 
 def test_converge_smoke(tmp_path):
