@@ -30,6 +30,7 @@ THETA_CACHE_QUANTUM = 1e-12  # resident traits closer than this share a theta
 EIGEN_VALUE_TOL = 1e-12      # relative eigenvalue change counted as settled
 EIGEN_RESIDUAL_TOL = 1e-11   # residual target, 10x inside the 1e-10 contract
 EIGEN_MAX_ITER = 500         # inverse iterations before the cap
+EIGEN_CONTRACT = 1e-10       # scaled residual every returned eigenpair meets
 THETA_CONTRACT = 1e-10       # ||residual||_inf / ||m||_inf of every theta
 
 
@@ -71,10 +72,11 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     main, off = neumann_bands(alpha / (h * h), m.grid.n_x)
     jac_main, jac_off = -main + mv, -off
     theta = mv.copy()
+    # each accepted candidate's residual is the next iterate's
+    res = _logistic_residual(theta, alpha, mv, h)
+    norm = float(np.abs(res).max())
     history = []
     for _ in range(60):
-        res = _logistic_residual(theta, alpha, mv, h)
-        norm = float(np.abs(res).max())
         history.append(norm)
         if norm <= target:
             return ScalarField(m.grid, theta)
@@ -88,10 +90,10 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
         for _ in range(40):
             cand = theta + step * delta
             if cand.min() > 0.0:
-                cand_norm = float(np.abs(
-                    _logistic_residual(cand, alpha, mv, h)).max())
+                cand_res = _logistic_residual(cand, alpha, mv, h)
+                cand_norm = float(np.abs(cand_res).max())
                 if cand_norm <= (1.0 - 0.25 * step) * norm or cand_norm <= target:
-                    theta = cand
+                    theta, res, norm = cand, cand_res, cand_norm
                     accepted = True
                     break
             step *= 0.5
@@ -156,17 +158,6 @@ class EigenPair:
     phi: ScalarField
     residual: float
 
-    def __post_init__(self) -> None:
-        if self.phi.values.min() <= 0.0:
-            raise SolverError("eigenfunction must be strictly positive")
-        mass = self.phi.grid.h_x * self.phi.values.sum()
-        if abs(mass - 1.0) > 1e-12:
-            raise SolverError("eigenfunction mass normalization violated",
-                              mass=mass)
-        if self.residual > 1e-10:
-            raise SolverError("eigenpair residual above contract",
-                              residual=self.residual)
-
 
 def _operator_diagonals(alpha, c: np.ndarray, h: float):
     """Main and off diagonals of A = -alpha*L - diag(c), one row per alpha.
@@ -179,21 +170,15 @@ def _operator_diagonals(alpha, c: np.ndarray, h: float):
     return main - c, off
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (k, n) arrays.
-
-    The stacked matmul runs one BLAS dot per row, so each entry equals the
-    1-D ``a[i] @ b[i]`` bit for bit; einsum or ``(a * b).sum(1)`` sum in a
-    different order.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def principal_eigenpairs(alphas, c) -> list[EigenPair]:
+def principal_eigenpairs(alphas, c) -> tuple:
     """Principal eigenpairs of -alpha*L - diag(c), one per rate in `alphas`.
 
     `c` is one ScalarField shared by every rate, or a sequence of them, one
-    per rate.  Shifted inverse power iteration: the Gershgorin bound
+    per rate.  Returns the eigenvalues (k,), the eigenfunctions (k, n) and
+    the scaled residuals (k,); every row is checked to be strictly positive,
+    of unit mass to 1e-12 and within the `EIGEN_CONTRACT` residual.
+
+    Shifted inverse power iteration: the Gershgorin bound
     lambda_min >= -max c makes A - (shift)I positive definite for
     shift = -max c - 1 whatever alpha is.  The shifted Neumann blocks of all
     rows are stacked with zero couplings into one band, so one banded
@@ -214,7 +199,7 @@ def principal_eigenpairs(alphas, c) -> list[EigenPair]:
                               alpha=float(alphas[bad][0]))
     k = alphas.size
     if k == 0:
-        return []
+        return np.empty(0), np.empty((0, 0)), np.empty(0)
     if isinstance(c, ScalarField):
         grid, cv = c.grid, c.values
     else:
@@ -246,10 +231,10 @@ def principal_eigenpairs(alphas, c) -> list[EigenPair]:
     off_z[:, :-1] = off
     main, off_z = main.reshape(-1), off_z.reshape(-1)
 
-    def matvec(main, off_z, v):
-        out = main * v
-        out[:-1] += off_z[:-1] * v[1:]
-        out[1:] += off_z[:-1] * v[:-1]
+    def matvec(main, off_s, v, out):
+        np.multiply(main, v, out=out)
+        out[:-1] += off_s * v[1:]
+        out[1:] += off_s * v[:-1]
         return out
 
     def scaled_residual(w, av, lam):
@@ -268,22 +253,32 @@ def principal_eigenpairs(alphas, c) -> list[EigenPair]:
     v = np.full(k * n, 1.0 / np.sqrt(n))
     lam_prev = np.full(k, np.nan)  # no previous value: the test fails
     residual = np.full(k, np.inf)
+    active = True   # the active rows changed: remake the views of v
     for it in range(EIGEN_MAX_ITER):
-        w, info = dpbtrs(cb_a, v, lower=0)
+        if active:
+            # the solve overwrites v in place, so these views serve until
+            # the active rows change; the stacked matmul runs one BLAS dot
+            # per row, bit for bit the 1-D ``a[i] @ b[i]`` (einsum is not)
+            w2 = v.reshape(-1, n)
+            w_row, w_col = w2[:, None, :], w2[:, :, None]
+            off_s = off_a[:-1]
+            av_flat = np.empty_like(v)
+            av = av_flat.reshape(-1, n)
+            active = False
+        _, info = dpbtrs(cb_a, v, lower=0, overwrite_b=1)
         if info != 0:
             raise SolverError("banded Cholesky solve failed", info=info)
-        if w.min() <= 0.0:
+        if v.min() <= 0.0:
             # the resolvent of an irreducible M-matrix is positive, so this
             # can only be round-off catastrophe
             raise SolverError("inverse iteration lost positivity",
-                              min_entry=float(w.min()))
-        w2 = w.reshape(-1, n)
-        w2 /= np.sqrt(_row_dots(w2, w2))[:, None]
-        av = matvec(main_a, off_a, w).reshape(-1, n)
-        lam_it = _row_dots(w2, av)
+                              min_entry=float(v.min()))
+        w2 /= np.sqrt(np.matmul(w_row, w_col)[:, 0, 0])[:, None]
+        matvec(main_a, off_s, v, av_flat)
+        lam_it = np.matmul(w_row, av[:, :, None])[:, 0, 0]
         settled = np.abs(lam_it - lam_prev) <= EIGEN_VALUE_TOL * np.maximum(
             1.0, np.abs(lam_it))
-        v, lam_prev = w, lam_it
+        lam_prev = lam_it
         # the residual is read only by the stopping test and at the cap
         n_settled = np.count_nonzero(settled)
         if it == EIGEN_MAX_ITER - 1 or n_settled == settled.size:
@@ -302,6 +297,7 @@ def principal_eigenpairs(alphas, c) -> list[EigenPair]:
             if not rows.size:
                 break
             v = w2[keep].reshape(-1)
+            active = True
             # the factor of the remaining blocks is their rows of this one
             cb_a = np.asfortranarray(
                 cb_a.reshape(2, -1, n)[:, keep].reshape(2, -1))
@@ -311,7 +307,7 @@ def principal_eigenpairs(alphas, c) -> list[EigenPair]:
         # the target is 10x inside the contract; only an actual contract
         # breach is a failure (coarse-grid round-off can pin the residual
         # between the two)
-        over = np.flatnonzero(residual > 1e-10)
+        over = np.flatnonzero(~(residual <= EIGEN_CONTRACT))
         if over.size:
             i = over[0]
             raise EigenDiverged("inverse power iteration cap exceeded",
@@ -321,11 +317,24 @@ def principal_eigenpairs(alphas, c) -> list[EigenPair]:
         lam[rows] = lam_prev
         vec[rows] = v.reshape(-1, n)
     phi = vec / (h * vec.sum(axis=1))[:, None]
-    av = matvec(main, off_z, phi.reshape(-1)).reshape(k, n)
+    av = matvec(main, off_z[:-1], phi.ravel(), np.empty(k * n)).reshape(k, n)
     res = (np.abs(av - lam[:, None] * phi).max(axis=1)
            / np.maximum(1.0, np.abs(phi).max(axis=1)))
-    return [EigenPair(lam=float(lam[i]), phi=ScalarField(grid, phi[i]),
-                      residual=float(res[i])) for i in range(k)]
+
+    def check(failed, message, **values):
+        # one vectorized test per clause of the contract; a NaN fails each
+        if failed.any():
+            i = int(np.argmax(failed))
+            raise SolverError(message, alpha=float(alphas[i]),
+                              **{key: float(v[i]) for key, v in values.items()})
+
+    mass = h * phi.sum(axis=1)
+    check(~(phi.min(axis=1) > 0.0), "eigenfunction must be strictly positive")
+    check(~(np.abs(mass - 1.0) <= 1e-12),
+          "eigenfunction mass normalization violated", mass=mass)
+    check(~(res <= EIGEN_CONTRACT), "eigenpair residual above contract",
+          residual=res)
+    return lam, phi, res
 
 
 def principal_eigenpair(alpha: float, c: ScalarField) -> EigenPair:
@@ -333,7 +342,9 @@ def principal_eigenpair(alpha: float, c: ScalarField) -> EigenPair:
 
     The one-row case of `principal_eigenpairs`.
     """
-    return principal_eigenpairs([alpha], c)[0]
+    lam, phi, res = principal_eigenpairs([alpha], c)
+    return EigenPair(lam=float(lam[0]), phi=ScalarField(c.grid, phi[0]),
+                     residual=float(res[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +423,10 @@ def _potential(m: ScalarField, theta: ScalarField) -> ScalarField:
     return ScalarField(m.grid, m.values - theta.values)
 
 
-def _exponents(z1s, z2: float, cache: ThetaCache) -> list[float]:
+def _exponents(z1s, z2: float, cache: ThetaCache) -> np.ndarray:
     """lambda(z1, z2) for every z1 in z1s: one resident, one eigen batch."""
     c = _potential(cache.m, cache.theta(float(z2)))
-    alphas = [float(cache.profile(z1)) for z1 in z1s]
-    return [pair.lam for pair in principal_eigenpairs(alphas, c)]
+    return principal_eigenpairs(cache.profile(np.asarray(z1s)), c)[0]
 
 
 def _stencil_points(z1: float, profile: DispersalProfile
@@ -445,7 +455,8 @@ def _column_derivs(z1s, z2: float, cache: ThetaCache) -> list[tuple]:
     stencil, first of a one-sided one.
     """
     stencils = [_stencil_points(float(z1), cache.profile) for z1 in z1s]
-    lams = _exponents([z for _, _, pts in stencils for z in pts], z2, cache)
+    lams = _exponents([z for _, _, pts in stencils for z in pts], z2,
+                      cache).tolist()
     out = []
     for side, h, pts in stencils:
         f, lams = lams[:len(pts)], lams[len(pts):]
@@ -462,6 +473,13 @@ def lambda_derivs(z1: float, z2: float,
     (`DERIV_STEP_FRACTION` of the trait interval) of its endpoints.
     """
     return _column_derivs([z1], z2, cache)[0][1:]
+
+
+def lambda_gradient(z1: float, z2: float, cache: ThetaCache) -> float:
+    """(d/dz1) lambda by the first difference of `lambda_derivs`' stencil,
+    solving only the points it reads: two inside, three near a wall."""
+    side, h, pts = _stencil_points(float(z1), cache.profile)
+    return first_difference(side, h, _exponents(pts[:-1], z2, cache).tolist())
 
 
 def lambda_table(z1s: np.ndarray, z2s: np.ndarray,
@@ -527,9 +545,9 @@ def construct_alpha(alpha0: float, L0: float, m: ScalarField) -> DispersalProfil
     # the whole box is one batch, so the rows of different columns that run
     # to the iteration cap (some do on fine grids) share those iterations
     columns = [_potential(m, solve_theta(float(a2), m)) for a2 in alphas]
-    pairs = principal_eigenpairs(np.tile(alphas, probe_n),
-                                 [c for c in columns for _ in alphas])
-    surf = np.array([pair.lam for pair in pairs]).reshape(probe_n, probe_n).T
+    lam, _, _ = principal_eigenpairs(np.tile(alphas, probe_n),
+                                     [c for c in columns for _ in alphas])
+    surf = lam.reshape(probe_n, probe_n).T
     d1, d2 = difference_tables(surf, h_a)
     if d1.min() <= 0.0:
         raise ValidationError("rate-pair exponent must be increasing in the "

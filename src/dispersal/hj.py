@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ecology import ThetaCache, lambda_derivs, lambda_table
+from .ecology import ThetaCache, lambda_gradient, lambda_table
 from .errors import (CurvatureCollapsed, SolverError, TrajectoryHitBoundary,
                      ValidationError)
 from .grids import (TraitField, TraitGrid, check_records, march_steps,
@@ -80,7 +80,7 @@ class SelfConsistentSource:
         return row
 
     def diag_gradient(self, zbar: float, t: float = 0.0) -> float:
-        return lambda_derivs(zbar, zbar, self.cache)[0]
+        return lambda_gradient(zbar, zbar, self.cache)
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
         k = int(round(pt / dt))
         if not 0 <= k <= n_steps:
             raise ValidationError("probe time outside the run", probe=pt)
-        probe_steps.setdefault(k, pt)
+        probe_steps.setdefault(k, []).append(pt)
 
     times, zbars, masses, lows, highs = [], [], [], [], []
     hist_t, hist_rho = [], []
@@ -239,7 +239,8 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
                 hist_t.append(stepper.t)
                 hist_rho.append(stepper.rho)   # step() rebinds, never writes
             if k in probe_steps:
-                u_snaps[probe_steps[k]] = extract_u(stepper.n, cfg.epsilon)
+                u = extract_u(stepper.n, cfg.epsilon)
+                u_snaps.update(dict.fromkeys(probe_steps[k], u))
             if k < n_steps:
                 stepper.step()
 

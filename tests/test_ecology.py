@@ -8,7 +8,8 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from dispersal import ecology as eco
-from dispersal.errors import EigenDiverged, ThetaDiverged, ValidationError
+from dispersal.errors import (EigenDiverged, SolverError, ThetaDiverged,
+                              ValidationError)
 from dispersal.grids import (
     ScalarField,
     SpatialGrid,
@@ -87,6 +88,21 @@ def test_theta_fallback_raises_at_a_fixed_point_above_the_contract(
     diag = exc.value.diagnostics
     assert diag["contract"] == 1e-14 * np.max(m64.values)
     assert diag["residual"] > diag["contract"]
+
+
+def test_theta_newton_evaluates_one_residual_per_iterate(m64, monkeypatch):
+    # five Newton steps, each accepted at the full step: the start and every
+    # accepted candidate, whose residual the next iterate keeps
+    calls = []
+    residual = eco._logistic_residual
+
+    def counting(*args):
+        calls.append(args[0])
+        return residual(*args)
+
+    monkeypatch.setattr(eco, "_logistic_residual", counting)
+    eco.solve_theta(0.5, m64)
+    assert len(calls) == 6
 
 
 def test_theta_rejects_bad_inputs(grid64, m64):
@@ -250,9 +266,20 @@ def _column(n_x, resident_rate):
     return ScalarField(grid, m.values - theta.values)
 
 
-def _same_pair(a, b):
-    return (a.lam == b.lam and a.residual == b.residual
-            and np.array_equal(a.phi.values, b.phi.values))
+def _rows(batch):
+    """The (lam, phi, residual) rows of a `principal_eigenpairs` batch."""
+    return list(zip(*batch))
+
+
+def _same_pair(row, pair):
+    """A batch row equals a one-row eigenpair bit for bit."""
+    lam, phi, residual = row
+    return (lam == pair.lam and residual == pair.residual
+            and np.array_equal(phi, pair.phi.values))
+
+
+def _same_row(a, b):
+    return a[0] == b[0] and a[2] == b[2] and np.array_equal(a[1], b[1])
 
 
 def _reference_eigenpair(alpha, c, value_tol=1e-12, residual_tol=1e-11,
@@ -295,10 +322,8 @@ def _reference_eigenpair(alpha, c, value_tol=1e-12, residual_tol=1e-11,
     return lam, phi, residual
 
 
-def _matches_reference(pair, alpha, c, **tols):
-    lam, phi, residual = _reference_eigenpair(alpha, c, **tols)
-    return (pair.lam == lam and pair.residual == residual
-            and np.array_equal(pair.phi.values, phi))
+def _matches_reference(row, alpha, c, **tols):
+    return _same_row(row, _reference_eigenpair(alpha, c, **tols))
 
 
 def _batch_sizes(monkeypatch):
@@ -306,9 +331,9 @@ def _batch_sizes(monkeypatch):
     sizes = []
     solve = eco.dpbtrs
 
-    def counting(cb, v, lower=0):
+    def counting(cb, v, lower=0, overwrite_b=0):
         sizes.append(v.size)
-        return solve(cb, v, lower=lower)
+        return solve(cb, v, lower=lower, overwrite_b=overwrite_b)
 
     monkeypatch.setattr(eco, "dpbtrs", counting)
     return sizes
@@ -322,16 +347,16 @@ def test_eigenpair_batch_equals_row_by_row(monkeypatch, n_x, resident_rate):
     c = _column(n_x, resident_rate)
     alphas = np.linspace(0.5, 1.0, 17)
     sizes = _batch_sizes(monkeypatch)
-    batch = eco.principal_eigenpairs(alphas, c)
+    batch = _rows(eco.principal_eigenpairs(alphas, c))
     rows = [size // n_x for size in sizes]
     # rows froze at different iterations, and the factor shrank with them
     assert rows[0] == 17 and len(set(rows)) > 2
     if resident_rate == 0.625:
         assert len(rows) == 500 and rows[-1] == 1
     single = [eco.principal_eigenpair(float(a), c) for a in alphas]
-    assert all(_same_pair(a, b) for a, b in zip(batch, single))
-    assert all(_matches_reference(pair, float(a), c)
-               for a, pair in zip(alphas, batch))
+    assert all(_same_pair(row, pair) for row, pair in zip(batch, single))
+    assert all(_matches_reference(row, float(a), c)
+               for a, row in zip(alphas, batch))
 
 
 def test_eigenpair_batch_at_the_cap_equals_row_by_row(monkeypatch):
@@ -340,19 +365,19 @@ def test_eigenpair_batch_at_the_cap_equals_row_by_row(monkeypatch):
     monkeypatch.setattr(eco, "EIGEN_MAX_ITER", 60)
     c = _column(64, 0.6)
     alphas = [0.45, 0.8, 1.3]
-    batch = eco.principal_eigenpairs(alphas, c)
-    for a, pair in zip(alphas, batch):
-        assert _same_pair(pair, eco.principal_eigenpair(a, c))
-        assert _matches_reference(pair, a, c, residual_tol=0.0, max_iter=60)
+    batch = _rows(eco.principal_eigenpairs(alphas, c))
+    for a, row in zip(alphas, batch):
+        assert _same_pair(row, eco.principal_eigenpair(a, c))
+        assert _matches_reference(row, a, c, residual_tol=0.0, max_iter=60)
 
 
 def test_eigenpair_batch_permutes_with_its_rates():
     c = _column(64, 0.6)
     alphas = np.linspace(0.4, 1.2, 9)
     perm = np.random.default_rng(3).permutation(alphas.size)
-    batch = eco.principal_eigenpairs(alphas, c)
-    permuted = eco.principal_eigenpairs(alphas[perm], c)
-    assert all(_same_pair(permuted[i], batch[j]) for i, j in enumerate(perm))
+    batch = _rows(eco.principal_eigenpairs(alphas, c))
+    permuted = _rows(eco.principal_eigenpairs(alphas[perm], c))
+    assert all(_same_row(permuted[i], batch[j]) for i, j in enumerate(perm))
 
 
 def test_eigenpair_batch_takes_one_potential_per_rate():
@@ -361,9 +386,9 @@ def test_eigenpair_batch_takes_one_potential_per_rate():
     columns = [_column(128, rate) for rate in (0.625, 0.8)]
     alphas = [0.5, 1.0, 0.75, 1.0]
     cs = [columns[0], columns[0], columns[1], columns[1]]
-    batch = eco.principal_eigenpairs(alphas, cs)
-    assert all(_same_pair(pair, eco.principal_eigenpair(a, c))
-               for a, c, pair in zip(alphas, cs, batch))
+    batch = _rows(eco.principal_eigenpairs(alphas, cs))
+    assert all(_same_pair(row, eco.principal_eigenpair(a, c))
+               for a, c, row in zip(alphas, cs, batch))
     with pytest.raises(ValidationError):
         eco.principal_eigenpairs(alphas, cs[:3])
     with pytest.raises(ValidationError):
@@ -375,6 +400,21 @@ def test_eigenpair_batch_raises_at_the_cap_above_contract(monkeypatch):
     c = _column(64, 0.6)
     with pytest.raises(EigenDiverged):
         eco.principal_eigenpairs([0.5, 0.9], c)
+
+
+def test_eigenpair_batch_checks_the_contract_on_every_row(monkeypatch):
+    c = _column(64, 0.6)
+    alphas = np.linspace(0.4, 1.2, 9)
+    _, _, residual = eco.principal_eigenpairs(alphas, c)
+    assert residual.max() <= eco.EIGEN_CONTRACT
+    # a contract between the rows' residuals fails the first row above it
+    contract = float(np.median(residual))
+    monkeypatch.setattr(eco, "EIGEN_CONTRACT", contract)
+    with pytest.raises(SolverError, match="residual above contract") as exc:
+        eco.principal_eigenpairs(alphas, c)
+    i = int(np.flatnonzero(residual > contract)[0])
+    assert exc.value.diagnostics == {"alpha": alphas[i],
+                                     "residual": residual[i]}
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.3, np.nan, np.inf])
@@ -433,6 +473,23 @@ def test_lambda_derivs_richardson_oracle(m64, monkeypatch):
     _, d2_h2 = eco.lambda_derivs(z1, z2, cache)
     richardson = (4.0 * d2_h2 - d2_h) / 3.0
     assert d2_h == pytest.approx(richardson, rel=1e-2)
+
+
+def test_lambda_gradient_is_the_first_derivative_of_lambda_derivs(
+        m64, profile61):
+    # two stencil rows inside, three within one step of a wall; the rows
+    # the gradient leaves out do not change the bits of the rows it solves
+    cache = eco.ThetaCache(profile61, m64)
+    a, b = profile61.a, profile61.b
+    step = eco.DERIV_STEP_FRACTION * (b - a)
+    near = [a + 0.25 * step, a + 0.999 * step, b - 0.5 * step,
+            b - 0.75 * step, np.nextafter(b, a)]
+    zs = np.concatenate([np.linspace(a, b, 195), near])
+    sides = [eco._stencil_points(float(z), profile61)[0] for z in zs]
+    assert sides.count(1) >= 3 and sides.count(-1) >= 4
+    for z in zs:
+        assert eco.lambda_gradient(z, z, cache) \
+            == eco.lambda_derivs(z, z, cache)[0]
 
 
 def test_theta_cache_counts_solves(m64, monkeypatch):

@@ -19,6 +19,7 @@ from dispersal.harness.config import SCHEMAS, load_spec
 from dispersal.harness.io import write_csv
 from dispersal.errors import SolverError, ValidationError
 from helpers import read_csv
+from test_golden import CASES, GOLDEN
 
 
 def run_cli(*args) -> int:
@@ -482,6 +483,25 @@ def test_pde_runs_are_byte_identical(tmp_path):
     meta = json.loads((tmp_path / "a" / "meta.json").read_text())
     assert meta["violations"] == []
     assert meta["config"]["eps"] == 0.05
+
+
+def test_probes_that_round_to_one_step_each_get_the_snapshot(tmp_path):
+    # 0.0999999 and the horizon 0.1 round to the same kinetic step
+    assert run_cli("pde", "--override", "T=0.1", "--override",
+                   "probes=0.0999999", "--out", str(tmp_path)) == 0
+    assert (tmp_path / "u_snap_0.0999999.csv").read_bytes() \
+        == (tmp_path / "u_snap_0.1.csv").read_bytes()
+
+
+def test_converge_probe_beside_the_horizon_keeps_the_golden_metrics(
+        tmp_path):
+    args = [("u_probes=0.1999999" if a == "u_probes=0.2" else a)
+            for a in CASES["converge"]]
+    assert "u_probes=0.1999999" in args
+    assert run_cli(*args, "--out", str(tmp_path)) == 0
+    golden = json.loads(GOLDEN.read_text())["converge"]["report.json"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["metrics"] == golden["metrics"]
 
 
 def test_pde_emits_plot_script_and_sidecars(tmp_path):
