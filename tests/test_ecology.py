@@ -271,15 +271,14 @@ def _rows(batch):
     return list(zip(*batch))
 
 
-def _same_pair(row, pair):
-    """A batch row equals a one-row eigenpair bit for bit."""
-    lam, phi, residual = row
-    return (lam == pair.lam and residual == pair.residual
-            and np.array_equal(phi, pair.phi.values))
-
-
 def _same_row(a, b):
+    """Two (lam, phi, residual) rows are equal bit for bit."""
     return a[0] == b[0] and a[2] == b[2] and np.array_equal(a[1], b[1])
+
+
+def _same_pair(row, pair):
+    """A batch row equals a one-row `EigenPair` bit for bit."""
+    return _same_row(row, (pair.lam, pair.phi.values, pair.residual))
 
 
 def _reference_eigenpair(alpha, c, value_tol=1e-12, residual_tol=1e-11,
