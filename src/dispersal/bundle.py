@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ecology import spectral_gap
 from .errors import SolverError, ValidationError
-from .grids import MAX_STEPS, ScalarField, TimeIndexedField
+from .grids import MAX_STEPS, ScalarField, TimeIndexedField, check_records
 from .tridiag import BlockDiffusion
 
 DEFAULT_DTAU = 1e-3
@@ -59,7 +60,7 @@ def effective_hamiltonian(scales, profile, z_samples: np.ndarray,
     scales steps at a time, so memory grows neither with the horizon nor
     with the scales.  Harnack ratios sup Phi / inf Phi are kept per trait,
     every recorded profile is checked positive, and every scale is checked,
-    step cap included, before the first step.
+    step cap and record rule included, before the first step.
     """
     if len(scales) == 0:
         raise ValidationError("the bundle march needs at least one scale")
@@ -146,13 +147,14 @@ def _plan(rho_history: TimeIndexedField, epsilon: float, t_record: np.ndarray,
           spin_up: float | None) -> dict:
     """One scale's checked step counts and record steps, and its march
     state: the tables, the Harnack ratios and the running max |dtau * c|."""
+    # every record holds one n_x profile per trait
+    check_records(t_record.size, alphas.size * m.grid.n_x)
+
     def c_slow(t: float) -> np.ndarray:
         return m.values - rho_history.at(max(t, epsilon))
 
     # spin-up sized by the smallest dispersal rate, the slowest-attracting case
     if spin_up is None:
-        from .ecology import spectral_gap
-
         t_end = float(t_record.max())
         cbar = np.mean([c_slow(float(s)) for s in
                         np.linspace(0.0, max(t_end, epsilon), 33)], axis=0)

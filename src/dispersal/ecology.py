@@ -75,9 +75,7 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     # each accepted candidate's residual is the next iterate's
     res = _logistic_residual(theta, alpha, mv, h)
     norm = float(np.abs(res).max())
-    history = []
     for _ in range(60):
-        history.append(norm)
         if norm <= target:
             return ScalarField(m.grid, theta)
         *_, delta, info = dgtsv(jac_off, jac_main - 2.0 * theta, jac_off,
@@ -103,13 +101,11 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
     # positivity-preserving and converges linearly.  Its round-off floor is a
     # little above Newton's, so the target keeps 10x margin to the contract.
     return solve_theta_pseudotime(
-        alpha, m, residual_target=1e-11 * float(np.max(np.abs(mv))),
-        history=history)
+        alpha, m, residual_target=1e-11 * float(np.max(np.abs(mv))))
 
 
 def solve_theta_pseudotime(alpha: float, m: ScalarField, *,
-                           residual_target: float = 1e-12,
-                           history: list | None = None) -> ScalarField:
+                           residual_target: float = 1e-12) -> ScalarField:
     """Independent theta solver: implicit diffusion + explicit logistic marching.
 
     Pseudo-time step 0.2, at most 200,000 steps.  Slower than Newton but
@@ -123,7 +119,7 @@ def solve_theta_pseudotime(alpha: float, m: ScalarField, *,
     dt = 0.2
     solver = FactoredDiffusion(m.grid.n_x, h, dt * alpha)
     theta = mv.copy()
-    history = history if history is not None else []
+    history = []
     for k in range(200_000):
         growth = 1.0 + dt * (mv - theta)
         if growth.min() <= 0.0:
@@ -148,15 +144,6 @@ def solve_theta_pseudotime(alpha: float, m: ScalarField, *,
 
 # ---------------------------------------------------------------------------
 # principal eigenpair
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Principal eigenvalue and positive unit-mass eigenfunction."""
-
-    lam: float
-    phi: ScalarField
-    residual: float
 
 
 def _operator_diagonals(alpha, c: np.ndarray, h: float):
@@ -337,14 +324,13 @@ def principal_eigenpairs(alphas, c) -> tuple:
     return lam, phi, res
 
 
-def principal_eigenpair(alpha: float, c: ScalarField) -> EigenPair:
-    """Smallest eigenvalue of -alpha*L - diag(c) with positive eigenfunction.
-
-    The one-row case of `principal_eigenpairs`.
-    """
+def principal_eigenpair(alpha: float, c: ScalarField
+                        ) -> tuple[float, np.ndarray, float]:
+    """Smallest eigenvalue of -alpha*L - diag(c), its positive unit-mass
+    eigenfunction and its scaled residual: the one row of
+    `principal_eigenpairs`."""
     lam, phi, res = principal_eigenpairs([alpha], c)
-    return EigenPair(lam=float(lam[0]), phi=ScalarField(c.grid, phi[0]),
-                     residual=float(res[0]))
+    return float(lam[0]), phi[0], float(res[0])
 
 
 # ---------------------------------------------------------------------------

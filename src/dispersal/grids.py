@@ -230,8 +230,8 @@ def march_steps(T: float, dt: float) -> int:
     return int(n)
 
 
-def check_records(records: float, n_z: int) -> None:
-    """Reject a march whose `records` rows of n_z values exceed MAX_STEPS."""
-    if not records * n_z <= MAX_STEPS:
+def check_records(records: float, width: int) -> None:
+    """Reject a march whose `records` rows of `width` values exceed MAX_STEPS."""
+    if not records * width <= MAX_STEPS:
         raise ValidationError("recorded march exceeds the step cap",
-                              records=records, n_z=n_z, cap=MAX_STEPS)
+                              records=records, width=width, cap=MAX_STEPS)

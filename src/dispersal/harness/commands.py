@@ -23,7 +23,7 @@ from ..bundle import effective_hamiltonian
 from ..ecology import check_H1, lambda_surface, principal_eigenpair, solve_theta
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
 from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitGrid, \
-    default_m
+    check_records, default_m
 from ..hj import canonical_ode, hj_steps, lax_oleinik, lax_oleinik_steps
 from .config import ExperimentSpec
 from .converge import limit_march, raise_if_failed, run_convergence, \
@@ -31,7 +31,6 @@ from .converge import limit_march, raise_if_failed, run_convergence, \
 from .io import write_csv, write_json, write_plot_script
 
 
-FLOQUET_MAX_RECORDS = 200_000  # cap on the recorded floquet-test window
 V_CSV_MAX_ROWS = 1_000_000  # cap on the rows of hj's V.csv, about 45 MB
 
 
@@ -98,9 +97,8 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
         raise ValidationError("floquet-test needs dtau > 0 and t_end >= 0",
                               dtau=dtau, t_end=t_end)
     window = np.round(t_end / dtau)
-    if not window <= FLOQUET_MAX_RECORDS:
-        raise ValidationError("record window too large", steps=window,
-                              cap=FLOQUET_MAX_RECORDS)
+    # the bundle's record rule, before the profile is built
+    check_records(window + 1, params["n_x"])
     cache = standard_setting(params)
     profile, m = cache.profile, cache.m
     traits = {k: params[k] for k in ("z", "resident")}
@@ -115,13 +113,13 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
     eff, = effective_hamiltonian([(frozen, 1.0, taus)], profile, [params["z"]],
                                  m, dtau=dtau)
     H = eff.H[0]
-    eig = principal_eigenpair(float(profile(params["z"])),
-                              ScalarField(m.grid, m.values - theta.values))
-    err = float(abs(H[-1] - eig.lam))
+    c = ScalarField(m.grid, m.values - theta.values)
+    lam, _, _ = principal_eigenpair(float(profile(params["z"])), c)
+    err = float(abs(H[-1] - lam))
     write_csv(out / "floquet.csv", ["tau", "H"], [taus, H])
     write_plot_script(out / "floquet.gp", "bundle normalizer", "tau", "H",
                       ["'floquet.csv' using 'tau':'H' with lines"])
-    summary = {"lambda": float(eig.lam), "H_end": float(H[-1]),
+    summary = {"lambda": lam, "H_end": float(H[-1]),
                "abs_error": err, "tol": params["tol"],
                "harnack": eff.meta["harnack"][0],
                "passed": bool(err <= params["tol"])}

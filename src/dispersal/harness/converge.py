@@ -77,8 +77,8 @@ def run_scale(out: Path, cache: ThetaCache, tg: TraitGrid, params: dict,
         "config": {**params, "eps": eps},
         "envelope": list(res.envelope),
         "violations": list(res.violations),
-        "steps": res.meta.get("steps"),
-        "dt": res.meta.get("dt"),
+        "steps": res.steps,
+        "dt": cfg.dt,
     })
     write_plot_script(out / "run.gp", "dominant trait", "t", "trait",
                       ["'run.csv' using 't':'zbar_eps' with lines"])

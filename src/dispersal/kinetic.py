@@ -16,7 +16,7 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .ecology import DispersalProfile
 from .errors import (AprioriViolated, PopulationExtinct, SolverError,
                      ValidationError)
 from .grids import (ScalarField, TimeIndexedField, TraitField, TraitGrid,
-                    march_steps, parabola_vertex)
+                    check_records, march_steps, parabola_vertex)
 from .tridiag import BlockDiffusion, FactoredDiffusion
 
 MAX_REACTION_COURANT = 0.2   # dt/eps cap for the frozen-rho exponential
@@ -188,7 +188,6 @@ def dominant_trait(stepper: Stepper) -> float:
 
 @dataclass(frozen=True)
 class RunResult:
-    config: SimConfig
     times: np.ndarray        # output times
     zbar: np.ndarray         # dominant trait per output time
     mass: np.ndarray         # total phase-space mass
@@ -197,8 +196,8 @@ class RunResult:
     rho_history: TimeIndexedField
     u_snaps: dict            # probe time -> (n_x, n_z) WKB values
     envelope: tuple          # (lo, hi) over the whole run
-    violations: tuple = ()
-    meta: dict = field(default_factory=dict)
+    violations: tuple
+    steps: int               # march steps to the horizon
 
     def zbar_at(self, t: float) -> float:
         return float(np.interp(t, self.times, self.zbar))
@@ -206,9 +205,13 @@ class RunResult:
 
 def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     """March to the horizon, recording stride outputs, the integrated-density
-    history for the bundle module, and WKB snapshots at the probe times."""
+    history for the bundle module, and WKB snapshots at the probe times.
+
+    The history keeps rho at every `history_stride`-th step and the last;
+    a history past the record rule is rejected before the first step."""
     dt = cfg.dt
     n_steps = march_steps(cfg.T, dt)
+    check_records(-(-n_steps // cfg.history_stride) + 1, cfg.m.grid.n_x)
     stepper = Stepper(cfg, init_population(cfg))
     probe_steps = {}
     for pt in probe_times:
@@ -245,7 +248,6 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
                 stepper.step()
 
     history = TimeIndexedField(np.array(hist_t), np.array(hist_rho))
-    return RunResult(cfg, np.array(times), np.array(zbars), np.array(masses),
+    return RunResult(np.array(times), np.array(zbars), np.array(masses),
                      np.array(lows), np.array(highs), history, u_snaps,
-                     stepper.envelope, tuple(stepper.violations),
-                     meta={"steps": n_steps, "dt": dt})
+                     stepper.envelope, tuple(stepper.violations), n_steps)

@@ -71,10 +71,10 @@ def test_one_sample_history_reads_as_constant(m, theta):
 def test_agrees_with_elliptic_eigenpair(grid, m, theta):
     # steady potential: the normalizer is the principal eigenvalue and the
     # profile the mass-normalized eigenfunction; splitting bias ~ 1e-7/step
-    pair = principal_eigenpair(0.5, ScalarField(grid, m.values - theta))
+    lam, phi, _ = principal_eigenpair(0.5, ScalarField(grid, m.values - theta))
     b = frozen_bundle(0.5, m, theta, 0.0, 5e-6)
-    assert abs(b.H[0, 0] - pair.lam) <= 1e-6
-    assert np.max(np.abs(np.exp(-b.log_phi[0, 0]) - pair.phi.values)) <= 1e-5
+    assert abs(b.H[0, 0] - lam) <= 1e-6
+    assert np.max(np.abs(np.exp(-b.log_phi[0, 0]) - phi)) <= 1e-5
 
 
 def test_records_unit_mass_positive_and_bounded(grid, m):
@@ -142,6 +142,21 @@ def test_rejects_bad_inputs(m, theta):
         march(np.nan, spin_up=1.0)
 
 
+def test_rejects_records_past_the_record_rule(monkeypatch, m, theta):
+    # 156,251 profiles of 64 values, one past 10^7 stored values: refused
+    # before the march builds its diffusion solver
+    def solver(*args):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(bundle, "BlockDiffusion", solver)
+    hist = TimeIndexedField(np.array([0.0, 1.0]), np.vstack([theta, theta]))
+    with pytest.raises(ValidationError, match="recorded march") as exc:
+        effective_hamiltonian([(hist, 1.0, 1e-6 * np.arange(156_251))],
+                              constant_profile(0.5, -0.5, 0.5),
+                              np.array([0.0]), m, dtau=1e-6)
+    assert exc.value.diagnostics["width"] == 64
+
+
 def test_default_record_lattice(tmp_path):
     # floquet-test records the bundle at every step of [0, t_end]
     code = main(["floquet-test", "--override", "t_end=0.01",
@@ -181,7 +196,7 @@ def test_effective_hamiltonian_matches_invasion_exponent(grid, m):
                                  zs, m, dtau=5e-6)
     c = ScalarField(grid, m.values - theta_hat.values)
     for i, z in enumerate(zs):
-        lam = principal_eigenpair(float(prof(z)), c).lam
+        lam, _, _ = principal_eigenpair(float(prof(z)), c)
         assert np.max(np.abs(eff.H[i] - lam)) <= 1e-6
     assert eff.meta["frozen_early_extension"] is True
     assert np.all(np.array(eff.meta["harnack"]) >= 1.0)

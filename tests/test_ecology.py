@@ -68,16 +68,13 @@ def test_theta_fallback_returns_a_fixed_point_within_the_contract(grid64,
                                                                  m64):
     # a zero target is never met: the march stops at an iterate one more
     # step leaves bit for bit unchanged, whose residual meets the contract
-    history = []
-    theta = eco.solve_theta_pseudotime(0.5, m64, residual_target=0.0,
-                                       history=history).values
+    theta = eco.solve_theta_pseudotime(0.5, m64, residual_target=0.0).values
     step = FactoredDiffusion(64, grid64.h_x, 0.2 * 0.5)
     assert np.array_equal(step.solve(theta * (1.0 + 0.2 * (m64.values
                                                           - theta))), theta)
     res = 0.5 * mirror_laplacian(theta, grid64.h_x) + \
         theta * (m64.values - theta)
     assert 0.0 < np.max(np.abs(res)) <= eco.THETA_CONTRACT * np.max(m64.values)
-    assert 0.0 < history[-1] <= eco.THETA_CONTRACT * np.max(m64.values)
 
 
 def test_theta_fallback_raises_at_a_fixed_point_above_the_contract(
@@ -133,11 +130,9 @@ def _reference_theta(alpha, m, residual_rtol=1e-12, max_newton=60):
 
     target = residual_rtol * float(np.max(np.abs(mv)))
     theta = mv.copy()
-    history = []
     for _ in range(max_newton):
         res = residual(theta)
         norm = float(np.max(np.abs(res)))
-        history.append(norm)
         if norm <= target:
             return theta, False
         d = h * h
@@ -162,8 +157,7 @@ def _reference_theta(alpha, m, residual_rtol=1e-12, max_newton=60):
         if not accepted:
             break
     marched = eco.solve_theta_pseudotime(
-        alpha, m, residual_target=max(target, 1e-11 * float(np.max(np.abs(mv)))),
-        history=history)
+        alpha, m, residual_target=max(target, 1e-11 * float(np.max(np.abs(mv)))))
     return marched.values, True
 
 
@@ -206,18 +200,18 @@ def test_theta_rejects_a_bad_rate(m64, alpha):
 
 def test_eigenpair_constant_potential(grid64):
     c = ScalarField(grid64, np.full(64, 0.7))
-    pair = eco.principal_eigenpair(0.5, c)
-    assert pair.lam == pytest.approx(-0.7, abs=1e-11)
-    assert np.max(np.abs(pair.phi.values - 1.0)) < 1e-10
+    lam, phi, _ = eco.principal_eigenpair(0.5, c)
+    assert lam == pytest.approx(-0.7, abs=1e-11)
+    assert np.max(np.abs(phi - 1.0)) < 1e-10
 
 
 def test_eigenpair_invariants(grid64, m64):
     theta = eco.solve_theta(0.5, m64)
     c = ScalarField(grid64, m64.values - theta.values)
-    pair = eco.principal_eigenpair(0.8, c)
-    assert pair.phi.values.min() > 0.0
-    assert integrate(pair.phi) == pytest.approx(1.0, abs=1e-12)
-    assert pair.residual <= 1e-10
+    _, phi, residual = eco.principal_eigenpair(0.8, c)
+    assert phi.min() > 0.0
+    assert integrate(ScalarField(grid64, phi)) == pytest.approx(1.0, abs=1e-12)
+    assert residual <= 1e-10
 
 
 def _operator_diagonals(alpha, c: np.ndarray, h: float):
@@ -236,16 +230,16 @@ def test_eigenpair_dense_oracle():
     rng = np.random.default_rng(7)
     c = ScalarField(grid, rng.normal(0.5, 0.4, size=32))
     alpha = 0.37
-    pair = eco.principal_eigenpair(alpha, c)
+    lam, phi, _ = eco.principal_eigenpair(alpha, c)
 
     h = grid.h_x
     main, off = _operator_diagonals(alpha, c.values, h)
     dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     w, v = np.linalg.eigh(dense)
-    assert pair.lam == pytest.approx(w[0], abs=1e-9)
+    assert lam == pytest.approx(w[0], abs=1e-9)
     phi_oracle = np.abs(v[:, 0])
     phi_oracle /= h * phi_oracle.sum()
-    assert np.max(np.abs(pair.phi.values - phi_oracle)) < 1e-7
+    assert np.max(np.abs(phi - phi_oracle)) < 1e-7
 
 
 def test_eigenpair_matches_theta_on_diagonal(grid64, m64):
@@ -253,10 +247,10 @@ def test_eigenpair_matches_theta_on_diagonal(grid64, m64):
     # eigenvalue 0
     theta = eco.solve_theta(0.65, m64)
     c = ScalarField(grid64, m64.values - theta.values)
-    pair = eco.principal_eigenpair(0.65, c)
-    assert abs(pair.lam) < 1e-10
+    lam, phi, _ = eco.principal_eigenpair(0.65, c)
+    assert abs(lam) < 1e-10
     normalized = theta.values / (grid64.h_x * theta.values.sum())
-    assert np.max(np.abs(pair.phi.values - normalized)) < 1e-8
+    assert np.max(np.abs(phi - normalized)) < 1e-8
 
 
 def _column(n_x, resident_rate):
@@ -274,11 +268,6 @@ def _rows(batch):
 def _same_row(a, b):
     """Two (lam, phi, residual) rows are equal bit for bit."""
     return a[0] == b[0] and a[2] == b[2] and np.array_equal(a[1], b[1])
-
-
-def _same_pair(row, pair):
-    """A batch row equals a one-row `EigenPair` bit for bit."""
-    return _same_row(row, (pair.lam, pair.phi.values, pair.residual))
 
 
 def _reference_eigenpair(alpha, c, value_tol=1e-12, residual_tol=1e-11,
@@ -353,7 +342,7 @@ def test_eigenpair_batch_equals_row_by_row(monkeypatch, n_x, resident_rate):
     if resident_rate == 0.625:
         assert len(rows) == 500 and rows[-1] == 1
     single = [eco.principal_eigenpair(float(a), c) for a in alphas]
-    assert all(_same_pair(row, pair) for row, pair in zip(batch, single))
+    assert all(_same_row(row, pair) for row, pair in zip(batch, single))
     assert all(_matches_reference(row, float(a), c)
                for a, row in zip(alphas, batch))
 
@@ -366,7 +355,7 @@ def test_eigenpair_batch_at_the_cap_equals_row_by_row(monkeypatch):
     alphas = [0.45, 0.8, 1.3]
     batch = _rows(eco.principal_eigenpairs(alphas, c))
     for a, row in zip(alphas, batch):
-        assert _same_pair(row, eco.principal_eigenpair(a, c))
+        assert _same_row(row, eco.principal_eigenpair(a, c))
         assert _matches_reference(row, a, c, residual_tol=0.0, max_iter=60)
 
 
@@ -386,7 +375,7 @@ def test_eigenpair_batch_takes_one_potential_per_rate():
     alphas = [0.5, 1.0, 0.75, 1.0]
     cs = [columns[0], columns[0], columns[1], columns[1]]
     batch = _rows(eco.principal_eigenpairs(alphas, cs))
-    assert all(_same_pair(row, eco.principal_eigenpair(a, c))
+    assert all(_same_row(row, eco.principal_eigenpair(a, c))
                for a, c, row in zip(alphas, cs, batch))
     with pytest.raises(ValidationError):
         eco.principal_eigenpairs(alphas, cs[:3])
@@ -432,7 +421,7 @@ def test_eigenpair_batch_rejects_a_bad_rate_in_any_row(bad):
 def exponent(alpha1: float, theta: ScalarField, m: ScalarField) -> float:
     """Growth rate of a rare mutant of rate alpha1 in the resident theta."""
     c = ScalarField(m.grid, m.values - theta.values)
-    return eco.principal_eigenpair(alpha1, c).lam
+    return eco.principal_eigenpair(alpha1, c)[0]
 
 
 def test_diagonal_zero_identity(m64):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from dispersal import kinetic
 from dispersal.harness import commands, converge
 from dispersal.harness.cli import main
 from dispersal.harness.config import SCHEMAS, load_spec
@@ -286,12 +287,42 @@ def _rejection(capsys, out, command, overrides) -> str:
     (("t_end=0", "dtau=1e-9"), "step cap"),
     # a subnormal step: an infinite step count, and an infinite record window
     (("t_end=0", "dtau=5e-324"), "step cap"),
-    (("dtau=5e-324",), "record window"),
+    (("dtau=5e-324",), "recorded march"),
 ])
 def test_floquet_test_rejects_a_march_past_the_step_cap(tmp_path, capsys,
                                                        overrides, message):
     assert message in _rejection(capsys, tmp_path, "floquet-test",
                                  overrides)
+
+
+def test_floquet_test_checks_the_record_rule_before_the_profile(
+        tmp_path, capsys, monkeypatch):
+    # 160,001 records of 64 values: within the step cap, past the record rule
+    def setting(params):
+        raise AssertionError("the profile was built")
+
+    monkeypatch.setattr(commands, "standard_setting", setting)
+    assert run_cli("floquet-test", "--out", str(tmp_path),
+                   "--override", "t_end=0.8") == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_reject) == {
+        "error": "validation",
+        "message": "recorded march exceeds the step cap",
+        "diagnostics": {"records": 160_001, "width": 64, "cap": 10_000_000}}
+
+
+def test_pde_rejects_a_density_history_past_the_record_rule(
+        tmp_path, capsys, monkeypatch):
+    # 2 * 10^5 steps, each one's rho kept: 200,001 records of 64 values,
+    # within the step cap, rejected before the first step
+    def step(self):
+        raise AssertionError("the kinetic march stepped")
+
+    monkeypatch.setattr(kinetic.Stepper, "step", step)
+    assert "recorded march" in _rejection(
+        capsys, tmp_path, "pde",
+        ("T=0.2", "eps=0.01", "c_t=1e-4", "history_stride=1"))
 
 
 def test_lax_oleinik_rejects_a_march_past_the_step_cap(tmp_path, capsys):

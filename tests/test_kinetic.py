@@ -240,7 +240,7 @@ def test_envelope_and_history_bookkeeping(setting):
     assert res.rho_history.times[0] == 0.0
     assert res.rho_history.times[-1] == pytest.approx(0.2)
     assert set(res.u_snaps) == {0.1}
-    assert res.meta["steps"] == int(round(0.2 / cfg.dt))
+    assert res.steps == int(round(0.2 / cfg.dt))
 
 
 def test_sentinel_aborts_reaction_overshoot_cycle(setting):
