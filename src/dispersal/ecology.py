@@ -574,37 +574,13 @@ def construct_alpha(alpha0: float, L0: float, m: ScalarField) -> DispersalProfil
 H1_SAMPLES = 21  # default (z1, z2) sampling for the curvature/sign report
 
 
-@dataclass(frozen=True)
-class H1Report:
-    """Sampled curvature bounds and endpoint selection-gradient signs.
-
-    The extrema are maxima/minima over the sample grid only, hence inner
-    estimates of the continuum bounds.
-    """
-
-    k_lower: float
-    k_upper: float
-    sign_a: float
-    sign_b: float
-    passed: bool
-    n_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "K_lower": self.k_lower,
-            "K_upper": self.k_upper,
-            "sign_a": self.sign_a,
-            "sign_b": self.sign_b,
-            "pass": self.passed,
-            "n_samples": self.n_samples,
-        }
-
-
-def check_H1(cache: ThetaCache, n_samples: int = H1_SAMPLES) -> H1Report:
+def check_H1(cache: ThetaCache, n_samples: int = H1_SAMPLES) -> dict:
     """Verify uniform trait convexity and the endpoint gradient signs.
 
     Passing requires min d2_z1 lambda > 0 over the sample grid together with
-    d_z1 lambda(a, a) < 0 and d_z1 lambda(b, b) > 0.
+    d_z1 lambda(a, a) < 0 and d_z1 lambda(b, b) > 0.  Returns the h1.json
+    dict: the curvature extrema `K_lower`, `K_upper` are taken over the
+    sample grid only, hence inner estimates of the continuum bounds.
     """
     if n_samples < 2:
         raise ValidationError("H1 check needs at least 2 samples",
@@ -619,16 +595,18 @@ def check_H1(cache: ThetaCache, n_samples: int = H1_SAMPLES) -> H1Report:
             k_upper = max(k_upper, d2)
     sign_a, _ = lambda_derivs(a, a, cache)
     sign_b, _ = lambda_derivs(b, b, cache)
-    passed = bool(k_lower > 0.0 and sign_a < 0.0 and sign_b > 0.0)
-    return H1Report(float(k_lower), float(k_upper), float(sign_a),
-                    float(sign_b), passed, n_samples)
+    return {"K_lower": float(k_lower), "K_upper": float(k_upper),
+            "sign_a": float(sign_a), "sign_b": float(sign_b),
+            "pass": bool(k_lower > 0.0 and sign_a < 0.0 and sign_b > 0.0),
+            "n_samples": n_samples}
 
 
 def spectral_gap(alpha: float, c: ScalarField) -> float:
     """Difference of the two smallest eigenvalues of -alpha*L - diag(c)."""
     main, off = _operator_diagonals(alpha, c.values, c.grid.h_x)
     if not (np.isfinite(main).all() and np.isfinite(off).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise ValidationError("operator diagonals must not contain infs or "
+                              "NaNs", alpha=float(alpha))
     # the call eigh_tridiagonal(select="i", select_range=(0, 1)) makes
     _, vals, _, _, info = dstebz(main, off, 2, 0.0, 1.0, 1, 2, 0.0, "E")
     if info != 0:

@@ -2,7 +2,7 @@
 
 from .config import SCHEMAS, ExperimentSpec, load_spec
 from .commands import run_command
-from .converge import ConvergenceReport, run_convergence
+from .converge import run_convergence
 
 __all__ = ["SCHEMAS", "ExperimentSpec", "load_spec", "run_command",
-           "ConvergenceReport", "run_convergence"]
+           "run_convergence"]

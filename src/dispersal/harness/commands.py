@@ -26,8 +26,8 @@ from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitGrid, \
     check_records, default_m
 from ..hj import canonical_ode, hj_steps, lax_oleinik, lax_oleinik_steps
 from .config import ExperimentSpec
-from .converge import limit_march, raise_if_failed, run_convergence, \
-    run_scale, standard_setting
+from .converge import limit_march, run_convergence, run_scale, \
+    standard_setting
 from .io import write_csv, write_json, write_plot_script
 
 
@@ -84,11 +84,10 @@ def cmd_lambda_surface(params: dict, out: Path) -> dict:
 def cmd_check_h1(params: dict, out: Path) -> dict:
     cache = standard_setting(params)
     report = check_H1(cache, n_samples=params["samples"])
-    write_json(out / "h1.json", report.to_dict())
-    if not report.passed:
-        raise AcceptanceFailure("trait convexity check failed",
-                                **report.to_dict())
-    return report.to_dict()
+    write_json(out / "h1.json", report)
+    if not report["pass"]:
+        raise AcceptanceFailure("trait convexity check failed", **report)
+    return report
 
 
 def cmd_floquet_test(params: dict, out: Path) -> dict:
@@ -191,8 +190,12 @@ def cmd_pde(params: dict, out: Path) -> dict:
 
 def cmd_converge(params: dict, out: Path) -> dict:
     report = run_convergence(params, out)
-    raise_if_failed(report)
-    return report.to_dict()
+    if not report["passed"]:
+        failing = sorted(k for k, ok in report["verdicts"].items() if not ok)
+        raise AcceptanceFailure("convergence trends failed", failing=failing,
+                                metrics={k: report["metrics"][k]
+                                         for k in failing})
+    return report
 
 
 def cmd_pipeline(params: dict, out: Path) -> dict:
@@ -202,9 +205,8 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
     hj_steps(tg, T, params["dt"], 10)
     cache = standard_setting(params)
     h1 = check_H1(cache)
-    if not h1.passed:
-        raise AcceptanceFailure("trait convexity check failed",
-                                **h1.to_dict())
+    if not h1["pass"]:
+        raise AcceptanceFailure("trait convexity check failed", **h1)
 
     src, _, sol = limit_march(cache, tg, params, params["dt"],
                               record_every=10)
@@ -224,7 +226,7 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
     v_T = sol.V[-1]
     offset = 0.5 * eps * np.log(eps)
     summary = {
-        "h1": h1.to_dict(),
+        "h1": h1,
         "zbar_gap_end": float(abs(res.zbar[-1] - can.zbar[-1])),
         "rho_gap_end": float(
             np.abs(res.rho_history.values[-1] - theta_T.values).max()),

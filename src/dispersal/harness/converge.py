@@ -11,14 +11,13 @@ each metric per scale and verdicts of weak decrease (10% slack).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..bundle import effective_hamiltonian
 from ..ecology import ThetaCache, construct_alpha
-from ..errors import AcceptanceFailure, ValidationError
+from ..errors import ValidationError
 from ..grids import SpatialGrid, TraitField, TraitGrid, default_m
 from ..hj import HJSolution, SelfConsistentSource, canonical_ode, hj_steps, \
     solve_constrained_hj
@@ -92,24 +91,6 @@ def weakly_decreasing(values) -> bool:
     return bool(np.all(v[1:] <= TREND_SLACK * v[:-1]))
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    eps_list: tuple
-    metrics: dict          # name -> tuple of per-scale values
-    verdicts: dict         # name -> bool
-    passed: bool
-    extras: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_list": list(self.eps_list),
-            "metrics": {k: list(v) for k, v in self.metrics.items()},
-            "verdicts": dict(self.verdicts),
-            "passed": self.passed,
-            "extras": self.extras,
-        }
-
-
 def _h_record_times(eps: float, t_lo_unif: float, t_hi: float) -> np.ndarray:
     early = eps * np.asarray(EARLY_RECORD_MULTIPLES)
     unif = np.arange(t_lo_unif, t_hi + 1e-12, 0.05)
@@ -117,7 +98,10 @@ def _h_record_times(eps: float, t_lo_unif: float, t_hi: float) -> np.ndarray:
     return ts[ts <= t_hi + 1e-12]
 
 
-def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
+def run_convergence(params: dict, out_dir: Path) -> dict:
+    """Run every scale of `eps_list` and return the report.json dict:
+    `eps_list`, the per-scale `metrics` lists, the weak-decrease
+    `verdicts`, `passed` and the `extras`."""
     eps_list = tuple(params["eps_list"])
     if len(eps_list) < 3 or not np.all(np.diff(eps_list) < 0.0):
         raise ValidationError("scale list must be strictly decreasing with "
@@ -226,25 +210,16 @@ def run_convergence(params: dict, out_dir: Path) -> ConvergenceReport:
         "limit_zbar_end": float(can.zbar[-1]),
     }
 
-    report = ConvergenceReport(eps_list, {k: tuple(v) for k, v in cols.items()},
-                               verdicts, passed, extras)
+    report = {"eps_list": list(eps_list), "metrics": cols,
+              "verdicts": verdicts, "passed": passed, "extras": extras}
     out_dir.mkdir(parents=True, exist_ok=True)
     names = ["eps"] + list(cols)
     write_csv(out_dir / "report.csv", names,
               [np.asarray(eps_list)] + [np.asarray(cols[k]) for k in cols])
-    write_json(out_dir / "report.json", report.to_dict())
+    write_json(out_dir / "report.json", report)
     write_plot_script(
         out_dir / "report.gp", "convergence trends", "eps", "sup gap",
         [f"'report.csv' using 'eps':'{name}' with linespoints"
          for name in ("zbar_gap", "rho_gap", "u_gap", "width")],
         preamble=["set logscale xy"])
     return report
-
-
-def raise_if_failed(report: ConvergenceReport) -> None:
-    if not report.passed:
-        failing = sorted(k for k, ok in report.verdicts.items() if not ok)
-        raise AcceptanceFailure("convergence trends failed",
-                                failing=failing,
-                                metrics={k: list(report.metrics[k])
-                                         for k in failing})

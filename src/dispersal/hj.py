@@ -148,10 +148,10 @@ def _godunov_hamiltonian(p_minus: np.ndarray, p_plus: np.ndarray) -> np.ndarray:
 
 
 def _extract_sigma(v: np.ndarray, grid: TraitGrid, j: int, three: float,
-                   sigma_prev: float | None) -> float:
+                   sigma_prev: float) -> float:
     """Curvature at the minimizer node j: the 3-point value `three` that
     `_minimizer` returns, unless it jumps away from `sigma_prev`."""
-    if sigma_prev is None or sigma_prev <= 0.0:
+    if sigma_prev <= 0.0:
         return three
     if abs(three - sigma_prev) <= SIGMA_JUMP_FRACTION * abs(sigma_prev):
         return three
@@ -196,10 +196,12 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
     z = grid.nodes
 
     times, records = [0.0], [v.copy()]
-    _, zb, sig = _minimizer(v, grid, 0.0)
-    zbar, sigma, multiplier = [zb], [sig], [0.0]
-    sigma_prev, max_drift = sig, 0.0
-    k3 = max(sig, 1.0 / sig) if sig > 0 else np.inf
+    # the minimizer of the current v: the next substep's source trait and,
+    # at a step's end, its record
+    j, zb, three = _minimizer(v, grid, 0.0)
+    zbar, sigma, multiplier = [zb], [three], [0.0]
+    sigma_prev, max_drift = three, 0.0
+    k3 = max(three, 1.0 / three) if three > 0 else np.inf
 
     t = acc = t_last_rec = 0.0
     for step in range(1, n_steps + 1):
@@ -216,16 +218,15 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
                 if halvings > CFL_MAX_HALVINGS:
                     raise SolverError("step collapsed under the CFL bound",
                                       t=t, bound=bound)
-            _, zb_now, _ = _minimizer(v, grid, t)
             ham = _godunov_hamiltonian(p_minus, p_plus)
-            v = v - dt_sub * ham + dt_sub * source.rate(z, t, zb_now)
+            v = v - dt_sub * ham + dt_sub * source.rate(z, t, zb)
             low = float(v.min())
             max_drift = max(max_drift, abs(low) / dt_sub)
             v -= low
             acc += low
             t += dt_sub
+            j, zb, three = _minimizer(v, grid, t)
         t = t_target
-        j, zb, three = _minimizer(v, grid, t)
         sig_now = _extract_sigma(v, grid, j, three, sigma_prev)
         sigma_prev = sig_now
         if step % record_every == 0 or step == n_steps:

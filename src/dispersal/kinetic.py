@@ -207,11 +207,13 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     """March to the horizon, recording stride outputs, the integrated-density
     history for the bundle module, and WKB snapshots at the probe times.
 
-    The history keeps rho at every `history_stride`-th step and the last;
-    a history past the record rule is rejected before the first step."""
+    The history keeps rho at every `history_stride`-th step and the last,
+    the stride outputs five values at every `out_stride`-th step and the
+    last; either past the record rule is rejected before the first step."""
     dt = cfg.dt
     n_steps = march_steps(cfg.T, dt)
     check_records(-(-n_steps // cfg.history_stride) + 1, cfg.m.grid.n_x)
+    check_records(-(-n_steps // cfg.out_stride) + 1, 5)
     stepper = Stepper(cfg, init_population(cfg))
     probe_steps = {}
     for pt in probe_times:

@@ -83,9 +83,9 @@ def test_criterion_01_diagonal_zero_identity():
 def test_criterion_02_explicit_profile_h1(setting):
     _, _, profile, m = setting
     rep = check_H1(ThetaCache(profile, m))
-    ok = rep.passed and rep.k_lower > 0.0
-    report_line(2, ok, f"K in [{rep.k_lower:.3f}, {rep.k_upper:.3f}], "
-                       f"signs ({rep.sign_a:.3f}, {rep.sign_b:.3f})")
+    ok = rep["pass"] and rep["K_lower"] > 0.0
+    report_line(2, ok, f"K in [{rep['K_lower']:.3f}, {rep['K_upper']:.3f}], "
+                       f"signs ({rep['sign_a']:.3f}, {rep['sign_b']:.3f})")
 
 
 def test_criterion_03_floquet_elliptic_equivalence(setting):
@@ -157,19 +157,19 @@ def test_criterion_06_canonical_equation_consistency(setting):
 
 
 def test_criterion_07_headline_sweep(sweep):
-    v = sweep.verdicts
-    ratios = sweep.extras["x_osc_over_eps"]
+    v = sweep["verdicts"]
+    ratios = sweep["extras"]["x_osc_over_eps"]
     checks = {
         "a: trait": v["zbar_gap"],
         "b: density": v["rho_gap"],
         "c: wkb value": v["u_gap"],
-        "d: x-flatness": sweep.extras["x_osc_stable"],
+        "d: x-flatness": sweep["extras"]["x_osc_stable"],
         "e: width": v["width"],
     }
     detail = "; ".join(f"{name} {'ok' if ok_ else 'FAIL'}"
                        for name, ok_ in checks.items())
     detail += (f"; C={max(ratios):.2f}"
-               f"; width {[round(w, 3) for w in sweep.metrics['width']]}")
+               f"; width {[round(w, 3) for w in sweep['metrics']['width']]}")
     report_line(7, all(checks.values()), detail)
 
 
@@ -182,28 +182,28 @@ def test_sweep_matches_golden_metrics(sweep):
     """
     golden = json.loads((Path(__file__).parent / "golden_sweep.json")
                         .read_text(encoding="utf-8"))
-    assert list(sweep.eps_list) == golden["eps_list"]
-    assert set(sweep.metrics) == set(golden["metrics"])
+    assert sweep["eps_list"] == golden["eps_list"]
+    assert set(sweep["metrics"]) == set(golden["metrics"])
     for name, values in golden["metrics"].items():
-        np.testing.assert_allclose(sweep.metrics[name], values, rtol=1e-6,
+        np.testing.assert_allclose(sweep["metrics"][name], values, rtol=1e-6,
                                    atol=0.0, err_msg=name)
 
 
 def test_criterion_08_effective_hamiltonian_convergence(sweep):
-    gaps = sweep.metrics["h_gap"]
-    ints = sweep.metrics["h_int"]
-    ok = sweep.verdicts["h_gap"] and sweep.verdicts["h_int"]
+    gaps = sweep["metrics"]["h_gap"]
+    ints = sweep["metrics"]["h_int"]
+    ok = sweep["verdicts"]["h_gap"] and sweep["verdicts"]["h_int"]
     report_line(8, ok, f"sup gap {[f'{g:.4f}' for g in gaps]}, "
                        f"integral {[f'{i:.4f}' for i in ints]}")
 
 
 def test_criterion_09_a_priori_bounds(sweep):
-    lo = min(sweep.metrics["env_lo"])
-    hi = max(sweep.metrics["env_hi"])
-    ok = (lo > 0.0 and sweep.extras["envelope_stable_2x"]
-          and sum(sweep.extras["violations"]) == 0)
+    lo = min(sweep["metrics"]["env_lo"])
+    hi = max(sweep["metrics"]["env_hi"])
+    ok = (lo > 0.0 and sweep["extras"]["envelope_stable_2x"]
+          and sum(sweep["extras"]["violations"]) == 0)
     report_line(9, ok, f"envelope [{lo:.3f}, {hi:.3f}], stable within 2x, "
-                       f"violations {sweep.extras['violations']}")
+                       f"violations {sweep['extras']['violations']}")
 
 
 def test_criterion_10_monotone_approach_to_ess(setting):

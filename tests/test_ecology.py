@@ -595,9 +595,9 @@ def test_construct_alpha_rejects_bad_inputs(m64):
 
 def test_check_h1_passes_on_constructed_profile(profile61, m64):
     report = eco.check_H1(eco.ThetaCache(profile61, m64), n_samples=9)
-    assert report.passed
-    assert report.k_lower > 0.0
-    assert report.sign_a < 0.0 < report.sign_b
+    assert report["pass"]
+    assert report["K_lower"] > 0.0
+    assert report["sign_a"] < 0.0 < report["sign_b"]
 
 
 @pytest.mark.parametrize("n_samples", [1, 0, -1])
@@ -610,16 +610,16 @@ def test_check_h1_needs_two_samples(profile61, m64, n_samples):
 def test_check_h1_fails_on_constant_profile(m64):
     profile = constant_profile(0.6, -0.5, 0.5)
     report = eco.check_H1(eco.ThetaCache(profile, m64), n_samples=5)
-    assert not report.passed
-    assert abs(report.sign_a) < 1e-6
-    assert abs(report.sign_b) < 1e-6
+    assert not report["pass"]
+    assert abs(report["sign_a"]) < 1e-6
+    assert abs(report["sign_b"]) < 1e-6
 
 
 def test_check_h1_fails_on_decreasing_profile(m64):
     profile = affine_profile(0.9, -0.35, -0.5, 0.5)
     report = eco.check_H1(eco.ThetaCache(profile, m64), n_samples=5)
-    assert not report.passed
-    assert report.sign_b < 0.0
+    assert not report["pass"]
+    assert report["sign_b"] < 0.0
 
 
 def test_spectral_gap_constant_potential(grid64):
@@ -648,5 +648,12 @@ def test_spectral_gap_is_the_eigh_tridiagonal_gap(m64, alpha, resident):
 def test_spectral_gap_rejects_a_non_finite_potential(grid64):
     # ScalarField refuses NaN itself; a bare stand-in reaches the guard
     c = SimpleNamespace(grid=grid64, values=np.full(64, np.nan))
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValidationError, match="NaN"):
         eco.spectral_gap(0.5, c)
+
+
+def test_spectral_gap_rejects_a_non_finite_rate(m64):
+    # a typed validation error naming the rate, as principal_eigenpairs gives
+    with pytest.raises(ValidationError, match="infs") as info:
+        eco.spectral_gap(float("inf"), m64)
+    assert info.value.diagnostics == {"alpha": float("inf")}

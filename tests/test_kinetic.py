@@ -392,3 +392,18 @@ def test_run_rejects_a_march_past_the_step_cap(setting):
     # T / dt = 1e301 steps: rejected before the first one, not run for ever
     with pytest.raises(ValidationError, match="step cap"):
         run(base_config(setting, T=0.5, c_t=1e-300))
+
+
+def test_run_rejects_stride_outputs_past_the_record_rule(setting,
+                                                        monkeypatch):
+    # 10^7 steps, each one a run.csv row of 5 values: within the step cap
+    # and with a two-record history, rejected before the first step
+    def step(self):
+        raise AssertionError("the kinetic march stepped")
+
+    monkeypatch.setattr(Stepper, "step", step)
+    cfg = base_config(setting, eps=0.1, T=1.0, c_t=1e-6, out_stride=1,
+                      history_stride=10_000_000)
+    with pytest.raises(ValidationError, match="recorded march") as info:
+        run(cfg)
+    assert info.value.diagnostics["width"] == 5
