@@ -433,32 +433,31 @@ def _stencil_points(z1: float, profile: DispersalProfile
     return 0, h, [z1 - h, z1 + h, z1]
 
 
-def _column_derivs(z1s, z2: float, cache: ThetaCache) -> list[tuple]:
-    """lambda, (d/dz1) lambda and (d2/dz1^2) lambda at every z1 of one
-    resident column, with all stencil points solved as one eigen batch.
-
-    lambda(z1) is the stencil point at z1 itself: last of a central
-    stencil, first of a one-sided one.
-    """
+def lambda_surface(z1s, z2s, cache: ThetaCache
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda, (d/dz1) lambda and (d2/dz1^2) lambda on a (z1, z2) sample
+    product, each of shape (len(z1s), len(z2s)), by second-order differences:
+    central in the interior, one-sided within the step (`DERIV_STEP_FRACTION`
+    of the trait interval) of its endpoints.  One eigen batch per resident
+    column; lambda is the stencil point at z1 itself."""
     stencils = [_stencil_points(float(z1), cache.profile) for z1 in z1s]
-    lams = _exponents([z for _, _, pts in stencils for z in pts], z2,
-                      cache).tolist()
-    out = []
-    for side, h, pts in stencils:
-        f, lams = lams[:len(pts)], lams[len(pts):]
-        out.append((f[0] if side else f[-1], first_difference(side, h, f),
-                    second_difference(side, h, f)))
-    return out
+    points = [z for _, _, pts in stencils for z in pts]
+    out = np.empty((3, len(stencils), len(z2s)))
+    for j, z2 in enumerate(z2s):
+        lams = _exponents(points, z2, cache).tolist()
+        for i, (side, h, pts) in enumerate(stencils):
+            f, lams = lams[:len(pts)], lams[len(pts):]
+            out[:, i, j] = (f[0] if side else f[-1],
+                            first_difference(side, h, f),
+                            second_difference(side, h, f))
+    return tuple(out)
 
 
 def lambda_derivs(z1: float, z2: float,
                   cache: ThetaCache) -> tuple[float, float]:
-    """(d/dz1) lambda and (d2/dz1^2) lambda by second-order differences.
-
-    Central stencils in the interior; one-sided stencils within the step
-    (`DERIV_STEP_FRACTION` of the trait interval) of its endpoints.
-    """
-    return _column_derivs([z1], z2, cache)[0][1:]
+    """(d/dz1) lambda and (d2/dz1^2) lambda: the one-point `lambda_surface`."""
+    _, d1, d2 = lambda_surface([z1], [z2], cache)
+    return float(d1[0, 0]), float(d2[0, 0])
 
 
 def lambda_gradient(z1: float, z2: float, cache: ThetaCache) -> float:
@@ -476,31 +475,6 @@ def lambda_table(z1s: np.ndarray, z2s: np.ndarray,
     for j, z2 in enumerate(z2s):
         out[:, j] = _exponents(z1s, z2, cache)
     return out
-
-
-@dataclass(frozen=True)
-class LambdaSurface:
-    """Sampled exponent surface with its first mutant-trait derivative."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    lam: np.ndarray       # (n1, n2)
-    dlam_dz1: np.ndarray
-
-
-def lambda_surface(cache: ThetaCache, nz1: int = 21,
-                   nz2: int = 21) -> LambdaSurface:
-    """Exponent surface plus slope columns on an endpoint-inclusive grid."""
-    if min(nz1, nz2) < 1:
-        raise ValidationError("exponent surface needs at least 1 trait "
-                              "sample per axis", nz1=nz1, nz2=nz2)
-    z1s = np.linspace(cache.profile.a, cache.profile.b, nz1)
-    z2s = np.linspace(cache.profile.a, cache.profile.b, nz2)
-    lam = np.empty((nz1, nz2))
-    d1 = np.empty_like(lam)
-    for j, z2 in enumerate(z2s):
-        lam[:, j], d1[:, j], _ = zip(*_column_derivs(z1s, z2, cache))
-    return LambdaSurface(z1s, z2s, lam, d1)
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +561,12 @@ def check_H1(cache: ThetaCache, n_samples: int = H1_SAMPLES) -> dict:
                               n_samples=n_samples)
     a, b = cache.profile.a, cache.profile.b
     zs = np.linspace(a, b, n_samples)
-    k_lower = np.inf
-    k_upper = -np.inf
-    for z2 in zs:
-        for _, _, d2 in _column_derivs(zs, z2, cache):
-            k_lower = min(k_lower, d2)
-            k_upper = max(k_upper, d2)
+    d2 = lambda_surface(zs, zs, cache)[2]
     sign_a, _ = lambda_derivs(a, a, cache)
     sign_b, _ = lambda_derivs(b, b, cache)
-    return {"K_lower": float(k_lower), "K_upper": float(k_upper),
+    return {"K_lower": float(d2.min()), "K_upper": float(d2.max()),
             "sign_a": float(sign_a), "sign_b": float(sign_b),
-            "pass": bool(k_lower > 0.0 and sign_a < 0.0 and sign_b > 0.0),
+            "pass": bool(d2.min() > 0.0 and sign_a < 0.0 and sign_b > 0.0),
             "n_samples": n_samples}
 
 

@@ -27,7 +27,7 @@ from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitGrid, \
 from ..hj import canonical_ode, hj_steps, lax_oleinik, lax_oleinik_steps
 from .config import ExperimentSpec
 from .converge import limit_march, run_convergence, run_scale, \
-    standard_setting
+    scale_config, standard_setting
 from .io import write_csv, write_json, write_plot_script
 
 
@@ -62,21 +62,24 @@ def cmd_alpha_build(params: dict, out: Path) -> dict:
 
 
 def cmd_lambda_surface(params: dict, out: Path) -> dict:
+    n1, n2 = params["mutants"], params["residents"]
+    if min(n1, n2) < 1:
+        raise ValidationError("exponent surface needs at least 1 trait "
+                              "sample per axis", nz1=n1, nz2=n2)
     cache = standard_setting(params)
-    surf = lambda_surface(cache, nz1=params["mutants"],
-                          nz2=params["residents"])
-    n1, n2 = surf.lam.shape
+    z1s = np.linspace(cache.profile.a, cache.profile.b, n1)
+    z2s = np.linspace(cache.profile.a, cache.profile.b, n2)
+    lam, dlam, _ = lambda_surface(z1s, z2s, cache)
     write_csv(out / "lambda.csv", ["z1", "z2", "lambda", "dlambda_dz1"],
-              [np.repeat(surf.z1, n2), np.tile(surf.z2, n1),
-               surf.lam.ravel(), surf.dlam_dz1.ravel()])
+              [np.repeat(z1s, n2), np.tile(z2s, n1), lam.ravel(),
+               dlam.ravel()])
     write_plot_script(out / "lambda.gp", "invasion exponent",
                       "mutant trait", "resident trait",
                       ["'lambda.csv' using 'z1':'z2':'lambda'"],
                       preamble=["set pm3d", f"set dgrid3d {n1},{n2}",
                                 "set hidden3d"],
                       surface=True)
-    diag = np.abs([np.interp(z, surf.z2, surf.lam[i])
-                   for i, z in enumerate(surf.z1)])
+    diag = np.abs([np.interp(z, z2s, lam[i]) for i, z in enumerate(z1s)])
     return {"mutants": n1, "residents": n2,
             "max_abs_diagonal": float(diag.max())}
 
@@ -179,10 +182,9 @@ def cmd_lax_oleinik(params: dict, out: Path) -> dict:
 
 
 def cmd_pde(params: dict, out: Path) -> dict:
-    res = run_scale(out, standard_setting(params), TraitGrid(params["n_z"]),
-                    params, params["eps"], params["probes"],
-                    out_stride=params["out_stride"],
-                    history_stride=params["history_stride"])
+    cfg = scale_config(standard_setting(params), TraitGrid(params["n_z"]),
+                       params, params["eps"])
+    res = run_scale(out, cfg, params, params["probes"])
     return {"zbar_end": float(res.zbar[-1]), "mass_end": float(res.mass[-1]),
             "envelope": list(res.envelope),
             "violations": len(res.violations)}
@@ -204,6 +206,8 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
     # the march's own input check before the profile is built
     hj_steps(tg, T, params["dt"], 10)
     cache = standard_setting(params)
+    # the kinetic inputs before the limit
+    cfg = scale_config(cache, tg, params, eps)
     h1 = check_H1(cache)
     if not h1["pass"]:
         raise AcceptanceFailure("trait convexity check failed", **h1)
@@ -212,7 +216,7 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
                               record_every=10)
     can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
-    res = run_scale(out / "pde", cache, tg, params, eps, ())
+    res = run_scale(out / "pde", cfg, params, ())
 
     zb_lim = np.interp(res.times, can.times, can.zbar)
     write_csv(out / "zbar_compare.csv", ["t", "zbar_eps", "zbar_limit"],

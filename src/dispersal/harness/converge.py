@@ -48,14 +48,20 @@ def limit_march(cache: ThetaCache, tg: TraitGrid, params: dict, dt: float,
     return src, v0, sol
 
 
-def run_scale(out: Path, cache: ThetaCache, tg: TraitGrid, params: dict,
-              eps: float, probes: tuple, **strides) -> RunResult:
-    """One kinetic run at scale eps, its artifacts written to `out`: WKB
-    snapshots at the `probes` up to T and at T itself; `strides` are
-    SimConfig's output and history strides."""
-    T = params["T"]
-    cfg = SimConfig(eps, T, tg, cache.profile, cache.m, K0=params["K0"],
-                    zbar0=params["zbar0"], c_t=params["c_t"], **strides)
+def scale_config(cache: ThetaCache, tg: TraitGrid, params: dict,
+                 eps: float) -> SimConfig:
+    """The kinetic run at scale eps of a command's parameters; building it
+    checks every kinetic input, step cap and record rule included."""
+    keys = ("K0", "zbar0", "c_t", "out_stride", "history_stride")
+    return SimConfig(eps, params["T"], tg, cache.profile, cache.m,
+                     **{k: params[k] for k in keys if k in params})
+
+
+def run_scale(out: Path, cfg: SimConfig, params: dict,
+              probes: tuple) -> RunResult:
+    """The kinetic run `cfg`, its artifacts written to `out`: WKB snapshots
+    at the `probes` up to T and at T itself."""
+    T, tg = cfg.T, cfg.trait
     res = run(cfg, probe_times=tuple(sorted(
         {p for p in probes if p <= T + 1e-12} | {T})))
     out.mkdir(parents=True, exist_ok=True)
@@ -64,7 +70,7 @@ def run_scale(out: Path, cache: ThetaCache, tg: TraitGrid, params: dict,
               [res.times, res.zbar, res.mass, res.rho_min, res.rho_max])
     hist = res.rho_history
     n_t, n_x = hist.values.shape
-    xs = cache.m.grid.nodes
+    xs = cfg.m.grid.nodes
     write_csv(out / "rho.csv", ["t", "x", "rho"],
               [np.repeat(hist.times, n_x), np.tile(xs, n_t),
                hist.values.ravel()])
@@ -73,7 +79,7 @@ def run_scale(out: Path, cache: ThetaCache, tg: TraitGrid, params: dict,
         write_csv(out / f"u_snap_{pt:g}.csv", ["z", "x", "u"],
                   [np.repeat(tg.nodes, n_xs), np.tile(xs, n_z), u.T.ravel()])
     write_json(out / "meta.json", {
-        "config": {**params, "eps": eps},
+        "config": {**params, "eps": cfg.epsilon},
         "envelope": list(res.envelope),
         "violations": list(res.violations),
         "steps": res.steps,
@@ -117,6 +123,8 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
     # the march's own input check before the profile is built
     hj_steps(tg, T, params["hj_dt"], 10)
     cache = standard_setting(params)
+    # every scale's kinetic inputs before the limit
+    cfgs = [scale_config(cache, tg, params, eps) for eps in eps_list]
 
     src, _, sol = limit_march(cache, tg, params, params["hj_dt"],
                               record_every=10)
@@ -125,8 +133,8 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
     cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
                             "h_gap", "h_int", "env_lo", "env_hi")}
     violations, runs = [], []
-    for eps in eps_list:
-        res = run_scale(out_dir / f"eps_{eps:g}", cache, tg, params, eps,
+    for eps, cfg in zip(eps_list, cfgs):
+        res = run_scale(out_dir / f"eps_{eps:g}", cfg, params,
                         params["u_probes"])
         violations.append(len(res.violations))
 

@@ -283,7 +283,7 @@ def canonical_ode(source, sigma_track, z0: float,
                                         t=t, z=zz)
         return -source.diag_gradient(zz, t) / sigma_of(t)
 
-    n_steps = max(int(round(T / dt)), 1)
+    n_steps = march_steps(T, dt)
     times = np.empty(n_steps + 1)
     path = np.empty(n_steps + 1)
     sig = np.empty(n_steps + 1)

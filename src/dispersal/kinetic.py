@@ -62,6 +62,10 @@ class SimConfig:
                                   zbar0=self.zbar0)
         if self.out_stride < 1 or self.history_stride < 1:
             raise ValidationError("strides must be >= 1")
+        # the step cap, then the history's and the stride outputs' records
+        n_steps = march_steps(self.T, self.dt)
+        check_records(-(-n_steps // self.history_stride) + 1, self.m.grid.n_x)
+        check_records(-(-n_steps // self.out_stride) + 1, 5)
 
     @property
     def dt(self) -> float:
@@ -209,11 +213,9 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
 
     The history keeps rho at every `history_stride`-th step and the last,
     the stride outputs five values at every `out_stride`-th step and the
-    last; either past the record rule is rejected before the first step."""
+    last; `SimConfig` has checked both against the record rule."""
     dt = cfg.dt
     n_steps = march_steps(cfg.T, dt)
-    check_records(-(-n_steps // cfg.history_stride) + 1, cfg.m.grid.n_x)
-    check_records(-(-n_steps // cfg.out_stride) + 1, 5)
     stepper = Stepper(cfg, init_population(cfg))
     probe_steps = {}
     for pt in probe_times:

@@ -515,12 +515,18 @@ def test_surface_symmetry_under_even_profile(m64):
 
 def test_surface_values_are_the_table(m64):
     # the surface reads lambda off its derivative stencils, central inside
-    # and one-sided at the two end samples
+    # and one-sided at the two end samples; its derivatives are the
+    # one-point surfaces there
     profile = affine_profile(0.5, 0.3, -0.5, 0.5)
-    surf = eco.lambda_surface(eco.ThetaCache(profile, m64), nz1=9, nz2=3)
-    table = eco.lambda_table(surf.z1, surf.z2,
-                             eco.ThetaCache(profile, m64))
-    assert np.array_equal(surf.lam, table)
+    cache = eco.ThetaCache(profile, m64)
+    z1s, z2s = np.linspace(-0.5, 0.5, 9), np.linspace(-0.5, 0.5, 3)
+    lam, dlam, d2lam = eco.lambda_surface(z1s, z2s, cache)
+    table = eco.lambda_table(z1s, z2s, eco.ThetaCache(profile, m64))
+    assert np.array_equal(lam, table)
+    points = np.array([[eco.lambda_derivs(z1, z2, cache) for z2 in z2s]
+                       for z1 in z1s])
+    assert np.array_equal(dlam, points[..., 0])
+    assert np.array_equal(d2lam, points[..., 1])
 
 
 def test_same_minimizer_property(m64):

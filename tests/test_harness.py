@@ -67,6 +67,8 @@ def test_non_finite_value_is_rejected(tmp_path, capsys, command, override):
 @pytest.mark.parametrize("command,override", [
     ("lambda-surface", "mutants=0"),       # an empty sample axis
     ("lambda-surface", "residents=0"),
+    ("lambda-surface", "mutants=-1"),      # checked before the sample grids
+    ("lambda-surface", "residents=-1"),
     ("floquet-test", "resident=-3"),      # the profile's log goes NaN there
     ("floquet-test", "z=2"),              # extrapolated rate, passed before
 ])
@@ -368,6 +370,23 @@ def test_hj_commands_check_march_inputs_before_the_profile(
 
     monkeypatch.setattr(commands, "standard_setting", setting)
     monkeypatch.setattr(converge, "standard_setting", setting)
+    assert _rejection(capsys, tmp_path, command, overrides) == message
+
+
+@pytest.mark.parametrize("command,overrides,message", [
+    ("pipeline", ("c_t=0.5",), "c_t must lie in (0, 0.2]"),
+    ("converge", ("c_t=0.5",), "c_t must lie in (0, 0.2]"),
+    # 8 * 10^6 kinetic steps, a history of 8 * 10^5 records of 64 values
+    ("pipeline", ("T=100", "c_t=0.001"),
+     "recorded march exceeds the step cap"),
+])
+def test_multistage_commands_check_kinetic_inputs_before_the_limit(
+        tmp_path, capsys, monkeypatch, command, overrides, message):
+    def limit(*args, **kwargs):
+        raise AssertionError("the limit ran")
+
+    monkeypatch.setattr(commands, "check_H1", limit)
+    monkeypatch.setattr(converge, "solve_constrained_hj", limit)
     assert _rejection(capsys, tmp_path, command, overrides) == message
 
 

@@ -240,6 +240,19 @@ def test_canonical_ode_guards(sc_source, monkeypatch):
         canonical_ode(steep, ok_sigma, 0.25, 2.0)
 
 
+@pytest.mark.parametrize("T,steps", [(0.014, 2), (1.004, 101)])
+def test_canonical_ode_ends_at_a_horizon_off_the_step(ecology_setup, T,
+                                                      steps):
+    # the last step is shortened to land on T, not rounded away before it
+    drift = SyntheticSource(lambda z, t: np.zeros_like(z),
+                            grad_fn=lambda z, t: 0.1)
+    drift.profile = ecology_setup[1]
+    sigma_track = (np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+    traj = canonical_ode(drift, sigma_track, 0.25, T)
+    assert traj.times.size == steps + 1
+    assert abs(traj.times[-1] - T) <= 1e-12
+
+
 def test_selfconsistent_diagonal_guard(ecology_setup, monkeypatch):
     monkeypatch.setattr(hj, "RESIDENT_SAMPLES", 9)
     monkeypatch.setattr(hj, "DIAG_ZERO_TOL", 1e-9)

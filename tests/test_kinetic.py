@@ -402,8 +402,7 @@ def test_run_rejects_stride_outputs_past_the_record_rule(setting,
         raise AssertionError("the kinetic march stepped")
 
     monkeypatch.setattr(Stepper, "step", step)
-    cfg = base_config(setting, eps=0.1, T=1.0, c_t=1e-6, out_stride=1,
-                      history_stride=10_000_000)
     with pytest.raises(ValidationError, match="recorded march") as info:
-        run(cfg)
+        run(base_config(setting, eps=0.1, T=1.0, c_t=1e-6, out_stride=1,
+                        history_stride=10_000_000))
     assert info.value.diagnostics["width"] == 5
