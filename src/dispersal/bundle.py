@@ -176,7 +176,7 @@ def _plan(rho_history: TimeIndexedField, epsilon: float, t_record: np.ndarray,
             "k_spin": k_spin, "k_total": k_spin + int(window_steps),
             "rec_steps": k_spin + np.round(t_record / epsilon / dtau)
             .astype(int),
-            "c_rec": np.array([c_slow(float(t)) for t in t_record]),
+            "c_rec": m.values - rho_history.at(np.maximum(t_record, epsilon)),
             "H": np.empty(shape), "log_phi": np.empty(shape + (m.grid.n_x,)),
             "harnack": np.zeros(alphas.size), "c_max": 0.0}
 

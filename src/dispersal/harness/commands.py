@@ -25,9 +25,10 @@ from ..errors import AcceptanceFailure, DispersalError, ValidationError
 from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitGrid, \
     check_records, default_m
 from ..hj import canonical_ode, hj_steps, lax_oleinik, lax_oleinik_steps
+from ..kinetic import run
 from .config import ExperimentSpec
-from .converge import limit_march, run_convergence, run_scale, \
-    scale_config, standard_setting
+from .converge import limit_march, run_convergence, scale_config, \
+    scale_probes, standard_setting, write_scale
 from .io import write_csv, write_json, write_plot_script
 
 
@@ -184,7 +185,8 @@ def cmd_lax_oleinik(params: dict, out: Path) -> dict:
 def cmd_pde(params: dict, out: Path) -> dict:
     cfg = scale_config(standard_setting(params), TraitGrid(params["n_z"]),
                        params, params["eps"])
-    res = run_scale(out, cfg, params, params["probes"])
+    res = run(cfg, scale_probes(cfg, params["probes"]))
+    write_scale(out, cfg, params, res)
     return {"zbar_end": float(res.zbar[-1]), "mass_end": float(res.mass[-1]),
             "envelope": list(res.envelope),
             "violations": len(res.violations)}
@@ -216,7 +218,8 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
                               record_every=10)
     can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
-    res = run_scale(out / "pde", cfg, params, ())
+    res = run(cfg, (T,))
+    write_scale(out / "pde", cfg, params, res)
 
     zb_lim = np.interp(res.times, can.times, can.zbar)
     write_csv(out / "zbar_compare.csv", ["t", "zbar_eps", "zbar_limit"],

@@ -11,17 +11,19 @@ each metric per scale and verdicts of weak decrease (10% slack).
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from ..bundle import effective_hamiltonian
 from ..ecology import ThetaCache, construct_alpha
-from ..errors import ValidationError
+from ..errors import SolverError, ValidationError
 from ..grids import SpatialGrid, TraitField, TraitGrid, default_m
 from ..hj import HJSolution, SelfConsistentSource, canonical_ode, hj_steps, \
     solve_constrained_hj
-from ..kinetic import RunResult, SimConfig, run
+from ..kinetic import RunResult, SimConfig, probe_steps, run
 from .io import write_csv, write_json, write_plot_script
 
 TREND_SLACK = 1.1        # weak decrease tolerance along the scale list
@@ -57,13 +59,15 @@ def scale_config(cache: ThetaCache, tg: TraitGrid, params: dict,
                      **{k: params[k] for k in keys if k in params})
 
 
-def run_scale(out: Path, cfg: SimConfig, params: dict,
-              probes: tuple) -> RunResult:
-    """The kinetic run `cfg`, its artifacts written to `out`: WKB snapshots
-    at the `probes` up to T and at T itself."""
-    T, tg = cfg.T, cfg.trait
-    res = run(cfg, probe_times=tuple(sorted(
-        {p for p in probes if p <= T + 1e-12} | {T})))
+def scale_probes(cfg: SimConfig, probes) -> tuple:
+    """The WKB snapshot times of the run `cfg`: the `probes` up to T, and T."""
+    return tuple(sorted({p for p in probes if p <= cfg.T + 1e-12} | {cfg.T}))
+
+
+def write_scale(out: Path, cfg: SimConfig, params: dict,
+                res: RunResult) -> None:
+    """The artifacts of `res`, the kinetic run of `cfg`, written to `out`."""
+    tg = cfg.trait
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "run.csv",
               ["t", "zbar_eps", "mass", "rho_min", "rho_max"],
@@ -87,7 +91,49 @@ def run_scale(out: Path, cfg: SimConfig, params: dict,
     })
     write_plot_script(out / "run.gp", "dominant trait", "t", "trait",
                       ["'run.csv' using 't':'zbar_eps' with lines"])
-    return res
+
+
+@contextmanager
+def _forked_run(cfg: SimConfig, probe_times: tuple):
+    """Yield a function that returns the run of `cfg`, marched in a forked
+    child from the start of the block, or raises its error.  Leaving the
+    block, on every path, terminates and joins the child."""
+    # imported here: at module level it adds 9-15 ms to every start-up
+    import multiprocessing
+
+    def send(conn):             # the child's whole work; it prints nothing
+        try:
+            conn.send(run(cfg, probe_times))
+        except Exception as exc:
+            conn.send(exc)
+
+    def result() -> RunResult:
+        try:
+            out = reader.recv()
+        except EOFError:        # the child died before it sent anything
+            child.join()
+            raise SolverError("kinetic run ended without a result",
+                              epsilon=cfg.epsilon,
+                              exitcode=child.exitcode) from None
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    # fork, since the profile in SimConfig holds closures that do not
+    # pickle: only the result or the error crosses the pipe
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    child = ctx.Process(target=send, args=(writer,))
+    child.start()
+    writer.close()
+    try:
+        yield result
+    finally:
+        child.terminate()
+        child.join()
+        reader.close()
 
 
 def weakly_decreasing(values) -> bool:
@@ -105,7 +151,8 @@ def _h_record_times(eps: float, t_lo_unif: float, t_hi: float) -> np.ndarray:
 
 
 def run_convergence(params: dict, out_dir: Path) -> dict:
-    """Run every scale of `eps_list` and return the report.json dict:
+    """Run every scale of `eps_list`, the finest in one forked child (POSIX
+    `fork`) beside the others, and return the report.json dict:
     `eps_list`, the per-scale `metrics` lists, the weak-decrease
     `verdicts`, `passed` and the `extras`."""
     eps_list = tuple(params["eps_list"])
@@ -123,52 +170,60 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
     # the march's own input check before the profile is built
     hj_steps(tg, T, params["hj_dt"], 10)
     cache = standard_setting(params)
-    # every scale's kinetic inputs before the limit
+    # every scale's kinetic inputs and probe times before the limit
     cfgs = [scale_config(cache, tg, params, eps) for eps in eps_list]
-
-    src, _, sol = limit_march(cache, tg, params, params["hj_dt"],
-                              record_every=10)
-    can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
+    probes = [scale_probes(cfg, params["u_probes"]) for cfg in cfgs]
+    for cfg, pts in zip(cfgs, probes):
+        probe_steps(cfg, pts)
 
     cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
                             "h_gap", "h_int", "env_lo", "env_hi")}
     violations, runs = [], []
-    for eps, cfg in zip(eps_list, cfgs):
-        res = run_scale(out_dir / f"eps_{eps:g}", cfg, params,
-                        params["u_probes"])
-        violations.append(len(res.violations))
+    # the finest scale, the longest run, marches in a child beside the limit
+    # and the coarser scales; the loop takes its result in turn
+    with _forked_run(cfgs[-1], probes[-1]) as finest:
+        src, _, sol = limit_march(cache, tg, params, params["hj_dt"],
+                                  record_every=10)
+        can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
+        for eps, cfg, pts in zip(eps_list, cfgs, probes):
+            res = finest() if cfg is cfgs[-1] else run(cfg, pts)
+            write_scale(out_dir / f"eps_{eps:g}", cfg, params, res)
+            violations.append(len(res.violations))
 
-        zb_lim = np.interp(res.times, can.times, can.zbar)
-        cols["zbar_gap"].append(float(np.abs(res.zbar - zb_lim).max()))
+            zb_lim = np.interp(res.times, can.times, can.zbar)
+            cols["zbar_gap"].append(float(np.abs(res.zbar - zb_lim).max()))
 
-        hist = res.rho_history
-        gap = 0.0
-        for i, tv in enumerate(hist.times):
-            if tv < t_lo - 1e-12:
-                continue
-            theta = cache.theta(float(np.interp(tv, can.times, can.zbar)))
-            gap = max(gap, float(np.abs(hist.values[i] - theta.values).max()))
-        cols["rho_gap"].append(gap)
+            hist = res.rho_history
+            gap = 0.0
+            for i, tv in enumerate(hist.times):
+                if tv < t_lo - 1e-12:
+                    continue
+                theta = cache.theta(float(np.interp(tv, can.times,
+                                                    can.zbar)))
+                gap = max(gap, float(np.abs(hist.values[i]
+                                            - theta.values).max()))
+            cols["rho_gap"].append(gap)
 
-        offset = 0.5 * eps * np.log(eps)
-        u_gap = x_osc = 0.0
-        for pt, u in sorted(res.u_snaps.items()):
-            v_t = sol.V[int(np.argmin(np.abs(sol.times - pt)))]
-            u_gap = max(u_gap,
-                        float(np.abs(u.mean(axis=0) - offset - v_t).max()))
-            x_osc = max(x_osc, float((u.max(axis=0) - u.min(axis=0)).max()))
-        cols["u_gap"].append(u_gap)
-        cols["x_osc"].append(x_osc)
+            offset = 0.5 * eps * np.log(eps)
+            u_gap = x_osc = 0.0
+            for pt, u in sorted(res.u_snaps.items()):
+                v_t = sol.V[int(np.argmin(np.abs(sol.times - pt)))]
+                u_gap = max(u_gap, float(np.abs(u.mean(axis=0) - offset
+                                                - v_t).max()))
+                x_osc = max(x_osc,
+                            float((u.max(axis=0) - u.min(axis=0)).max()))
+            cols["u_gap"].append(u_gap)
+            cols["x_osc"].append(x_osc)
 
-        marginal = np.exp(-res.u_snaps[T] / eps).mean(axis=0)
-        w = marginal / marginal.sum()
-        second = float((w * (tg.nodes - res.zbar[-1]) ** 2).sum())
-        cols["width"].append(float(np.sqrt(second)))
+            marginal = np.exp(-res.u_snaps[T] / eps).mean(axis=0)
+            w = marginal / marginal.sum()
+            second = float((w * (tg.nodes - res.zbar[-1]) ** 2).sum())
+            cols["width"].append(float(np.sqrt(second)))
 
-        lo, hi = res.envelope
-        cols["env_lo"].append(float(lo))
-        cols["env_hi"].append(float(hi))
-        runs.append(res)
+            lo, hi = res.envelope
+            cols["env_lo"].append(float(lo))
+            cols["env_hi"].append(float(hi))
+            runs.append(res)
 
     effs = []
     if params["with_h"]:

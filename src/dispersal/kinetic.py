@@ -207,6 +207,19 @@ class RunResult:
         return float(np.interp(t, self.times, self.zbar))
 
 
+def probe_steps(cfg: SimConfig, probe_times: Sequence[float]) -> dict:
+    """Each step of the run `cfg` that rounds from a probe time, mapped to
+    those probe times; a probe time off the run's steps raises."""
+    n_steps = march_steps(cfg.T, cfg.dt)
+    steps = {}
+    for pt in probe_times:
+        k = int(round(pt / cfg.dt))
+        if not 0 <= k <= n_steps:
+            raise ValidationError("probe time outside the run", probe=pt)
+        steps.setdefault(k, []).append(pt)
+    return steps
+
+
 def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     """March to the horizon, recording stride outputs, the integrated-density
     history for the bundle module, and WKB snapshots at the probe times.
@@ -214,15 +227,9 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     The history keeps rho at every `history_stride`-th step and the last,
     the stride outputs five values at every `out_stride`-th step and the
     last; `SimConfig` has checked both against the record rule."""
-    dt = cfg.dt
-    n_steps = march_steps(cfg.T, dt)
+    n_steps = march_steps(cfg.T, cfg.dt)
+    snap_steps = probe_steps(cfg, probe_times)
     stepper = Stepper(cfg, init_population(cfg))
-    probe_steps = {}
-    for pt in probe_times:
-        k = int(round(pt / dt))
-        if not 0 <= k <= n_steps:
-            raise ValidationError("probe time outside the run", probe=pt)
-        probe_steps.setdefault(k, []).append(pt)
 
     times, zbars, masses, lows, highs = [], [], [], [], []
     hist_t, hist_rho = [], []
@@ -245,9 +252,9 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
             if k % cfg.history_stride == 0 or k == n_steps:
                 hist_t.append(stepper.t)
                 hist_rho.append(stepper.rho)   # step() rebinds, never writes
-            if k in probe_steps:
+            if k in snap_steps:
                 u = extract_u(stepper.n, cfg.epsilon)
-                u_snaps.update(dict.fromkeys(probe_steps[k], u))
+                u_snaps.update(dict.fromkeys(snap_steps[k], u))
             if k < n_steps:
                 stepper.step()
 

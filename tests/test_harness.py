@@ -4,8 +4,12 @@ import contextlib
 import importlib.util
 import io
 import json
+import multiprocessing
+import os
+import signal
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -18,7 +22,8 @@ from dispersal.harness import commands, converge
 from dispersal.harness.cli import main
 from dispersal.harness.config import SCHEMAS, load_spec
 from dispersal.harness.io import write_csv
-from dispersal.errors import SolverError, ValidationError
+from dispersal.errors import AprioriViolated, SolverError, ValidationError
+from dispersal.grids import TraitGrid
 from helpers import read_csv
 from test_golden import CASES, GOLDEN
 
@@ -379,15 +384,20 @@ def test_hj_commands_check_march_inputs_before_the_profile(
     # 8 * 10^6 kinetic steps, a history of 8 * 10^5 records of 64 values
     ("pipeline", ("T=100", "c_t=0.001"),
      "recorded march exceeds the step cap"),
+    # -1e-4 rounds to step 0 at eps 0.05 and 0.025, to step -1 at 0.0125
+    ("converge", ("u_probes=-0.0001",), "probe time outside the run"),
 ])
 def test_multistage_commands_check_kinetic_inputs_before_the_limit(
         tmp_path, capsys, monkeypatch, command, overrides, message):
     def limit(*args, **kwargs):
-        raise AssertionError("the limit ran")
+        raise AssertionError("the limit ran, or converge forked")
 
     monkeypatch.setattr(commands, "check_H1", limit)
     monkeypatch.setattr(converge, "solve_constrained_hj", limit)
+    monkeypatch.setattr(converge, "_forked_run", limit)
     assert _rejection(capsys, tmp_path, command, overrides) == message
+    # rejected before any scale ran
+    assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
 
 
 @pytest.mark.parametrize("command,overrides", [
@@ -637,3 +647,92 @@ def test_converge_rejects_short_or_increasing_lists(tmp_path):
                    "--override", "eps_list=0.05,0.025") == 2
     assert run_cli("converge", "--out", str(tmp_path / "b"),
                    "--override", "eps_list=0.0125,0.025,0.05") == 2
+
+
+# the default scales 0.05, 0.025 and 0.0125, of 80, 160 and 320 steps
+_FORKED_CONVERGE = ("T=0.05", "t_lo=0", "with_h=false")
+
+
+def _converge_args(out):
+    args = ["converge", "--out", str(out)]
+    for override in _FORKED_CONVERGE:
+        args += ["--override", override]
+    return args
+
+
+def test_converge_reports_the_error_of_its_forked_scale(tmp_path, capsys,
+                                                        monkeypatch):
+    # the finest scale marches in a forked child, which inherits this patch
+    step = kinetic.Stepper.step
+
+    def failing(self):
+        if self.cfg.epsilon == 0.0125 and self.t > 0.02:
+            raise AprioriViolated("planted", t=self.t,
+                                  rho_max=float(self.rho.max()))
+        step(self)
+
+    monkeypatch.setattr(kinetic.Stepper, "step", failing)
+    assert run_cli(*_converge_args(tmp_path)) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    # the same scale run in this process fails with the same diagnostic
+    params = load_spec("converge", None, list(_FORKED_CONVERGE),
+                       tmp_path).params
+    cfg = converge.scale_config(converge.standard_setting(params),
+                                TraitGrid(params["n_z"]), params, 0.0125)
+    with pytest.raises(AprioriViolated) as exc:
+        kinetic.run(cfg, converge.scale_probes(cfg, params["u_probes"]))
+    expected = exc.value.to_json_dict()
+    assert json.loads(lines[0]) == expected
+    assert json.loads((tmp_path / "error.json").read_text()) == expected
+    # the coarser scales wrote their artifacts, the failed one none
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eps_0.025", "eps_0.05", "error.json"]
+    assert (tmp_path / "eps_0.025" / "meta.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_converge_stops_its_forked_scale_on_an_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # the forked finest scale takes half a minute; an error in the limit
+    # must end the command at once, with no process left behind
+    step = kinetic.Stepper.step
+
+    def slow(self):
+        if self.cfg.epsilon == 0.0125 and self.t == 0.0:
+            time.sleep(30)
+        step(self)
+
+    def canonical(*args, **kwargs):
+        assert len(multiprocessing.active_children()) == 1
+        raise SolverError("planted")
+
+    monkeypatch.setattr(kinetic.Stepper, "step", slow)
+    monkeypatch.setattr(converge, "canonical_ode", canonical)
+    started = time.perf_counter()
+    assert run_cli(*_converge_args(tmp_path)) == 3
+    assert time.perf_counter() - started < 10.0
+    assert multiprocessing.active_children() == []
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line)["message"] for line in lines] == ["planted"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
+
+
+def test_converge_reports_a_forked_scale_that_died(tmp_path, capsys,
+                                                   monkeypatch):
+    # a child killed outright (the kernel's OOM killer, say) sends nothing
+    step = kinetic.Stepper.step
+
+    def killed(self):
+        if multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        step(self)
+
+    monkeypatch.setattr(kinetic.Stepper, "step", killed)
+    assert run_cli(*_converge_args(tmp_path)) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "solver", "message": "kinetic run ended without a result",
+        "diagnostics": {"epsilon": 0.0125, "exitcode": -signal.SIGKILL}}
+    assert multiprocessing.active_children() == []

@@ -10,7 +10,7 @@ from dispersal.errors import (AprioriViolated, PopulationExtinct, SolverError,
 from dispersal.grids import ScalarField, SpatialGrid, TraitGrid, default_m
 from dispersal.kinetic import (ENVELOPE_FACTOR, ENVELOPE_STREAK, SimConfig,
                                Stepper, dominant_trait, extract_u,
-                               init_population, run)
+                               init_population, probe_steps, run)
 from dispersal.tridiag import BlockDiffusion, FactoredDiffusion
 
 
@@ -269,6 +269,22 @@ def test_probe_times_must_land_in_horizon(setting):
     cfg = base_config(setting, T=0.2)
     with pytest.raises(ValidationError):
         run(cfg, probe_times=(0.5,))
+
+
+def test_each_scale_rounds_probe_times_to_its_own_steps(setting):
+    # at c_t = 0.0125 a step is eps / 80: -1e-4 is -0.16, -0.32 and -0.64
+    # steps at eps 0.05, 0.025 and 0.0125, so only the finest scale rounds
+    # it off the run; -2e-4 is -0.64 steps at eps 0.025
+    for eps in (0.05, 0.025):
+        cfg = base_config(setting, eps=eps, T=0.5, c_t=0.0125)
+        assert probe_steps(cfg, (-1e-4, 0.25)) == {0: [-1e-4],
+                                                  round(0.25 / cfg.dt): [0.25]}
+    for eps, pt in ((0.0125, -1e-4), (0.025, -2e-4)):
+        cfg = base_config(setting, eps=eps, T=0.5, c_t=0.0125)
+        with pytest.raises(ValidationError,
+                           match="probe time outside the run") as exc:
+            probe_steps(cfg, (0.25, pt))
+        assert exc.value.diagnostics == {"probe": pt}
 
 
 def _checked_density(cfg, values):
