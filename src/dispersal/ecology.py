@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import EigenDiverged, SolverError, ThetaDiverged, ValidationError
-from .grids import (ScalarField, difference_tables, first_difference,
-                    mirror_laplacian, neumann_bands, parabola_vertex,
-                    second_difference)
+from .grids import (ScalarField, check_records, difference_tables,
+                    first_difference, mirror_laplacian, neumann_bands,
+                    parabola_vertex, second_difference)
 from .lapack import dgtsv, dpbtrf, dpbtrs, dstebz
 from .tridiag import FactoredDiffusion
 
@@ -44,9 +44,10 @@ def _logistic_residual(theta: np.ndarray, alpha: float, m: np.ndarray,
 
 
 def _theta_inputs(alpha: float, m: ScalarField) -> np.ndarray:
-    if not 0.0 < alpha < np.inf:
-        raise ValidationError("dispersal rate must be positive and finite",
-                              alpha=alpha)
+    h = m.grid.h_x      # the main band 2 alpha / h^2 must not overflow either
+    if not 0.0 < 2.0 * (alpha / (h * h)) < np.inf:
+        raise ValidationError("dispersal rate must be positive and finite, "
+                              "also over h_x^2", alpha=alpha, n_x=m.grid.n_x)
     if m.values.min() <= 0.0:
         raise ValidationError("resource distribution must be positive",
                               min_m=float(m.values.min()))
@@ -548,6 +549,14 @@ def construct_alpha(alpha0: float, L0: float, m: ScalarField) -> DispersalProfil
 H1_SAMPLES = 21  # default (z1, z2) sampling for the curvature/sign report
 
 
+def check_h1_samples(n_samples: int) -> None:
+    """Reject under 2 samples per axis, or a surface past the record rule."""
+    if n_samples < 2:
+        raise ValidationError("H1 check needs at least 2 samples",
+                              n_samples=n_samples)
+    check_records(n_samples, n_samples)
+
+
 def check_H1(cache: ThetaCache, n_samples: int = H1_SAMPLES) -> dict:
     """Verify uniform trait convexity and the endpoint gradient signs.
 
@@ -556,9 +565,7 @@ def check_H1(cache: ThetaCache, n_samples: int = H1_SAMPLES) -> dict:
     dict: the curvature extrema `K_lower`, `K_upper` are taken over the
     sample grid only, hence inner estimates of the continuum bounds.
     """
-    if n_samples < 2:
-        raise ValidationError("H1 check needs at least 2 samples",
-                              n_samples=n_samples)
+    check_h1_samples(n_samples)
     a, b = cache.profile.a, cache.profile.b
     zs = np.linspace(a, b, n_samples)
     d2 = lambda_surface(zs, zs, cache)[2]

@@ -2,9 +2,10 @@
 
 Each command takes the validated parameter dict and an output directory,
 writes its CSV/JSON/gnuplot artifacts there, and returns a small summary
-dict that also lands in meta.json.  Failures raise the package's error
-types; run_command converts them into an error.json plus the documented
-exit code.
+dict that also lands in meta.json.  Every command checks each input that
+needs no dispersal profile before `standard_setting` builds one.  Failures
+raise the package's error types; run_command converts them into an
+error.json plus the documented exit code.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ import scipy
 from .. import __version__
 
 from ..bundle import effective_hamiltonian
-from ..ecology import check_H1, lambda_surface, principal_eigenpair, solve_theta
+from ..ecology import check_H1, check_h1_samples, lambda_surface, \
+    principal_eigenpair, solve_theta
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
 from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitGrid, \
     check_records, default_m
-from ..hj import canonical_ode, hj_steps, lax_oleinik, lax_oleinik_steps
+from ..hj import canonical_ode, lax_oleinik, lax_oleinik_steps
 from ..kinetic import run
 from .config import ExperimentSpec
-from .converge import limit_march, run_convergence, scale_config, \
-    scale_probes, standard_setting, write_scale
+from .converge import limit_march, limit_start, run_convergence, \
+    scale_config, standard_setting, write_scale
 from .io import write_csv, write_json, write_plot_script
 
 
@@ -53,6 +55,7 @@ def cmd_alpha_build(params: dict, out: Path) -> dict:
     if params["samples"] < 1:
         raise ValidationError("alpha-build needs at least 1 sample",
                               samples=params["samples"])
+    check_records(params["samples"], 3)     # the rows of alpha.csv
     profile = standard_setting(params).profile
     zs = np.linspace(profile.a, profile.b, params["samples"])
     write_csv(out / "alpha.csv", ["z", "alpha", "dalpha"],
@@ -67,6 +70,7 @@ def cmd_lambda_surface(params: dict, out: Path) -> dict:
     if min(n1, n2) < 1:
         raise ValidationError("exponent surface needs at least 1 trait "
                               "sample per axis", nz1=n1, nz2=n2)
+    check_records(n1 * n2, 4)               # the rows of lambda.csv
     cache = standard_setting(params)
     z1s = np.linspace(cache.profile.a, cache.profile.b, n1)
     z2s = np.linspace(cache.profile.a, cache.profile.b, n2)
@@ -86,8 +90,8 @@ def cmd_lambda_surface(params: dict, out: Path) -> dict:
 
 
 def cmd_check_h1(params: dict, out: Path) -> dict:
-    cache = standard_setting(params)
-    report = check_H1(cache, n_samples=params["samples"])
+    check_h1_samples(params["samples"])
+    report = check_H1(standard_setting(params), n_samples=params["samples"])
     write_json(out / "h1.json", report)
     if not report["pass"]:
         raise AcceptanceFailure("trait convexity check failed", **report)
@@ -100,10 +104,10 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
         raise ValidationError("floquet-test needs dtau > 0 and t_end >= 0",
                               dtau=dtau, t_end=t_end)
     window = np.round(t_end / dtau)
-    # the bundle's record rule, before the profile is built
-    check_records(window + 1, params["n_x"])
+    check_records(window + 1, params["n_x"])    # the bundle's record rule
     cache = standard_setting(params)
     profile, m = cache.profile, cache.m
+    # the one check that needs the profile: its trait interval
     traits = {k: params[k] for k in ("z", "resident")}
     if not all(profile.a < t < profile.b for t in traits.values()):
         raise ValidationError("traits must be interior",
@@ -134,14 +138,13 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
 
 def cmd_hj(params: dict, out: Path) -> dict:
     tg = TraitGrid(params["n_z"])
-    _, n_records = hj_steps(tg, params["T"], params["dt"],
-                            params["record_every"])
+    v0, n_records = limit_start(tg, params, params["dt"],
+                                params["record_every"])
     if not n_records * tg.n_z <= V_CSV_MAX_ROWS:
         raise ValidationError("V.csv would exceed the row cap",
                               rows=n_records * tg.n_z, cap=V_CSV_MAX_ROWS)
-    # the profile is built only once the march inputs have passed
-    src, _, sol = limit_march(standard_setting(params), tg, params,
-                              params["dt"], params["record_every"])
+    src, sol = limit_march(standard_setting(params), v0, params["T"],
+                           params["dt"], params["record_every"])
     write_csv(out / "hj.csv", ["t", "zbar", "sigma", "multiplier"],
               [sol.times, sol.zbar, sol.sigma, sol.multiplier])
     n_rec, n_z = sol.V.shape
@@ -164,11 +167,11 @@ def cmd_hj(params: dict, out: Path) -> dict:
 
 def cmd_lax_oleinik(params: dict, out: Path) -> dict:
     tg = TraitGrid(params["n_z"])
-    # the march's own input checks, then the reference's, before any solve
+    # the march's own input checks, then the reference's
     lax_oleinik_steps(tg, params["T"], params["dt_dp"], params["reach"])
-    hj_steps(tg, params["T"], params["dt"], 1)
-    src, v0, sol = limit_march(standard_setting(params), tg, params,
-                               params["dt"])
+    v0, _ = limit_start(tg, params, params["dt"])
+    src, sol = limit_march(standard_setting(params), v0, params["T"],
+                           params["dt"])
     dp = lax_oleinik(src, v0, params["T"], params["dt_dp"], params["reach"],
                      constrained=True, zbar_path=(sol.times, sol.zbar))
     gap = float(np.abs(sol.V[-1] - dp.V[-1]).max())
@@ -183,9 +186,9 @@ def cmd_lax_oleinik(params: dict, out: Path) -> dict:
 
 
 def cmd_pde(params: dict, out: Path) -> dict:
-    cfg = scale_config(standard_setting(params), TraitGrid(params["n_z"]),
-                       params, params["eps"])
-    res = run(cfg, scale_probes(cfg, params["probes"]))
+    cfg = scale_config(TraitGrid(params["n_z"]), params, params["eps"],
+                       params["probes"])
+    res = run(cfg, standard_setting(params))
     write_scale(out, cfg, params, res)
     return {"zbar_end": float(res.zbar[-1]), "mass_end": float(res.mass[-1]),
             "envelope": list(res.envelope),
@@ -205,20 +208,17 @@ def cmd_converge(params: dict, out: Path) -> dict:
 def cmd_pipeline(params: dict, out: Path) -> dict:
     tg = TraitGrid(params["n_z"])
     T, eps = params["T"], params["eps"]
-    # the march's own input check before the profile is built
-    hj_steps(tg, T, params["dt"], 10)
+    v0, _ = limit_start(tg, params, params["dt"], 10)
+    cfg = scale_config(tg, params, eps, ())
     cache = standard_setting(params)
-    # the kinetic inputs before the limit
-    cfg = scale_config(cache, tg, params, eps)
     h1 = check_H1(cache)
     if not h1["pass"]:
         raise AcceptanceFailure("trait convexity check failed", **h1)
 
-    src, _, sol = limit_march(cache, tg, params, params["dt"],
-                              record_every=10)
+    src, sol = limit_march(cache, v0, T, params["dt"], record_every=10)
     can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
-    res = run(cfg, (T,))
+    res = run(cfg, cache)
     write_scale(out / "pde", cfg, params, res)
 
     zb_lim = np.interp(res.times, can.times, can.zbar)

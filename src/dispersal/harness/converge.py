@@ -20,10 +20,11 @@ import numpy as np
 from ..bundle import effective_hamiltonian
 from ..ecology import ThetaCache, construct_alpha
 from ..errors import SolverError, ValidationError
-from ..grids import SpatialGrid, TraitField, TraitGrid, default_m
+from ..grids import SpatialGrid, TraitField, TraitGrid, check_records, \
+    default_m
 from ..hj import HJSolution, SelfConsistentSource, canonical_ode, hj_steps, \
-    solve_constrained_hj
-from ..kinetic import RunResult, SimConfig, probe_steps, run
+    initial_values, solve_constrained_hj
+from ..kinetic import RunResult, SimConfig, run
 from .io import write_csv, write_json, write_plot_script
 
 TREND_SLACK = 1.1        # weak decrease tolerance along the scale list
@@ -38,30 +39,33 @@ def standard_setting(params: dict) -> ThetaCache:
     return ThetaCache(profile, m)
 
 
-def limit_march(cache: ThetaCache, tg: TraitGrid, params: dict, dt: float,
-                record_every: int = 1
-                ) -> tuple[SelfConsistentSource, TraitField, HJSolution]:
-    """The rare-mutation limit of a run: its self-consistent source, the
-    quadratic start K0 (z - zbar0)^2 and the constrained HJ march to T."""
-    src = SelfConsistentSource(cache, tg)
+def limit_start(tg: TraitGrid, params: dict, dt: float,
+                record_every: int = 1) -> tuple[TraitField, int]:
+    """The limit's checked start K0 (z - zbar0)^2 and its march's records."""
+    _, n_records = hj_steps(tg, params["T"], dt, record_every)
     v0 = TraitField(tg, params["K0"] * (tg.nodes - params["zbar0"]) ** 2)
-    sol = solve_constrained_hj(src, v0, params["T"], dt,
-                               record_every=record_every)
-    return src, v0, sol
+    initial_values(v0)
+    return v0, n_records
 
 
-def scale_config(cache: ThetaCache, tg: TraitGrid, params: dict,
-                 eps: float) -> SimConfig:
-    """The kinetic run at scale eps of a command's parameters; building it
-    checks every kinetic input, step cap and record rule included."""
+def limit_march(cache: ThetaCache, v0: TraitField, T: float, dt: float,
+                record_every: int = 1
+                ) -> tuple[SelfConsistentSource, HJSolution]:
+    """The self-consistent source and the constrained HJ march from v0 to T."""
+    src = SelfConsistentSource(cache, v0.grid)
+    return src, solve_constrained_hj(src, v0, T, dt,
+                                     record_every=record_every)
+
+
+def scale_config(tg: TraitGrid, params: dict, eps: float, probes) -> SimConfig:
+    """The kinetic run at scale eps, with WKB snapshots at the `probes` up
+    to T and at T; building it checks every kinetic input and probe time."""
+    T = params["T"]
     keys = ("K0", "zbar0", "c_t", "out_stride", "history_stride")
-    return SimConfig(eps, params["T"], tg, cache.profile, cache.m,
+    return SimConfig(eps, T, tg, SpatialGrid(params["n_x"]),
+                     probes=tuple(sorted({p for p in probes if p <= T + 1e-12}
+                                         | {T})),
                      **{k: params[k] for k in keys if k in params})
-
-
-def scale_probes(cfg: SimConfig, probes) -> tuple:
-    """The WKB snapshot times of the run `cfg`: the `probes` up to T, and T."""
-    return tuple(sorted({p for p in probes if p <= cfg.T + 1e-12} | {cfg.T}))
 
 
 def write_scale(out: Path, cfg: SimConfig, params: dict,
@@ -74,7 +78,7 @@ def write_scale(out: Path, cfg: SimConfig, params: dict,
               [res.times, res.zbar, res.mass, res.rho_min, res.rho_max])
     hist = res.rho_history
     n_t, n_x = hist.values.shape
-    xs = cfg.m.grid.nodes
+    xs = cfg.space.nodes
     write_csv(out / "rho.csv", ["t", "x", "rho"],
               [np.repeat(hist.times, n_x), np.tile(xs, n_t),
                hist.values.ravel()])
@@ -94,16 +98,16 @@ def write_scale(out: Path, cfg: SimConfig, params: dict,
 
 
 @contextmanager
-def _forked_run(cfg: SimConfig, probe_times: tuple):
-    """Yield a function that returns the run of `cfg`, marched in a forked
-    child from the start of the block, or raises its error.  Leaving the
-    block, on every path, terminates and joins the child."""
+def _forked_run(cfg: SimConfig, cache: ThetaCache):
+    """Yield a function that returns the run of `cfg` in `cache`, marched
+    in a forked child from the start of the block, or raises its error.
+    Leaving the block, on every path, terminates and joins the child."""
     # imported here: at module level it adds 9-15 ms to every start-up
     import multiprocessing
 
     def send(conn):             # the child's whole work; it prints nothing
         try:
-            conn.send(run(cfg, probe_times))
+            conn.send(run(cfg, cache))
         except Exception as exc:
             conn.send(exc)
 
@@ -119,8 +123,8 @@ def _forked_run(cfg: SimConfig, probe_times: tuple):
             raise out
         return out
 
-    # fork, since the profile in SimConfig holds closures that do not
-    # pickle: only the result or the error crosses the pipe
+    # fork, since the cache's profile holds closures that do not pickle:
+    # only the result or the error crosses the pipe
     ctx = multiprocessing.get_context("fork")
     reader, writer = ctx.Pipe(duplex=False)
     sys.stdout.flush()
@@ -167,26 +171,29 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
         raise ValidationError("a comparison window is empty", t_lo=t_lo, T=T,
                               h_t_lo=h_t_lo, h_t_hi=h_t_hi)
     tg = TraitGrid(params["n_z"])
-    # the march's own input check before the profile is built
-    hj_steps(tg, T, params["hj_dt"], 10)
+    v0, _ = limit_start(tg, params, params["hj_dt"], 10)
+    cfgs = [scale_config(tg, params, eps, params["u_probes"])
+            for eps in eps_list]
+    n_h = params["z_samples"]
+    if params["with_h"]:
+        if n_h < 1:
+            raise ValidationError("the H table needs at least 1 trait sample",
+                                  z_samples=n_h)
+        # the bundle's record rule: each record holds n_x values per trait
+        check_records(max(t.size for t in t_recs.values()),
+                      n_h * params["n_x"])
     cache = standard_setting(params)
-    # every scale's kinetic inputs and probe times before the limit
-    cfgs = [scale_config(cache, tg, params, eps) for eps in eps_list]
-    probes = [scale_probes(cfg, params["u_probes"]) for cfg in cfgs]
-    for cfg, pts in zip(cfgs, probes):
-        probe_steps(cfg, pts)
 
     cols = {k: [] for k in ("zbar_gap", "rho_gap", "u_gap", "x_osc", "width",
                             "h_gap", "h_int", "env_lo", "env_hi")}
     violations, runs = [], []
     # the finest scale, the longest run, marches in a child beside the limit
     # and the coarser scales; the loop takes its result in turn
-    with _forked_run(cfgs[-1], probes[-1]) as finest:
-        src, _, sol = limit_march(cache, tg, params, params["hj_dt"],
-                                  record_every=10)
+    with _forked_run(cfgs[-1], cache) as finest:
+        src, sol = limit_march(cache, v0, T, params["hj_dt"], record_every=10)
         can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
-        for eps, cfg, pts in zip(eps_list, cfgs, probes):
-            res = finest() if cfg is cfgs[-1] else run(cfg, pts)
+        for eps, cfg in zip(eps_list, cfgs):
+            res = finest() if cfg is cfgs[-1] else run(cfg, cache)
             write_scale(out_dir / f"eps_{eps:g}", cfg, params, res)
             violations.append(len(res.violations))
 
@@ -228,8 +235,7 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
     effs = []
     if params["with_h"]:
         # one bundle march for every scale, after every kinetic run
-        z_samp = np.linspace(tg.a + tg.h_z / 2, tg.b - tg.h_z / 2,
-                             params["z_samples"])
+        z_samp = np.linspace(tg.a + tg.h_z / 2, tg.b - tg.h_z / 2, n_h)
         effs = effective_hamiltonian(
             [(res.rho_history, eps, t_recs[eps])
              for eps, res in zip(eps_list, runs)],

@@ -105,7 +105,8 @@ class HJSolution:
             raise TrajectoryHitBoundary("recorded minimizer left the interior")
 
 
-def _validate_initial(grid: TraitGrid, V0: TraitField) -> np.ndarray:
+def initial_values(V0: TraitField) -> np.ndarray:
+    """V0 shifted to min 0, once checked nonnegative, convex and interior."""
     v = np.asarray(V0.values, dtype=float)
     if v.min() < 0.0:
         raise ValidationError("initial value must be nonnegative",
@@ -191,7 +192,7 @@ def solve_constrained_hj(source, V0: TraitField, T: float, dt: float, *,
     """
     grid = V0.grid
     n_steps, _ = hj_steps(grid, T, dt, record_every)
-    v = _validate_initial(grid, V0)
+    v = initial_values(V0)
     h = grid.h_z
     z = grid.nodes
 

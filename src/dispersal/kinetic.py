@@ -17,14 +17,13 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .ecology import DispersalProfile
+from .ecology import ThetaCache
 from .errors import (AprioriViolated, PopulationExtinct, SolverError,
                      ValidationError)
-from .grids import (ScalarField, TimeIndexedField, TraitField, TraitGrid,
+from .grids import (SpatialGrid, TimeIndexedField, TraitField, TraitGrid,
                     check_records, march_steps, parabola_vertex)
 from .tridiag import BlockDiffusion, FactoredDiffusion
 
@@ -39,13 +38,13 @@ class SimConfig:
     epsilon: float
     T: float
     trait: TraitGrid
-    profile: DispersalProfile
-    m: ScalarField
+    space: SpatialGrid
     K0: float = 4.0
     zbar0: float = 0.25
     c_t: float = 0.1
     out_stride: int = 10
     history_stride: int = 10
+    probes: tuple = ()          # WKB snapshot times
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 0.1:
@@ -62,10 +61,12 @@ class SimConfig:
                                   zbar0=self.zbar0)
         if self.out_stride < 1 or self.history_stride < 1:
             raise ValidationError("strides must be >= 1")
-        # the step cap, then the history's and the stride outputs' records
+        # the step cap, the records (density, history, outputs), the probes
         n_steps = march_steps(self.T, self.dt)
-        check_records(-(-n_steps // self.history_stride) + 1, self.m.grid.n_x)
+        check_records(1, self.space.n_x * self.trait.n_z)
+        check_records(-(-n_steps // self.history_stride) + 1, self.space.n_x)
         check_records(-(-n_steps // self.out_stride) + 1, 5)
+        probe_steps(self)
 
     @property
     def dt(self) -> float:
@@ -78,7 +79,7 @@ def init_population(cfg: SimConfig) -> np.ndarray:
     z = cfg.trait.nodes
     column = np.exp(-cfg.K0 * (z - cfg.zbar0) ** 2 / cfg.epsilon)
     column /= np.sqrt(cfg.epsilon)
-    return np.tile(column, (cfg.m.grid.n_x, 1))
+    return np.tile(column, (cfg.space.n_x, 1))
 
 
 class Stepper:
@@ -89,9 +90,12 @@ class Stepper:
     bound sentinel's envelope starts at the rho range of the start density.
     """
 
-    def __init__(self, cfg: SimConfig, n0: np.ndarray):
+    def __init__(self, cfg: SimConfig, cache: ThetaCache, n0: np.ndarray):
+        if cache.m.grid != cfg.space:
+            raise ValidationError("habitat grid is not the run's grid",
+                                  n_x=cache.m.grid.n_x, expected=cfg.space.n_x)
         n = np.array(n0, dtype=float)
-        shape = (cfg.m.grid.n_x, cfg.trait.n_z)
+        shape = (cfg.space.n_x, cfg.trait.n_z)
         if n.shape != shape:
             raise ValidationError("phase density shape mismatch",
                                   expected=list(shape), got=list(n.shape))
@@ -106,8 +110,9 @@ class Stepper:
         self.n, self.rho, self.t = n, rho, 0.0
         self.violations: list[dict] = []
         dt, eps = cfg.dt, cfg.epsilon
-        alphas = np.asarray(cfg.profile(cfg.trait.nodes), dtype=float)
-        self._xdiff = BlockDiffusion(cfg.m.grid.n_x, cfg.m.grid.h_x,
+        self._m = cache.m.values
+        alphas = np.asarray(cache.profile(cfg.trait.nodes), dtype=float)
+        self._xdiff = BlockDiffusion(cfg.space.n_x, cfg.space.h_x,
                                      dt * alphas / eps)
         self._zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z, dt * eps)
         self._env_lo, self._env_hi = float(rho.min()), float(rho.max())
@@ -145,7 +150,7 @@ class Stepper:
         star = self._xdiff.solve(self.n.T).T         # x-diffusion per z-slice
         star = self._zdiff.solve(star.T).T           # z-diffusion per x-slice
         rho_star = cfg.trait.h_z * star.sum(axis=1)
-        growth = np.exp((dt / eps) * (cfg.m.values - rho_star))
+        growth = np.exp((dt / eps) * (self._m - rho_star))
         star = star * growth[:, None]
         t_new = self.t + dt
         # one sum and one check per step, as in __init__
@@ -175,7 +180,7 @@ def dominant_trait(stepper: Stepper) -> float:
     out-weigh the selected peak for a while.
     """
     cfg = stepper.cfg
-    g = TraitField(cfg.trait, cfg.m.grid.h_x * stepper.n.sum(axis=0)).values
+    g = TraitField(cfg.trait, cfg.space.h_x * stepper.n.sum(axis=0)).values
     if float(g.max()) <= DENSITY_FLOOR:
         raise PopulationExtinct("all marginal mass at or below the floor",
                                 t=stepper.t,
@@ -207,12 +212,12 @@ class RunResult:
         return float(np.interp(t, self.times, self.zbar))
 
 
-def probe_steps(cfg: SimConfig, probe_times: Sequence[float]) -> dict:
-    """Each step of the run `cfg` that rounds from a probe time, mapped to
-    those probe times; a probe time off the run's steps raises."""
+def probe_steps(cfg: SimConfig) -> dict:
+    """Each step of the run `cfg` that rounds from one of its probe times,
+    mapped to those probe times; a probe time off the run's steps raises."""
     n_steps = march_steps(cfg.T, cfg.dt)
     steps = {}
-    for pt in probe_times:
+    for pt in cfg.probes:
         k = int(round(pt / cfg.dt))
         if not 0 <= k <= n_steps:
             raise ValidationError("probe time outside the run", probe=pt)
@@ -220,16 +225,16 @@ def probe_steps(cfg: SimConfig, probe_times: Sequence[float]) -> dict:
     return steps
 
 
-def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
-    """March to the horizon, recording stride outputs, the integrated-density
-    history for the bundle module, and WKB snapshots at the probe times.
+def run(cfg: SimConfig, cache: ThetaCache) -> RunResult:
+    """March to the horizon in `cache`, recording stride outputs, the
+    integrated-density history for the bundle module, and WKB snapshots.
 
     The history keeps rho at every `history_stride`-th step and the last,
     the stride outputs five values at every `out_stride`-th step and the
     last; `SimConfig` has checked both against the record rule."""
     n_steps = march_steps(cfg.T, cfg.dt)
-    snap_steps = probe_steps(cfg, probe_times)
-    stepper = Stepper(cfg, init_population(cfg))
+    snap_steps = probe_steps(cfg)
+    stepper = Stepper(cfg, cache, init_population(cfg))
 
     times, zbars, masses, lows, highs = [], [], [], [], []
     hist_t, hist_rho = [], []
@@ -238,7 +243,7 @@ def run(cfg: SimConfig, probe_times: Sequence[float] = ()) -> RunResult:
     def record_output():
         times.append(stepper.t)
         zbars.append(dominant_trait(stepper))
-        masses.append(cfg.m.grid.h_x * cfg.trait.h_z *
+        masses.append(cfg.space.h_x * cfg.trait.h_z *
                       float(stepper.n.sum()))
         lows.append(float(stepper.rho.min()))
         highs.append(float(stepper.rho.max()))

@@ -210,13 +210,14 @@ def test_criterion_10_monotone_approach_to_ess(setting):
     _, tg, profile, m = setting
     ess = profile.argmin()
     T = 12.0
-    src = SelfConsistentSource(ThetaCache(profile, m), tg)
+    cache = ThetaCache(profile, m)
+    src = SelfConsistentSource(cache, tg)
     v0 = TraitField(tg, 4.0 * (tg.nodes - 0.25) ** 2)
     sol = solve_constrained_hj(src, v0, T, 0.005, record_every=10)
     can = canonical_ode(src, (sol.times, sol.sigma), 0.25, T)
 
-    cfg = SimConfig(0.0125, T, tg, profile, m, zbar0=0.25, c_t=0.1)
-    res = run(cfg)
+    cfg = SimConfig(0.0125, T, tg, m.grid, zbar0=0.25, c_t=0.1)
+    res = run(cfg, cache)
 
     kin_jitter = float(np.diff(res.zbar).max())     # signed: + moves uphill
     ode_jitter = float(np.diff(can.zbar).max())

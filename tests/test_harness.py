@@ -263,6 +263,9 @@ def _reject(token):
 @example({"hj": {"dt": 1e-8, "record_every": 1, "T": 0.02}})
 # 10^4 steps, each recorded: within the record rule, past the V.csv row cap
 @example({"hj": {"dt": 1e-6, "record_every": 1, "T": 0.01}})
+# a finite rate whose diffusion band alpha / h_x^2 overflows
+@example({"theta": {"alpha": 1e306}})
+@example({"theta": {"alpha": 1e308}})
 def test_exit_code_contract(runs):
     _assert_contract(runs)
 
@@ -300,23 +303,6 @@ def test_floquet_test_rejects_a_march_past_the_step_cap(tmp_path, capsys,
                                                        overrides, message):
     assert message in _rejection(capsys, tmp_path, "floquet-test",
                                  overrides)
-
-
-def test_floquet_test_checks_the_record_rule_before_the_profile(
-        tmp_path, capsys, monkeypatch):
-    # 160,001 records of 64 values: within the step cap, past the record rule
-    def setting(params):
-        raise AssertionError("the profile was built")
-
-    monkeypatch.setattr(commands, "standard_setting", setting)
-    assert run_cli("floquet-test", "--out", str(tmp_path),
-                   "--override", "t_end=0.8") == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0], parse_constant=_reject) == {
-        "error": "validation",
-        "message": "recorded march exceeds the step cap",
-        "diagnostics": {"records": 160_001, "width": 64, "cap": 10_000_000}}
 
 
 def test_pde_rejects_a_density_history_past_the_record_rule(
@@ -359,44 +345,96 @@ def test_lax_oleinik_checks_its_inputs_before_the_reference(
         "diagnostics": diagnostics}
 
 
-@pytest.mark.parametrize("command,overrides,message", [
-    # n_x = 256 alone makes the profile's theta solves fail (exit 3)
-    ("hj", ("dt=0", "n_x=256"), "dt and T must be positive"),
-    ("lax-oleinik", ("dt_dp=0", "n_x=256"),
-     "dt_dp, T, reach must be positive"),
-    ("lax-oleinik", ("dt=0",), "dt and T must be positive"),
-    ("pipeline", ("dt=0", "n_x=256"), "dt and T must be positive"),
-    ("converge", ("hj_dt=0", "n_x=256"), "dt and T must be positive"),
+_RECORD_RULE = "recorded march exceeds the step cap"
+_CAP = 10_000_000
+
+
+def _case(command, overrides, message, **diagnostics):
+    case = f"{command}-{'-'.join(overrides)}".replace("000000000000", "e12")
+    return pytest.param(command, overrides, message, diagnostics, id=case)
+
+
+@pytest.mark.parametrize("command,overrides,message,diagnostics", [
+    # the HJ marches: n_x = 256 alone makes the profile's theta solves fail
+    _case("hj", ("dt=0", "n_x=256"), "dt and T must be positive",
+          dt=0.0, T=1.0),
+    _case("hj", ("K0=-1",), "initial value must be nonnegative",
+          min=-0.5566558837890625),
+    _case("hj", ("zbar0=0.7",), "initial minimizer must be interior",
+          index=127),
+    _case("lax-oleinik", ("dt_dp=0", "n_x=256"),
+          "dt_dp, T, reach must be positive", dt_dp=0.0, T=1.0, reach=4.0),
+    _case("lax-oleinik", ("dt=0",), "dt and T must be positive",
+          dt=0.0, T=1.0),
+    _case("lax-oleinik", ("zbar0=0.5",), "initial minimizer must be interior",
+          index=127),
+    _case("pipeline", ("dt=0", "n_x=256"), "dt and T must be positive",
+          dt=0.0, T=1.0),
+    _case("pipeline", ("K0=-1",), "initial value must be nonnegative",
+          min=-0.5566558837890625),
+    _case("converge", ("hj_dt=0", "n_x=256"), "dt and T must be positive",
+          dt=0.0, T=1.0),
+    # the kinetic runs
+    _case("pde", ("c_t=0.5",), "c_t must lie in (0, 0.2]", c_t=0.5),
+    _case("pde", ("probes=-1",), "probe time outside the run", probe=-1.0),
+    # the phase density, one record of n_x * n_z values
+    _case("pde", ("n_z=1000000000000",), _RECORD_RULE, records=1,
+          width=64 * 10**12, cap=_CAP),
+    _case("pipeline", ("c_t=0.5",), "c_t must lie in (0, 0.2]", c_t=0.5),
+    # 2 * 10^6 kinetic steps, a history of 2 * 10^5 records of 64 values
+    _case("pipeline", ("T=100", "c_t=0.001"), _RECORD_RULE,
+          records=200_001, width=64, cap=_CAP),
+    _case("converge", ("c_t=0.5",), "c_t must lie in (0, 0.2]", c_t=0.5),
+    # -1e-4 rounds to step 0 at eps 0.05 and 0.025, to step -1 at 0.0125
+    _case("converge", ("u_probes=-0.0001",), "probe time outside the run",
+          probe=-0.0001),
+    # the bundle: 24 records of z_samples * n_x values at the finest scale
+    _case("converge", ("z_samples=1000000000000",), _RECORD_RULE,
+          records=24, width=64 * 10**12, cap=_CAP),
+    _case("converge", ("z_samples=0",),
+          "the H table needs at least 1 trait sample", z_samples=0),
+    # the CSV rows times columns, and check-h1's surface
+    _case("alpha-build", ("samples=1000000000000",), _RECORD_RULE,
+          records=10**12, width=3, cap=_CAP),
+    _case("lambda-surface", ("mutants=1000000000000",), _RECORD_RULE,
+          records=21 * 10**12, width=4, cap=_CAP),
+    _case("lambda-surface", ("residents=1000000000000",), _RECORD_RULE,
+          records=41 * 10**12, width=4, cap=_CAP),
+    _case("check-h1", ("samples=1",), "H1 check needs at least 2 samples",
+          n_samples=1),
+    _case("check-h1", ("samples=1000000000000",), _RECORD_RULE,
+          records=10**12, width=10**12, cap=_CAP),
+    # 160,001 records of 64 values: within the step cap, past the rule
+    _case("floquet-test", ("t_end=0.8",), _RECORD_RULE, records=160_001,
+          width=64, cap=_CAP),
+    # the one exception: z and resident must lie inside the trait interval
+    # that the profile construction maps, so this check follows the profile
+    _case("floquet-test", ("z=2",), "the profile was built"),
 ])
-def test_hj_commands_check_march_inputs_before_the_profile(
-        tmp_path, capsys, monkeypatch, command, overrides, message):
+def test_profile_free_inputs_are_checked_before_the_profile(
+        tmp_path, capsys, monkeypatch, command, overrides, message,
+        diagnostics):
     def setting(params):
-        raise AssertionError("the profile was built")
+        raise ValidationError("the profile was built")
+
+    def later(*args, **kwargs):
+        raise AssertionError("a later stage ran, or converge forked")
 
     monkeypatch.setattr(commands, "standard_setting", setting)
     monkeypatch.setattr(converge, "standard_setting", setting)
-    assert _rejection(capsys, tmp_path, command, overrides) == message
-
-
-@pytest.mark.parametrize("command,overrides,message", [
-    ("pipeline", ("c_t=0.5",), "c_t must lie in (0, 0.2]"),
-    ("converge", ("c_t=0.5",), "c_t must lie in (0, 0.2]"),
-    # 8 * 10^6 kinetic steps, a history of 8 * 10^5 records of 64 values
-    ("pipeline", ("T=100", "c_t=0.001"),
-     "recorded march exceeds the step cap"),
-    # -1e-4 rounds to step 0 at eps 0.05 and 0.025, to step -1 at 0.0125
-    ("converge", ("u_probes=-0.0001",), "probe time outside the run"),
-])
-def test_multistage_commands_check_kinetic_inputs_before_the_limit(
-        tmp_path, capsys, monkeypatch, command, overrides, message):
-    def limit(*args, **kwargs):
-        raise AssertionError("the limit ran, or converge forked")
-
-    monkeypatch.setattr(commands, "check_H1", limit)
-    monkeypatch.setattr(converge, "solve_constrained_hj", limit)
-    monkeypatch.setattr(converge, "_forked_run", limit)
-    assert _rejection(capsys, tmp_path, command, overrides) == message
-    # rejected before any scale ran
+    monkeypatch.setattr(commands, "check_H1", later)
+    monkeypatch.setattr(converge, "solve_constrained_hj", later)
+    monkeypatch.setattr(converge, "_forked_run", later)
+    args = [command, "--out", str(tmp_path)]
+    for override in overrides:
+        args += ["--override", override]
+    assert run_cli(*args) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0], parse_constant=_reject) == {
+        "error": "validation", "message": message,
+        "diagnostics": diagnostics}
+    # rejected before anything was written
     assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
 
 
@@ -678,10 +716,10 @@ def test_converge_reports_the_error_of_its_forked_scale(tmp_path, capsys,
     # the same scale run in this process fails with the same diagnostic
     params = load_spec("converge", None, list(_FORKED_CONVERGE),
                        tmp_path).params
-    cfg = converge.scale_config(converge.standard_setting(params),
-                                TraitGrid(params["n_z"]), params, 0.0125)
+    cfg = converge.scale_config(TraitGrid(params["n_z"]), params, 0.0125,
+                                params["u_probes"])
     with pytest.raises(AprioriViolated) as exc:
-        kinetic.run(cfg, converge.scale_probes(cfg, params["u_probes"]))
+        kinetic.run(cfg, converge.standard_setting(params))
     expected = exc.value.to_json_dict()
     assert json.loads(lines[0]) == expected
     assert json.loads((tmp_path / "error.json").read_text()) == expected

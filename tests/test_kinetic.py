@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from dispersal.ecology import construct_alpha, solve_theta
+from dispersal.ecology import ThetaCache, construct_alpha, solve_theta
 from dispersal.errors import (AprioriViolated, PopulationExtinct, SolverError,
                               ValidationError)
 from dispersal.grids import ScalarField, SpatialGrid, TraitGrid, default_m
@@ -22,15 +22,21 @@ def setting():
     return sg, TraitGrid(128), profile, m
 
 
+@pytest.fixture(scope="module")
+def cache(setting):
+    _, _, profile, m = setting
+    return ThetaCache(profile, m)
+
+
 def base_config(setting, eps=0.05, T=1.0, **kw):
-    sg, tg, profile, m = setting
-    return SimConfig(eps, T, tg, profile, m, **kw)
+    sg, tg, _, _ = setting
+    return SimConfig(eps, T, tg, sg, **kw)
 
 
-def uniform_stepper(setting, cfg=None, value=1.0):
+def uniform_stepper(setting, cache, cfg=None, value=1.0):
     sg, tg, _, _ = setting
     cfg = cfg or base_config(setting)
-    return Stepper(cfg, np.full((sg.n_x, tg.n_z), value))
+    return Stepper(cfg, cache, np.full((sg.n_x, tg.n_z), value))
 
 
 def test_initial_mass_matches_gaussian_quadrature(setting):
@@ -44,9 +50,9 @@ def test_initial_mass_matches_gaussian_quadrature(setting):
         assert abs(mass / exact - 1.0) <= tol
 
 
-def test_initial_state_shape(setting):
+def test_initial_state_shape(setting, cache):
     cfg = base_config(setting)
-    st = Stepper(cfg, init_population(cfg))
+    st = Stepper(cfg, cache, init_population(cfg))
     assert st.t == 0.0 and st.violations == []
     # rho is constant in x by construction
     assert np.ptp(st.rho) == 0.0
@@ -79,7 +85,7 @@ def test_u_extraction_on_frozen_resident_state(setting):
 
 
 @pytest.mark.parametrize("bad", ["shape", np.nan, np.inf, -1e-6])
-def test_stepper_rejects_a_bad_start_density(setting, bad):
+def test_stepper_rejects_a_bad_start_density(setting, cache, bad):
     sg, tg, _, _ = setting
     if bad == "shape":
         vals = np.ones((sg.n_x, tg.n_z + 1))
@@ -87,14 +93,22 @@ def test_stepper_rejects_a_bad_start_density(setting, bad):
         vals = np.ones((sg.n_x, tg.n_z))
         vals[3, 5] = bad
     with pytest.raises(ValidationError):
-        Stepper(base_config(setting), vals)
+        Stepper(base_config(setting), cache, vals)
 
 
-def test_stepper_rho_and_marginal_quadrature(setting):
+def test_stepper_rejects_an_ecology_on_another_grid(setting, cache):
+    sg, tg, _, _ = setting
+    cfg = SimConfig(0.05, 1.0, tg, SpatialGrid(32))
+    with pytest.raises(ValidationError, match="habitat grid") as exc:
+        Stepper(cfg, cache, np.ones((32, tg.n_z)))
+    assert exc.value.diagnostics == {"n_x": sg.n_x, "expected": 32}
+
+
+def test_stepper_rho_and_marginal_quadrature(setting, cache):
     sg, tg, _, _ = setting
     weight = 1.0 - (tg.nodes - 0.1) ** 2
     vals = np.outer(np.arange(1.0, sg.n_x + 1.0), weight)
-    st = Stepper(base_config(setting), vals)
+    st = Stepper(base_config(setting), cache, vals)
     # rho is the midpoint rule in z, per spatial cell
     assert st.rho == pytest.approx(np.arange(1.0, sg.n_x + 1.0)
                                    * tg.h_z * weight.sum(), rel=1e-14)
@@ -109,16 +123,16 @@ def test_stepper_rho_and_marginal_quadrature(setting):
 def test_constant_environment_fixed_point(setting):
     sg, tg, profile, _ = setting
     m1 = ScalarField(sg, np.ones(sg.n_x))
-    cfg = SimConfig(0.05, 1.0, tg, profile, m1)
-    st = uniform_stepper(setting, cfg)
+    cfg = SimConfig(0.05, 1.0, tg, sg)
+    st = uniform_stepper(setting, ThetaCache(profile, m1), cfg)
     st.step()
     assert np.max(np.abs(st.n - 1.0)) <= 1e-12
 
 
-def test_diffusion_substeps_conserve_mass(setting):
+def test_diffusion_substeps_conserve_mass(setting, cache):
     # the step's two diffusion solves alone, without its reaction
     cfg = base_config(setting)
-    stepper = Stepper(cfg, init_population(cfg))
+    stepper = Stepper(cfg, cache, init_population(cfg))
     values = stepper.n
     for _ in range(50):
         values = stepper._xdiff.solve(values.T).T
@@ -126,12 +140,12 @@ def test_diffusion_substeps_conserve_mass(setting):
     assert abs(values.sum() / stepper.n.sum() - 1.0) <= 1e-12
 
 
-def test_mass_identity_first_order_in_dt(setting):
+def test_mass_identity_first_order_in_dt(setting, cache):
     sg, _, _, m = setting
     diffs = {}
     for c_t in (0.1, 0.05):
         cfg = base_config(setting, c_t=c_t)
-        stepper = Stepper(cfg, init_population(cfg))
+        stepper = Stepper(cfg, cache, init_population(cfg))
         for _ in range(3):
             stepper.step()
         mass0 = stepper.n.sum() * sg.h_x * cfg.trait.h_z
@@ -145,7 +159,7 @@ def test_mass_identity_first_order_in_dt(setting):
     assert 1.8 <= diffs[0.1] / diffs[0.05] <= 2.9
 
 
-def test_single_column_relaxes_at_fast_rate(setting):
+def test_single_column_relaxes_at_fast_rate(setting, cache):
     sg, tg, profile, m = setting
     j0 = 64
     theta = solve_theta(float(profile(tg.nodes[j0])), m).values
@@ -154,7 +168,7 @@ def test_single_column_relaxes_at_fast_rate(setting):
         cfg = base_config(setting, eps=eps)
         vals = np.zeros((sg.n_x, tg.n_z))
         vals[:, j0] = 0.5 / tg.h_z
-        stepper = Stepper(cfg, vals)
+        stepper = Stepper(cfg, cache, vals)
         dist = []
         for _ in range(25):
             stepper.step()
@@ -165,20 +179,20 @@ def test_single_column_relaxes_at_fast_rate(setting):
     assert all(0.4 <= rate <= 1.0 for rate in rates)
 
 
-def test_splitting_error_is_first_order(setting):
-    ref = run(base_config(setting, T=0.5, c_t=0.0125))
+def test_splitting_error_is_first_order(setting, cache):
+    ref = run(base_config(setting, T=0.5, c_t=0.0125), cache)
     errs = {}
     for c_t in (0.1, 0.05):
-        res = run(base_config(setting, T=0.5, c_t=c_t))
+        res = run(base_config(setting, T=0.5, c_t=c_t), cache)
         errs[c_t] = np.abs(res.rho_history.values[-1]
                            - ref.rho_history.values[-1]).max()
     # Richardson against the quarter-step reference: (8-1)/(4-1) for order one
     assert 2.0 <= errs[0.1] / errs[0.05] <= 2.7
 
 
-def test_dominant_trait_tracks_ess_at_small_eps(setting):
+def test_dominant_trait_tracks_ess_at_small_eps(setting, cache):
     _, tg, profile, _ = setting
-    res = run(base_config(setting, eps=0.0125))
+    res = run(base_config(setting, eps=0.0125), cache)
     ess = profile.argmin()
     moves = np.diff(res.zbar)
     # monotone toward the rate minimum within a one-cell jitter
@@ -188,51 +202,51 @@ def test_dominant_trait_tracks_ess_at_small_eps(setting):
     assert len(res.violations) == 0
 
 
-def test_moderate_eps_parks_at_the_wall_tail(setting):
+def test_moderate_eps_parks_at_the_wall_tail(setting, cache):
     # at eps=0.05 the Neumann mirror tail outgrows the selected peak once
     # the rate function has flattened (V at the wall drops under eps*ln 2
     # near t=0.5); the marginal maximizer then sits against the right wall
     _, tg, _, _ = setting
-    res = run(base_config(setting, eps=0.05))
+    res = run(base_config(setting, eps=0.05), cache)
     assert res.zbar[0] == pytest.approx(0.25, abs=1e-6)
     assert res.zbar[-1] >= 0.49
     assert res.zbar_at(0.3) <= 0.28
 
 
-def test_wall_pinned_argmax_is_reported_not_refined(setting):
+def test_wall_pinned_argmax_is_reported_not_refined(setting, cache):
     sg, tg, _, _ = setting
     vals = np.ones((sg.n_x, tg.n_z))
     vals[:, -1] = 5.0
-    st = Stepper(base_config(setting), vals)
+    st = Stepper(base_config(setting), cache, vals)
     assert dominant_trait(st) == tg.nodes[-1]
 
 
-def test_dominant_trait_refines_an_interior_peak(setting):
+def test_dominant_trait_refines_an_interior_peak(setting, cache):
     # marginal -3 (z - 0.07)^2 + 1: the 3-point fit of the peak is exact
-    sg, _, profile, m = setting
+    sg, _, _, _ = setting
     tg = TraitGrid(32)
     column = 1.0 - 3.0 * (tg.nodes - 0.07) ** 2
-    st = Stepper(SimConfig(0.05, 1.0, tg, profile, m),
+    st = Stepper(SimConfig(0.05, 1.0, tg, sg), cache,
                  np.tile(column, (sg.n_x, 1)))
     assert dominant_trait(st) == pytest.approx(0.07, abs=1e-9)
 
 
-def test_dominant_trait_extinct_below_floor(setting):
-    st = uniform_stepper(setting, value=0.0)
+def test_dominant_trait_extinct_below_floor(setting, cache):
+    st = uniform_stepper(setting, cache, value=0.0)
     with pytest.raises(PopulationExtinct):
         dominant_trait(st)
 
 
-def test_u_stays_x_flat(setting):
+def test_u_stays_x_flat(setting, cache):
     eps = 0.05
-    res = run(base_config(setting, eps=eps), probe_times=(0.5, 1.0))
+    res = run(base_config(setting, eps=eps, probes=(0.5, 1.0)), cache)
     for u in res.u_snaps.values():
         assert (u.max(axis=0) - u.min(axis=0)).max() <= 0.5 * eps
 
 
-def test_envelope_and_history_bookkeeping(setting):
-    cfg = base_config(setting, T=0.2)
-    res = run(cfg, probe_times=(0.1,))
+def test_envelope_and_history_bookkeeping(setting, cache):
+    cfg = base_config(setting, T=0.2, probes=(0.1,))
+    res = run(cfg, cache)
     lo, hi = res.envelope
     assert 0.0 < lo <= hi
     assert res.times[0] == 0.0
@@ -246,29 +260,28 @@ def test_envelope_and_history_bookkeeping(setting):
 def test_sentinel_aborts_reaction_overshoot_cycle(setting):
     sg, tg, profile, _ = setting
     hot = ScalarField(sg, np.full(sg.n_x, 30.0))
-    cfg = SimConfig(0.05, 1.0, tg, profile, hot, c_t=0.2)
+    cfg = SimConfig(0.05, 1.0, tg, sg, c_t=0.2)
     with pytest.raises(AprioriViolated):
-        run(cfg)
+        run(cfg, ThetaCache(profile, hot))
 
 
 def test_config_validation(setting):
-    _, tg, profile, m = setting
+    sg, tg, _, _ = setting
     with pytest.raises(ValidationError):
-        SimConfig(0.2, 1.0, tg, profile, m)          # eps > 0.1
+        SimConfig(0.2, 1.0, tg, sg)          # eps > 0.1
     with pytest.raises(ValidationError):
-        SimConfig(0.05, -1.0, tg, profile, m)
+        SimConfig(0.05, -1.0, tg, sg)
     with pytest.raises(ValidationError):
-        SimConfig(0.05, 1.0, tg, profile, m, c_t=0.5)
+        SimConfig(0.05, 1.0, tg, sg, c_t=0.5)
     with pytest.raises(ValidationError):
-        SimConfig(0.05, 1.0, tg, profile, m, zbar0=0.5)
+        SimConfig(0.05, 1.0, tg, sg, zbar0=0.5)
     with pytest.raises(ValidationError):
-        SimConfig(0.05, 1.0, tg, profile, m, K0=-1.0)
+        SimConfig(0.05, 1.0, tg, sg, K0=-1.0)
 
 
 def test_probe_times_must_land_in_horizon(setting):
-    cfg = base_config(setting, T=0.2)
     with pytest.raises(ValidationError):
-        run(cfg, probe_times=(0.5,))
+        base_config(setting, T=0.2, probes=(0.5,))
 
 
 def test_each_scale_rounds_probe_times_to_its_own_steps(setting):
@@ -276,14 +289,15 @@ def test_each_scale_rounds_probe_times_to_its_own_steps(setting):
     # steps at eps 0.05, 0.025 and 0.0125, so only the finest scale rounds
     # it off the run; -2e-4 is -0.64 steps at eps 0.025
     for eps in (0.05, 0.025):
-        cfg = base_config(setting, eps=eps, T=0.5, c_t=0.0125)
-        assert probe_steps(cfg, (-1e-4, 0.25)) == {0: [-1e-4],
-                                                  round(0.25 / cfg.dt): [0.25]}
+        cfg = base_config(setting, eps=eps, T=0.5, c_t=0.0125,
+                          probes=(-1e-4, 0.25))
+        assert probe_steps(cfg) == {0: [-1e-4],
+                                    round(0.25 / cfg.dt): [0.25]}
     for eps, pt in ((0.0125, -1e-4), (0.025, -2e-4)):
-        cfg = base_config(setting, eps=eps, T=0.5, c_t=0.0125)
         with pytest.raises(ValidationError,
                            match="probe time outside the run") as exc:
-            probe_steps(cfg, (0.25, pt))
+            base_config(setting, eps=eps, T=0.5, c_t=0.0125,
+                        probes=(0.25, pt))
         assert exc.value.diagnostics == {"probe": pt}
 
 
@@ -292,7 +306,7 @@ def _checked_density(cfg, values):
     float copy of the grid's shape, finite and nonnegative, and a finite rho
     summed again from that copy."""
     n = np.array(values, dtype=float)
-    assert n.shape == (cfg.m.grid.n_x, cfg.trait.n_z)
+    assert n.shape == (cfg.space.n_x, cfg.trait.n_z)
     assert np.all(np.isfinite(n)) and n.min() >= 0.0
     rho = cfg.trait.h_z * n.sum(axis=1)
     assert np.all(np.isfinite(rho))
@@ -304,10 +318,10 @@ class _ReferenceStepper:
     every new density is copied and checked whole, rho is summed from the
     checked copy, and each step builds a new violation tuple."""
 
-    def __init__(self, cfg, start):
-        self.cfg = cfg
-        alphas = np.asarray(cfg.profile(cfg.trait.nodes), dtype=float)
-        self.xdiff = BlockDiffusion(cfg.m.grid.n_x, cfg.m.grid.h_x,
+    def __init__(self, cfg, cache, start):
+        self.cfg, self.m = cfg, cache.m
+        alphas = np.asarray(cache.profile(cfg.trait.nodes), dtype=float)
+        self.xdiff = BlockDiffusion(cfg.space.n_x, cfg.space.h_x,
                                     cfg.dt * alphas / cfg.epsilon)
         self.zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z,
                                        cfg.dt * cfg.epsilon)
@@ -333,7 +347,7 @@ class _ReferenceStepper:
         star = self.xdiff.solve(self.n.T).T
         star = self.zdiff.solve(star.T).T
         rho_star = cfg.trait.h_z * star.sum(axis=1)
-        growth = np.exp((dt / eps) * (cfg.m.values - rho_star))
+        growth = np.exp((dt / eps) * (self.m.values - rho_star))
         star = star * growth[:, None]
         self.t += dt
         self.n, self.rho = _checked_density(cfg, star)
@@ -348,9 +362,10 @@ def test_step_equals_validated_reference(setting, variant):
     c_t = 0.1
     if variant == "hot":
         m, c_t = ScalarField(sg, np.full(sg.n_x, 20.0)), 0.2
-    cfg = SimConfig(0.05, 1.0, tg, profile, m, c_t=c_t)
+    cfg, cache = SimConfig(0.05, 1.0, tg, sg, c_t=c_t), ThetaCache(profile, m)
     start = init_population(cfg)
-    stepper, reference = Stepper(cfg, start), _ReferenceStepper(cfg, start)
+    stepper = Stepper(cfg, cache, start)
+    reference = _ReferenceStepper(cfg, cache, start)
     for _ in range(200):
         stepper.step()
         reference.step()
@@ -380,9 +395,9 @@ class _Corrupting:
     pytest.param(np.inf, SolverError, id="inf-SolverError-True"),
     pytest.param(-1e-6, ValidationError, id="-1e-06-ValidationError-True"),
 ])
-def test_step_rejects_a_corrupted_density(setting, value, error):
+def test_step_rejects_a_corrupted_density(setting, cache, value, error):
     cfg = base_config(setting)
-    stepper = Stepper(cfg, init_population(cfg))
+    stepper = Stepper(cfg, cache, init_population(cfg))
     stepper.step()
     n, rho, t = stepper.n, stepper.rho, stepper.t
     stepper._zdiff = _Corrupting(stepper._zdiff, value)
@@ -398,19 +413,18 @@ def test_run_reports_an_overflowing_reaction_without_warnings(setting):
     # exp(c_t * m) overflows to inf in the first step: the step's finiteness
     # check raises, and no numpy warning is printed ahead of the diagnostic
     sg, tg, profile, _ = setting
-    cfg = SimConfig(0.05, 0.1, tg, profile,
-                    ScalarField(sg, np.full(sg.n_x, 1e4)))
+    cfg = SimConfig(0.05, 0.1, tg, sg)
     with pytest.raises(SolverError):
-        run(cfg)
+        run(cfg, ThetaCache(profile, ScalarField(sg, np.full(sg.n_x, 1e4))))
 
 
-def test_run_rejects_a_march_past_the_step_cap(setting):
+def test_run_rejects_a_march_past_the_step_cap(setting, cache):
     # T / dt = 1e301 steps: rejected before the first one, not run for ever
     with pytest.raises(ValidationError, match="step cap"):
-        run(base_config(setting, T=0.5, c_t=1e-300))
+        run(base_config(setting, T=0.5, c_t=1e-300), cache)
 
 
-def test_run_rejects_stride_outputs_past_the_record_rule(setting,
+def test_run_rejects_stride_outputs_past_the_record_rule(setting, cache,
                                                         monkeypatch):
     # 10^7 steps, each one a run.csv row of 5 values: within the step cap
     # and with a two-record history, rejected before the first step
@@ -420,5 +434,5 @@ def test_run_rejects_stride_outputs_past_the_record_rule(setting,
     monkeypatch.setattr(Stepper, "step", step)
     with pytest.raises(ValidationError, match="recorded march") as info:
         run(base_config(setting, eps=0.1, T=1.0, c_t=1e-6, out_stride=1,
-                        history_stride=10_000_000))
+                        history_stride=10_000_000), cache)
     assert info.value.diagnostics["width"] == 5
