@@ -22,7 +22,7 @@ import numpy as np
 from .ecology import spectral_gap
 from .errors import SolverError, ValidationError
 from .grids import MAX_STEPS, ScalarField, TimeIndexedField, check_records
-from .tridiag import BlockDiffusion
+from .tridiag import diffusion_factor, solve_in_place
 
 DEFAULT_DTAU = 1e-3
 SPINUP_FACTOR = 20.0  # spin-up duration in units of inverse spectral gap
@@ -50,17 +50,18 @@ def effective_hamiltonian(scales, profile, z_samples: np.ndarray,
     `scales` holds triples (rho_history, epsilon, t_record) that share the
     other arguments; one table is returned per scale, in input order.  Every
     trait of every scale marches in lockstep, in its scale's fast time
-    tau = t/epsilon, as a row of one (scales * n_z, n_x) array.  A step is
-    one stacked implicit diffusion solve with uncoupled blocks, so that every
-    row keeps the bits of its own march, then each scale's reaction factor
-    and a per-row renormalization to unit mass.  The potential is frozen
-    below t = epsilon, so also through the spin-up that precedes the history
-    (recorded in the metadata).  Scales march by decreasing step count and
-    drop out as they end; reaction factors are built LATTICE_BLOCK_STEPS //
-    scales steps at a time, so memory grows neither with the horizon nor
-    with the scales.  Harnack ratios sup Phi / inf Phi are kept per trait,
-    every recorded profile is checked positive, and every scale is checked,
-    step cap and record rule included, before the first step.
+    tau = t/epsilon, as a row of one (scales, n_z, n_x) buffer that a step
+    updates in place: one implicit diffusion solve through the held factor
+    of uncoupled blocks, so that every row keeps the bits of its own march,
+    then each scale's reaction factor and a per-row renormalization to unit
+    mass.  The potential is frozen below t = epsilon, so also through the
+    spin-up that precedes the history (recorded in the metadata).  Scales
+    march by decreasing step count and drop out as they end; reaction
+    factors are built LATTICE_BLOCK_STEPS // scales steps at a time, so
+    memory grows neither with the horizon nor with the scales.  Harnack
+    ratios sup Phi / inf Phi are kept per trait, every recorded profile is
+    checked positive, and every scale is checked, step cap and record rule
+    included, before the first step.
     """
     if len(scales) == 0:
         raise ValidationError("the bundle march needs at least one scale")
@@ -89,11 +90,12 @@ def effective_hamiltonian(scales, profile, z_samples: np.ndarray,
     block_steps = max(LATTICE_BLOCK_STEPS // live, 1)
     blocks = np.empty((block_steps, live, 1, n_x))
     mus = dtau * alphas
-    solver = BlockDiffusion(n_x, h, np.tile(mus, live))
-    v = np.ones((live * n_z, n_x))        # one bundle profile per row
+    factor = diffusion_factor(n_x, h, np.tile(mus, live))
+    v = np.ones((live, n_z, n_x))         # a profile per scale and trait
+    flat = v.reshape(-1)                  # the same memory, as solved
     for k in range(march[0]["k_total"] + 1):
         for i, slot in records.get(k, ()):
-            plan, rows = march[i], v[i * n_z:(i + 1) * n_z]
+            plan, rows = march[i], v[i]
             v_min = rows.min(axis=1)
             if v_min.min() <= 0.0:
                 raise SolverError("bundle lost positivity",
@@ -108,8 +110,9 @@ def effective_hamiltonian(scales, profile, z_samples: np.ndarray,
             if live == 0:
                 break
             # the blocks are uncoupled: each keeps the factor it had
-            v, blocks = v[:live * n_z], blocks[:, :live]
-            solver = BlockDiffusion(n_x, h, np.tile(mus, live))
+            v, blocks = v[:live], blocks[:, :live]
+            flat = v.reshape(-1)
+            factor = diffusion_factor(n_x, h, np.tile(mus, live))
         j = k % block_steps
         if j == 0:
             for i, plan in enumerate(march[:live]):
@@ -122,10 +125,9 @@ def effective_hamiltonian(scales, profile, z_samples: np.ndarray,
                 blocks[:block.shape[0], i, 0] = block
                 plan["c_max"] = np.maximum(plan["c_max"],
                                            np.max(np.abs(np.log(block))))
-        v = solver.solve(v)
-        by_scale = v.reshape(live, n_z, n_x)
-        by_scale *= blocks[j]
-        v /= h * v.sum(axis=1, keepdims=True)
+        solve_in_place(factor, flat)
+        v *= blocks[j]
+        v /= h * v.sum(axis=2, keepdims=True)
 
     for plan in plans:
         max_H = float(np.max(np.abs(plan["H"])))
@@ -137,8 +139,7 @@ def effective_hamiltonian(scales, profile, z_samples: np.ndarray,
         z_nodes.copy(), plan["t"].copy(), plan["H"], plan["log_phi"],
         plan["epsilon"], {"dtau": dtau,
                           "spin_up": float(plan["k_spin"] * dtau),
-                          "harnack": plan["harnack"].tolist(),
-                          "frozen_early_extension": True})
+                          "harnack": plan["harnack"].tolist()})
         for plan in plans]
 
 

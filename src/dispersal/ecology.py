@@ -85,7 +85,6 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
             raise SolverError("singular Newton Jacobian for theta",
                               info=int(info), alpha=alpha)
         step = 1.0
-        accepted = False
         for _ in range(40):
             cand = theta + step * delta
             if cand.min() > 0.0:
@@ -93,10 +92,9 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
                 cand_norm = float(np.abs(cand_res).max())
                 if cand_norm <= (1.0 - 0.25 * step) * norm or cand_norm <= target:
                     theta, res, norm = cand, cand_res, cand_norm
-                    accepted = True
                     break
             step *= 0.5
-        if not accepted:
+        else:           # no damped step was accepted
             break
     # Newton stalled: implicit-diffusion logistic marching is unconditionally
     # positivity-preserving and converges linearly.  Its round-off floor is a
@@ -106,7 +104,7 @@ def solve_theta(alpha: float, m: ScalarField) -> ScalarField:
 
 
 def solve_theta_pseudotime(alpha: float, m: ScalarField, *,
-                           residual_target: float = 1e-12) -> ScalarField:
+                           residual_target: float) -> ScalarField:
     """Independent theta solver: implicit diffusion + explicit logistic marching.
 
     Pseudo-time step 0.2, at most 200,000 steps.  Slower than Newton but
@@ -161,10 +159,10 @@ def _operator_diagonals(alpha, c: np.ndarray, h: float):
 def principal_eigenpairs(alphas, c) -> tuple:
     """Principal eigenpairs of -alpha*L - diag(c), one per rate in `alphas`.
 
-    `c` is one ScalarField shared by every rate, or a sequence of them, one
-    per rate.  Returns the eigenvalues (k,), the eigenfunctions (k, n) and
-    the scaled residuals (k,); every row is checked to be strictly positive,
-    of unit mass to 1e-12 and within the `EIGEN_CONTRACT` residual.
+    `c` holds one ScalarField per rate, all on one grid.  Returns the
+    eigenvalues (k,), the eigenfunctions (k, n) and the scaled residuals
+    (k,); every row is checked to be strictly positive, of unit mass to
+    1e-12 and within the `EIGEN_CONTRACT` residual.
 
     Shifted inverse power iteration: the Gershgorin bound
     lambda_min >= -max c makes A - (shift)I positive definite for
@@ -188,18 +186,14 @@ def principal_eigenpairs(alphas, c) -> tuple:
     k = alphas.size
     if k == 0:
         return np.empty(0), np.empty((0, 0)), np.empty(0)
-    if isinstance(c, ScalarField):
-        grid, cv = c.grid, c.values
-    else:
-        if len(c) != k:
-            raise ValidationError("need one potential per dispersal rate",
-                                  rates=k, potentials=len(c))
-        grid = c[0].grid
-        if any(ci.grid != grid for ci in c):
-            raise ValidationError("potentials must share one spatial grid")
-        cv = np.array([ci.values for ci in c])
-    h = grid.h_x
-    n = grid.n_x
+    if len(c) != k:
+        raise ValidationError("need one potential per dispersal rate",
+                              rates=k, potentials=len(c))
+    grid = c[0].grid
+    if any(ci.grid != grid for ci in c):
+        raise ValidationError("potentials must share one spatial grid")
+    cv = np.array([ci.values for ci in c])
+    h, n = grid.h_x, grid.n_x
     main, off = _operator_diagonals(alphas, cv, h)
     shift = -cv.max(axis=-1, keepdims=True) - 1.0
     ab = np.zeros((2, k, n))
@@ -330,7 +324,7 @@ def principal_eigenpair(alpha: float, c: ScalarField
     """Smallest eigenvalue of -alpha*L - diag(c), its positive unit-mass
     eigenfunction and its scaled residual: the one row of
     `principal_eigenpairs`."""
-    lam, phi, res = principal_eigenpairs([alpha], c)
+    lam, phi, res = principal_eigenpairs([alpha], [c])
     return float(lam[0]), phi[0], float(res[0])
 
 
@@ -373,10 +367,9 @@ class DispersalProfile:
         j = int(np.argmin(vals))
         if j == 0 or j == n - 1:
             return float(zs[j])
-        z_star, _, _ = parabola_vertex(float(zs[j]), float(vals[j - 1]),
-                                       float(vals[j]), float(vals[j + 1]),
-                                       float(zs[1] - zs[0]))
-        return z_star
+        return parabola_vertex(float(zs[j]), float(vals[j - 1]),
+                               float(vals[j]), float(vals[j + 1]),
+                               float(zs[1] - zs[0]))[0]
 
 
 class ThetaCache:
@@ -413,7 +406,8 @@ def _potential(m: ScalarField, theta: ScalarField) -> ScalarField:
 def _exponents(z1s, z2: float, cache: ThetaCache) -> np.ndarray:
     """lambda(z1, z2) for every z1 in z1s: one resident, one eigen batch."""
     c = _potential(cache.m, cache.theta(float(z2)))
-    return principal_eigenpairs(cache.profile(np.asarray(z1s)), c)[0]
+    return principal_eigenpairs(cache.profile(np.asarray(z1s)),
+                                [c] * len(z1s))[0]
 
 
 def _stencil_points(z1: float, profile: DispersalProfile
@@ -497,18 +491,18 @@ def construct_alpha(alpha0: float, L0: float, m: ScalarField) -> DispersalProfil
         raise ValidationError("profile construction needs alpha0 > 0, L0 > 0",
                               alpha0=alpha0, L0=L0)
     a, b = -0.5, 0.5
-    probe_n = PROBE_SAMPLES
-    alphas = np.linspace(alpha0, alpha0 + L0, probe_n)
+    alphas = np.linspace(alpha0, alpha0 + L0, PROBE_SAMPLES)
     h_a = alphas[1] - alphas[0]
     if not h_a * h_a > 0.0:
         raise ValidationError("rate span L0 too small to difference at alpha0",
                               alpha0=alpha0, L0=L0)
+    check_records(PROBE_SAMPLES**2, m.grid.n_x)    # before any theta solve
     # the whole box is one batch, so the rows of different columns that run
     # to the iteration cap (some do on fine grids) share those iterations
     columns = [_potential(m, solve_theta(float(a2), m)) for a2 in alphas]
-    lam, _, _ = principal_eigenpairs(np.tile(alphas, probe_n),
+    lam, _, _ = principal_eigenpairs(np.tile(alphas, PROBE_SAMPLES),
                                      [c for c in columns for _ in alphas])
-    surf = lam.reshape(probe_n, probe_n).T
+    surf = lam.reshape(PROBE_SAMPLES, PROBE_SAMPLES).T
     d1, d2 = difference_tables(surf, h_a)
     if d1.min() <= 0.0:
         raise ValidationError("rate-pair exponent must be increasing in the "
@@ -536,7 +530,7 @@ def construct_alpha(alpha0: float, L0: float, m: ScalarField) -> DispersalProfil
         "L0": L0,
         "k0": k0,
         "k0_is_sample_max": True,
-        "probe_n": probe_n,
+        "probe_n": PROBE_SAMPLES,
         "z_M": z_m,
         "z_min": 0.5 * (a + b),
     }

@@ -27,6 +27,7 @@ class SpatialGrid:
     def __post_init__(self) -> None:
         if self.n_x < 8:
             raise ValidationError("spatial grid needs n_x >= 8", n_x=self.n_x)
+        check_records(1, self.n_x)      # before any field allocates its nodes
 
     @property
     def h_x(self) -> float:

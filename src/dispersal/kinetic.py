@@ -183,16 +183,14 @@ def dominant_trait(stepper: Stepper) -> float:
     g = TraitField(cfg.trait, cfg.space.h_x * stepper.n.sum(axis=0)).values
     if float(g.max()) <= DENSITY_FLOOR:
         raise PopulationExtinct("all marginal mass at or below the floor",
-                                t=stepper.t,
-                                max_marginal=float(g.max()))
+                                t=stepper.t, max_marginal=float(g.max()))
     j = int(np.argmax(g))
     z = cfg.trait.nodes
     if j == 0 or j == g.size - 1:
         return float(z[j])
     # the minimum's fit of the negated marginal g; negation is exact
-    z_star, _, _ = parabola_vertex(float(z[j]), -float(g[j - 1]), -float(g[j]),
-                                   -float(g[j + 1]), cfg.trait.h_z)
-    return z_star
+    return parabola_vertex(float(z[j]), -float(g[j - 1]), -float(g[j]),
+                           -float(g[j + 1]), cfg.trait.h_z)[0]
 
 
 @dataclass(frozen=True)

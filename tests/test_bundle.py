@@ -14,7 +14,7 @@ from dispersal.errors import SolverError, ValidationError
 from dispersal.grids import (ScalarField, SpatialGrid, TimeIndexedField,
                              default_m)
 from dispersal.harness.cli import main
-from dispersal.tridiag import BlockDiffusion
+from dispersal.tridiag import BlockDiffusion, solve_in_place
 from helpers import constant_profile, read_csv
 
 
@@ -144,11 +144,11 @@ def test_rejects_bad_inputs(m, theta):
 
 def test_rejects_records_past_the_record_rule(monkeypatch, m, theta):
     # 156,251 profiles of 64 values, one past 10^7 stored values: refused
-    # before the march builds its diffusion solver
-    def solver(*args):
+    # before the march factors its diffusion blocks
+    def factor(*args):
         raise AssertionError("the march started")
 
-    monkeypatch.setattr(bundle, "BlockDiffusion", solver)
+    monkeypatch.setattr(bundle, "diffusion_factor", factor)
     hist = TimeIndexedField(np.array([0.0, 1.0]), np.vstack([theta, theta]))
     with pytest.raises(ValidationError, match="recorded march") as exc:
         effective_hamiltonian([(hist, 1.0, 1e-6 * np.arange(156_251))],
@@ -172,13 +172,12 @@ def test_default_record_lattice(tmp_path):
 def test_lost_positivity_is_a_solver_error(monkeypatch, m, theta):
     # the solves keep the profile positive; a corrupted one must not reach
     # the log of a record
-    class Corrupted(BlockDiffusion):
-        def solve(self, rhs):
-            out = super().solve(rhs)
-            out[:, 0] = -out[:, 0]
-            return out
+    def corrupted(factor, flat):
+        solve_in_place(factor, flat)
+        rows = flat.reshape(-1, m.grid.n_x)
+        rows[:, 0] = -rows[:, 0]
 
-    monkeypatch.setattr(bundle, "BlockDiffusion", Corrupted)
+    monkeypatch.setattr(bundle, "solve_in_place", corrupted)
     with pytest.raises(SolverError, match="positivity"):
         frozen_bundle(0.5, m, theta, 0.01, 1e-3, spin_up=0.01)
 
@@ -198,7 +197,6 @@ def test_effective_hamiltonian_matches_invasion_exponent(grid, m):
     for i, z in enumerate(zs):
         lam, _, _ = principal_eigenpair(float(prof(z)), c)
         assert np.max(np.abs(eff.H[i] - lam)) <= 1e-6
-    assert eff.meta["frozen_early_extension"] is True
     assert np.all(np.array(eff.meta["harnack"]) >= 1.0)
     # corrector rows are -log of a unit-mass positive profile
     masses = grid.h_x * np.exp(-eff.log_phi).sum(axis=2)
@@ -300,28 +298,29 @@ def _whole_lattice_march(rho_history, profile, epsilon, z_samples, m,
 ])
 def test_streamed_march_equals_whole_lattice_march(m, spin_up, t_end, blocks):
     # the reaction factors are built one block of steps at a time; every row
-    # must carry the bits of the whole-lattice march it replaced
+    # must carry the bits of the whole-lattice march it replaced, in a batch
+    # of traits and alone, as floquet-test marches its one trait
     prof = construct_alpha(0.5, 0.5, m)
     hist_t = np.array([0.0, 0.03, 0.06, 0.1])
     hist = TimeIndexedField(hist_t, np.vstack(
         [(1.0 + 0.5 * np.sin(7.0 * t)) * m.values for t in hist_t]))
-    zs = np.array([-0.3, 0.0, 0.2])
     eps, dtau = 0.05, 1e-3
     t_rec = np.array([0.0, 0.01, 0.5 * t_end, t_end])
-    eff, = effective_hamiltonian([(hist, eps, t_rec)], prof, zs, m,
-                                 dtau=dtau, spin_up=spin_up)
-    H, log_phi, harnack, spin, k_total = _whole_lattice_march(
-        hist, prof, eps, zs, m, t_rec, dtau, spin_up)
-    if k_total < LATTICE_BLOCK_STEPS:
-        assert blocks == "one partial"
-    elif k_total % LATTICE_BLOCK_STEPS == 0:
-        assert blocks == "exact multiple"
-    else:
-        assert blocks == "not a multiple"
-    assert np.array_equal(eff.H, H)
-    assert np.array_equal(eff.log_phi, log_phi)
-    assert eff.meta["harnack"] == harnack
-    assert eff.meta["spin_up"] == spin
+    for zs in (np.array([-0.3, 0.0, 0.2]), np.array([0.2])):
+        eff, = effective_hamiltonian([(hist, eps, t_rec)], prof, zs, m,
+                                     dtau=dtau, spin_up=spin_up)
+        H, log_phi, harnack, spin, k_total = _whole_lattice_march(
+            hist, prof, eps, zs, m, t_rec, dtau, spin_up)
+        if k_total < LATTICE_BLOCK_STEPS:
+            assert blocks == "one partial"
+        elif k_total % LATTICE_BLOCK_STEPS == 0:
+            assert blocks == "exact multiple"
+        else:
+            assert blocks == "not a multiple"
+        assert np.array_equal(eff.H, H)
+        assert np.array_equal(eff.log_phi, log_phi)
+        assert eff.meta["harnack"] == harnack
+        assert eff.meta["spin_up"] == spin
 
 
 def test_effective_hamiltonian_memory_does_not_grow_with_the_horizon(grid, m):

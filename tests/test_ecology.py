@@ -189,9 +189,10 @@ def test_theta_equals_banded_newton_reference(monkeypatch, n_x):
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5, np.nan, np.inf])
 def test_theta_rejects_a_bad_rate(m64, alpha):
-    for solver in (eco.solve_theta, eco.solve_theta_pseudotime):
-        with pytest.raises(ValidationError):
-            solver(alpha, m64)
+    with pytest.raises(ValidationError):
+        eco.solve_theta(alpha, m64)
+    with pytest.raises(ValidationError):
+        eco.solve_theta_pseudotime(alpha, m64, residual_target=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def test_eigenpair_batch_equals_row_by_row(monkeypatch, n_x, resident_rate):
     c = _column(n_x, resident_rate)
     alphas = np.linspace(0.5, 1.0, 17)
     sizes = _batch_sizes(monkeypatch)
-    batch = _rows(eco.principal_eigenpairs(alphas, c))
+    batch = _rows(eco.principal_eigenpairs(alphas, [c] * alphas.size))
     rows = [size // n_x for size in sizes]
     # rows froze at different iterations, and the factor shrank with them
     assert rows[0] == 17 and len(set(rows)) > 2
@@ -353,7 +354,7 @@ def test_eigenpair_batch_at_the_cap_equals_row_by_row(monkeypatch):
     monkeypatch.setattr(eco, "EIGEN_MAX_ITER", 60)
     c = _column(64, 0.6)
     alphas = [0.45, 0.8, 1.3]
-    batch = _rows(eco.principal_eigenpairs(alphas, c))
+    batch = _rows(eco.principal_eigenpairs(alphas, [c] * 3))
     for a, row in zip(alphas, batch):
         assert _same_row(row, eco.principal_eigenpair(a, c))
         assert _matches_reference(row, a, c, residual_tol=0.0, max_iter=60)
@@ -363,8 +364,9 @@ def test_eigenpair_batch_permutes_with_its_rates():
     c = _column(64, 0.6)
     alphas = np.linspace(0.4, 1.2, 9)
     perm = np.random.default_rng(3).permutation(alphas.size)
-    batch = _rows(eco.principal_eigenpairs(alphas, c))
-    permuted = _rows(eco.principal_eigenpairs(alphas[perm], c))
+    batch = _rows(eco.principal_eigenpairs(alphas, [c] * alphas.size))
+    permuted = _rows(eco.principal_eigenpairs(alphas[perm],
+                                              [c] * alphas.size))
     assert all(_same_row(permuted[i], batch[j]) for i, j in enumerate(perm))
 
 
@@ -387,19 +389,19 @@ def test_eigenpair_batch_raises_at_the_cap_above_contract(monkeypatch):
     monkeypatch.setattr(eco, "EIGEN_MAX_ITER", 3)
     c = _column(64, 0.6)
     with pytest.raises(EigenDiverged):
-        eco.principal_eigenpairs([0.5, 0.9], c)
+        eco.principal_eigenpairs([0.5, 0.9], [c, c])
 
 
 def test_eigenpair_batch_checks_the_contract_on_every_row(monkeypatch):
     c = _column(64, 0.6)
     alphas = np.linspace(0.4, 1.2, 9)
-    _, _, residual = eco.principal_eigenpairs(alphas, c)
+    _, _, residual = eco.principal_eigenpairs(alphas, [c] * alphas.size)
     assert residual.max() <= eco.EIGEN_CONTRACT
     # a contract between the rows' residuals fails the first row above it
     contract = float(np.median(residual))
     monkeypatch.setattr(eco, "EIGEN_CONTRACT", contract)
     with pytest.raises(SolverError, match="residual above contract") as exc:
-        eco.principal_eigenpairs(alphas, c)
+        eco.principal_eigenpairs(alphas, [c] * alphas.size)
     i = int(np.flatnonzero(residual > contract)[0])
     assert exc.value.diagnostics == {"alpha": alphas[i],
                                      "residual": residual[i]}
@@ -409,7 +411,7 @@ def test_eigenpair_batch_checks_the_contract_on_every_row(monkeypatch):
 def test_eigenpair_batch_rejects_a_bad_rate_in_any_row(bad):
     c = _column(16, 0.6)
     with pytest.raises(ValidationError):
-        eco.principal_eigenpairs([0.5, 0.7, bad, 0.9], c)
+        eco.principal_eigenpairs([0.5, 0.7, bad, 0.9], [c] * 4)
     with pytest.raises(ValidationError):
         eco.principal_eigenpair(bad, c)
 
@@ -593,6 +595,23 @@ def test_construct_alpha_rejects_bad_inputs(m64):
     for alpha0, L0 in ((0.5, 1e-300), (1e-236, 1e-236)):
         with pytest.raises(ValidationError):
             eco.construct_alpha(alpha0, L0, m64)
+
+
+def test_construct_alpha_checks_its_eigen_batch_before_a_theta_solve(
+        monkeypatch):
+    # the probe box is one eigen batch of 17 * 17 = 289 rows of n_x values:
+    # at 34,603 nodes it is past 10^7 values and refused before the first
+    # theta solve, while 34,602 nodes pass the rule
+    def solve(*args):
+        raise AssertionError("a theta solve ran")
+
+    monkeypatch.setattr(eco, "solve_theta", solve)
+    with pytest.raises(ValidationError, match="step cap") as exc:
+        eco.construct_alpha(0.5, 0.5, default_m(SpatialGrid(34_603)))
+    assert exc.value.diagnostics["records"] == 289
+    assert exc.value.diagnostics["width"] == 34_603
+    with pytest.raises(AssertionError, match="a theta solve ran"):
+        eco.construct_alpha(0.5, 0.5, default_m(SpatialGrid(34_602)))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ def test_grid_geometry():
 def test_grid_validation():
     with pytest.raises(ValidationError):
         SpatialGrid(4)
+    # the record rule holds one field of n_x values to the step cap
+    assert SpatialGrid(10_000_000).n_x == 10_000_000
+    with pytest.raises(ValidationError, match="step cap"):
+        SpatialGrid(10_000_001)
     with pytest.raises(ValidationError):
         TraitGrid(8)
     with pytest.raises(ValidationError):

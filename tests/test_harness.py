@@ -266,6 +266,9 @@ def _reject(token):
 # a finite rate whose diffusion band alpha / h_x^2 overflows
 @example({"theta": {"alpha": 1e306}})
 @example({"theta": {"alpha": 1e308}})
+# a habitat grid past the record rule, refused before any field is built
+@example({"theta": {"n_x": 10**12}})
+@example({"hj": {"n_x": 10**12}})
 def test_exit_code_contract(runs):
     _assert_contract(runs)
 

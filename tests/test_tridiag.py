@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dispersal.errors import SolverError
-from dispersal.tridiag import BlockDiffusion, FactoredDiffusion
+from dispersal.tridiag import (BlockDiffusion, FactoredDiffusion,
+                               diffusion_factor, solve_in_place)
 
 N, H = 24, 1.0 / 24
 
@@ -73,6 +74,25 @@ def test_negative_mu_is_rejected():
         FactoredDiffusion(N, H, -1e-3)
     with pytest.raises(SolverError):
         BlockDiffusion(N, H, np.array([0.1, -0.1]))
+
+
+def test_front_ends_solve_into_a_new_array_as_the_in_place_solve():
+    rng = np.random.default_rng(6)
+    mus = np.array([0.01, 0.5, 0.1])
+    rhs = rng.random((mus.size, N))
+    before = rhs.copy()
+    flat = rhs.reshape(-1).copy()
+    assert solve_in_place(diffusion_factor(N, H, mus), flat) is flat
+    assert np.array_equal(BlockDiffusion(N, H, mus).solve(rhs),
+                          flat.reshape(rhs.shape))
+    col = rhs[:1].T.copy(order="F")
+    assert np.array_equal(FactoredDiffusion(N, H, 0.01).solve(rhs[:1].T),
+                          solve_in_place(diffusion_factor(N, H, [0.01]), col))
+    assert np.array_equal(rhs, before)
+    # a buffer that dpttrs would copy is refused, not solved into the copy
+    with pytest.raises(SolverError, match="in place"):
+        solve_in_place(diffusion_factor(N, H, mus),
+                       np.ones(2 * mus.size * N)[::2])
 
 
 def _factored_per_row(mus, rhs):
