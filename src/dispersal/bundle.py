@@ -149,7 +149,7 @@ def _plan(rho_history: TimeIndexedField, epsilon: float, t_record: np.ndarray,
     """One scale's checked step counts and record steps, and its march
     state: the tables, the Harnack ratios and the running max |dtau * c|."""
     # every record holds one n_x profile per trait
-    check_records(t_record.size, alphas.size * m.grid.n_x)
+    check_records("recorded march", t_record.size, alphas.size * m.grid.n_x)
 
     def c_slow(t: float) -> np.ndarray:
         return m.values - rho_history.at(max(t, epsilon))

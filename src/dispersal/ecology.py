@@ -398,14 +398,14 @@ class ThetaCache:
 # invasion exponent and its derivatives
 
 
-def _potential(m: ScalarField, theta: ScalarField) -> ScalarField:
+def potential(m: ScalarField, theta: ScalarField) -> ScalarField:
     """The potential m - theta that a resident steady state leaves to mutants."""
     return ScalarField(m.grid, m.values - theta.values)
 
 
 def _exponents(z1s, z2: float, cache: ThetaCache) -> np.ndarray:
     """lambda(z1, z2) for every z1 in z1s: one resident, one eigen batch."""
-    c = _potential(cache.m, cache.theta(float(z2)))
+    c = potential(cache.m, cache.theta(float(z2)))
     return principal_eigenpairs(cache.profile(np.asarray(z1s)),
                                 [c] * len(z1s))[0]
 
@@ -496,10 +496,10 @@ def construct_alpha(alpha0: float, L0: float, m: ScalarField) -> DispersalProfil
     if not h_a * h_a > 0.0:
         raise ValidationError("rate span L0 too small to difference at alpha0",
                               alpha0=alpha0, L0=L0)
-    check_records(PROBE_SAMPLES**2, m.grid.n_x)    # before any theta solve
-    # the whole box is one batch, so the rows of different columns that run
-    # to the iteration cap (some do on fine grids) share those iterations
-    columns = [_potential(m, solve_theta(float(a2), m)) for a2 in alphas]
+    check_records("probe eigen batch", PROBE_SAMPLES**2, m.grid.n_x)
+    # checked before any theta solve: the whole box is one batch, so rows of
+    # different columns that run to the iteration cap share those iterations
+    columns = [potential(m, solve_theta(float(a2), m)) for a2 in alphas]
     lam, _, _ = principal_eigenpairs(np.tile(alphas, PROBE_SAMPLES),
                                      [c for c in columns for _ in alphas])
     surf = lam.reshape(PROBE_SAMPLES, PROBE_SAMPLES).T
@@ -548,7 +548,7 @@ def check_h1_samples(n_samples: int) -> None:
     if n_samples < 2:
         raise ValidationError("H1 check needs at least 2 samples",
                               n_samples=n_samples)
-    check_records(n_samples, n_samples)
+    check_records("H1 sample surface", n_samples, n_samples)
 
 
 def check_H1(cache: ThetaCache, n_samples: int = H1_SAMPLES) -> dict:

@@ -27,7 +27,7 @@ class SpatialGrid:
     def __post_init__(self) -> None:
         if self.n_x < 8:
             raise ValidationError("spatial grid needs n_x >= 8", n_x=self.n_x)
-        check_records(1, self.n_x)      # before any field allocates its nodes
+        check_records("habitat grid", 1, self.n_x)  # before any node array
 
     @property
     def h_x(self) -> float:
@@ -231,8 +231,8 @@ def march_steps(T: float, dt: float) -> int:
     return int(n)
 
 
-def check_records(records: float, width: int) -> None:
-    """Reject a march whose `records` rows of `width` values exceed MAX_STEPS."""
+def check_records(what: str, records: float, width: int) -> None:
+    """Reject `what`, `records` rows of `width` values, past MAX_STEPS."""
     if not records * width <= MAX_STEPS:
-        raise ValidationError("recorded march exceeds the step cap",
+        raise ValidationError(f"{what} exceeds the step cap",
                               records=records, width=width, cap=MAX_STEPS)

@@ -22,15 +22,15 @@ from .. import __version__
 
 from ..bundle import effective_hamiltonian
 from ..ecology import check_H1, check_h1_samples, lambda_surface, \
-    principal_eigenpair, solve_theta
+    potential, principal_eigenpair, solve_theta
 from ..errors import AcceptanceFailure, DispersalError, ValidationError
-from ..grids import ScalarField, SpatialGrid, TimeIndexedField, TraitGrid, \
+from ..grids import SpatialGrid, TimeIndexedField, TraitGrid, \
     check_records, default_m
 from ..hj import canonical_ode, lax_oleinik, lax_oleinik_steps
 from ..kinetic import run
 from .config import ExperimentSpec
-from .converge import limit_march, limit_start, run_convergence, \
-    scale_config, standard_setting, write_scale
+from .converge import LIMIT_STRIDE, limit_march, limit_start, rho_gap, \
+    run_convergence, scale_config, standard_setting, wkb_gap, write_scale
 from .io import write_csv, write_json, write_plot_script
 
 
@@ -55,7 +55,7 @@ def cmd_alpha_build(params: dict, out: Path) -> dict:
     if params["samples"] < 1:
         raise ValidationError("alpha-build needs at least 1 sample",
                               samples=params["samples"])
-    check_records(params["samples"], 3)     # the rows of alpha.csv
+    check_records("alpha.csv", params["samples"], 3)
     profile = standard_setting(params).profile
     zs = np.linspace(profile.a, profile.b, params["samples"])
     write_csv(out / "alpha.csv", ["z", "alpha", "dalpha"],
@@ -70,7 +70,7 @@ def cmd_lambda_surface(params: dict, out: Path) -> dict:
     if min(n1, n2) < 1:
         raise ValidationError("exponent surface needs at least 1 trait "
                               "sample per axis", nz1=n1, nz2=n2)
-    check_records(n1 * n2, 4)               # the rows of lambda.csv
+    check_records("lambda.csv", n1 * n2, 4)
     cache = standard_setting(params)
     z1s = np.linspace(cache.profile.a, cache.profile.b, n1)
     z2s = np.linspace(cache.profile.a, cache.profile.b, n2)
@@ -104,7 +104,7 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
         raise ValidationError("floquet-test needs dtau > 0 and t_end >= 0",
                               dtau=dtau, t_end=t_end)
     window = np.round(t_end / dtau)
-    check_records(window + 1, params["n_x"])    # the bundle's record rule
+    check_records("recorded march", window + 1, params["n_x"])  # the bundle's
     cache = standard_setting(params)
     profile, m = cache.profile, cache.m
     # the one check that needs the profile: its trait interval
@@ -120,8 +120,8 @@ def cmd_floquet_test(params: dict, out: Path) -> dict:
     eff, = effective_hamiltonian([(frozen, 1.0, taus)], profile, [params["z"]],
                                  m, dtau=dtau)
     H = eff.H[0]
-    c = ScalarField(m.grid, m.values - theta.values)
-    lam, _, _ = principal_eigenpair(float(profile(params["z"])), c)
+    lam, _, _ = principal_eigenpair(float(profile(params["z"])),
+                                    potential(m, theta))
     err = float(abs(H[-1] - lam))
     write_csv(out / "floquet.csv", ["tau", "H"], [taus, H])
     write_plot_script(out / "floquet.gp", "bundle normalizer", "tau", "H",
@@ -208,14 +208,14 @@ def cmd_converge(params: dict, out: Path) -> dict:
 def cmd_pipeline(params: dict, out: Path) -> dict:
     tg = TraitGrid(params["n_z"])
     T, eps = params["T"], params["eps"]
-    v0, _ = limit_start(tg, params, params["dt"], 10)
+    v0, _ = limit_start(tg, params, params["dt"], LIMIT_STRIDE)
     cfg = scale_config(tg, params, eps, ())
     cache = standard_setting(params)
     h1 = check_H1(cache)
     if not h1["pass"]:
         raise AcceptanceFailure("trait convexity check failed", **h1)
 
-    src, sol = limit_march(cache, v0, T, params["dt"], record_every=10)
+    src, sol = limit_march(cache, v0, T, params["dt"], LIMIT_STRIDE)
     can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
 
     res = run(cfg, cache)
@@ -228,17 +228,11 @@ def cmd_pipeline(params: dict, out: Path) -> dict:
                       ["'zbar_compare.csv' using 't':'zbar_eps' with lines",
                        "'zbar_compare.csv' using 't':'zbar_limit' with lines"])
 
-    theta_T = cache.theta(float(can.at(T)))
-    u_T = res.u_snaps[T]
-    v_T = sol.V[-1]
-    offset = 0.5 * eps * np.log(eps)
     summary = {
         "h1": h1,
         "zbar_gap_end": float(abs(res.zbar[-1] - can.zbar[-1])),
-        "rho_gap_end": float(
-            np.abs(res.rho_history.values[-1] - theta_T.values).max()),
-        "u_gap_end": float(
-            np.abs(u_T.mean(axis=0) - offset - v_T).max()),
+        "rho_gap_end": rho_gap(res.rho_history.values[-1], T, can, cache),
+        "u_gap_end": wkb_gap(res.u_snaps[T], eps, sol.V[-1]),
         "mass_end": float(res.mass[-1]),
         "envelope": list(res.envelope),
     }

@@ -29,6 +29,7 @@ from .io import write_csv, write_json, write_plot_script
 
 TREND_SLACK = 1.1        # weak decrease tolerance along the scale list
 EARLY_RECORD_MULTIPLES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+LIMIT_STRIDE = 10        # the limit march records every 10th HJ step
 
 
 def standard_setting(params: dict) -> ThetaCache:
@@ -55,6 +56,17 @@ def limit_march(cache: ThetaCache, v0: TraitField, T: float, dt: float,
     src = SelfConsistentSource(cache, v0.grid)
     return src, solve_constrained_hj(src, v0, T, dt,
                                      record_every=record_every)
+
+
+def rho_gap(rho: np.ndarray, t: float, can, cache: ThetaCache) -> float:
+    """sup_x |rho - theta(can.at(t))|, theta the resident equilibrium."""
+    return float(np.abs(rho - cache.theta(can.at(t)).values).max())
+
+
+def wkb_gap(u: np.ndarray, eps: float, v: np.ndarray) -> float:
+    """sup_z |mean_x u - 0.5 eps log eps - v|, the offset being the one that
+    the eps^(-1/2) amplitude of `kinetic.init_population` puts into u."""
+    return float(np.abs(u.mean(axis=0) - 0.5 * eps * np.log(eps) - v).max())
 
 
 def scale_config(tg: TraitGrid, params: dict, eps: float, probes) -> SimConfig:
@@ -171,7 +183,7 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
         raise ValidationError("a comparison window is empty", t_lo=t_lo, T=T,
                               h_t_lo=h_t_lo, h_t_hi=h_t_hi)
     tg = TraitGrid(params["n_z"])
-    v0, _ = limit_start(tg, params, params["hj_dt"], 10)
+    v0, _ = limit_start(tg, params, params["hj_dt"], LIMIT_STRIDE)
     cfgs = [scale_config(tg, params, eps, params["u_probes"])
             for eps in eps_list]
     n_h = params["z_samples"]
@@ -180,7 +192,7 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
             raise ValidationError("the H table needs at least 1 trait sample",
                                   z_samples=n_h)
         # the bundle's record rule: each record holds n_x values per trait
-        check_records(max(t.size for t in t_recs.values()),
+        check_records("recorded march", max(t.size for t in t_recs.values()),
                       n_h * params["n_x"])
     cache = standard_setting(params)
 
@@ -190,7 +202,7 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
     # the finest scale, the longest run, marches in a child beside the limit
     # and the coarser scales; the loop takes its result in turn
     with _forked_run(cfgs[-1], cache) as finest:
-        src, sol = limit_march(cache, v0, T, params["hj_dt"], record_every=10)
+        src, sol = limit_march(cache, v0, T, params["hj_dt"], LIMIT_STRIDE)
         can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
         for eps, cfg in zip(eps_list, cfgs):
             res = finest() if cfg is cfgs[-1] else run(cfg, cache)
@@ -201,22 +213,15 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
             cols["zbar_gap"].append(float(np.abs(res.zbar - zb_lim).max()))
 
             hist = res.rho_history
-            gap = 0.0
-            for i, tv in enumerate(hist.times):
-                if tv < t_lo - 1e-12:
-                    continue
-                theta = cache.theta(float(np.interp(tv, can.times,
-                                                    can.zbar)))
-                gap = max(gap, float(np.abs(hist.values[i]
-                                            - theta.values).max()))
-            cols["rho_gap"].append(gap)
+            cols["rho_gap"].append(max(
+                0.0, *(rho_gap(rho, t, can, cache)
+                       for t, rho in zip(hist.times, hist.values)
+                       if t >= t_lo - 1e-12)))
 
-            offset = 0.5 * eps * np.log(eps)
             u_gap = x_osc = 0.0
             for pt, u in sorted(res.u_snaps.items()):
                 v_t = sol.V[int(np.argmin(np.abs(sol.times - pt)))]
-                u_gap = max(u_gap, float(np.abs(u.mean(axis=0) - offset
-                                                - v_t).max()))
+                u_gap = max(u_gap, wkb_gap(u, eps, v_t))
                 x_osc = max(x_osc,
                             float((u.max(axis=0) - u.min(axis=0)).max()))
             cols["u_gap"].append(u_gap)

@@ -75,9 +75,8 @@ class SelfConsistentSource:
         if abs(diag) > DIAG_ZERO_TOL:
             raise SolverError("invasion exponent nonzero on the diagonal",
                               zbar=float(zbar), value=diag, tol=DIAG_ZERO_TOL)
-        if z is not self.grid.nodes and not np.array_equal(z, self.grid.nodes):
-            row = np.interp(z, self.grid.nodes, row)
-        return row
+        # np.interp returns the row's own entry wherever z is a node
+        return np.interp(z, nodes, row)
 
     def diag_gradient(self, zbar: float, t: float = 0.0) -> float:
         return lambda_gradient(zbar, zbar, self.cache)
@@ -176,7 +175,7 @@ def hj_steps(grid: TraitGrid, T: float, dt: float,
                               record_every=record_every)
     n_steps = march_steps(T, dt)
     n_records = 1 + -(-n_steps // record_every)
-    check_records(n_records, grid.n_z)
+    check_records("recorded march", n_records, grid.n_z)
     return n_steps, n_records
 
 
@@ -328,7 +327,7 @@ def lax_oleinik_steps(grid: TraitGrid, T: float, dt_dp: float,
                               window=window, n_z=grid.n_z)
     # one record per step, so this also caps the steps a large reach allows
     n_steps = max(np.round(T / dt_dp), 1.0)
-    check_records(n_steps + 1, grid.n_z)
+    check_records("recorded march", n_steps + 1, grid.n_z)
     return window, int(n_steps)
 
 

@@ -63,9 +63,10 @@ class SimConfig:
             raise ValidationError("strides must be >= 1")
         # the step cap, the records (density, history, outputs), the probes
         n_steps = march_steps(self.T, self.dt)
-        check_records(1, self.space.n_x * self.trait.n_z)
-        check_records(-(-n_steps // self.history_stride) + 1, self.space.n_x)
-        check_records(-(-n_steps // self.out_stride) + 1, 5)
+        check_records("phase density", 1, self.space.n_x * self.trait.n_z)
+        check_records("recorded march",
+                      -(-n_steps // self.history_stride) + 1, self.space.n_x)
+        check_records("recorded march", -(-n_steps // self.out_stride) + 1, 5)
         probe_steps(self)
 
     @property

@@ -606,7 +606,8 @@ def test_construct_alpha_checks_its_eigen_batch_before_a_theta_solve(
         raise AssertionError("a theta solve ran")
 
     monkeypatch.setattr(eco, "solve_theta", solve)
-    with pytest.raises(ValidationError, match="step cap") as exc:
+    with pytest.raises(ValidationError,
+                       match="probe eigen batch exceeds the step cap") as exc:
         eco.construct_alpha(0.5, 0.5, default_m(SpatialGrid(34_603)))
     assert exc.value.diagnostics["records"] == 289
     assert exc.value.diagnostics["width"] == 34_603

@@ -39,7 +39,8 @@ def test_grid_validation():
         SpatialGrid(4)
     # the record rule holds one field of n_x values to the step cap
     assert SpatialGrid(10_000_000).n_x == 10_000_000
-    with pytest.raises(ValidationError, match="step cap"):
+    with pytest.raises(ValidationError,
+                       match="habitat grid exceeds the step cap"):
         SpatialGrid(10_000_001)
     with pytest.raises(ValidationError):
         TraitGrid(8)

@@ -23,8 +23,11 @@ from dispersal.harness.cli import main
 from dispersal.harness.config import SCHEMAS, load_spec
 from dispersal.harness.io import write_csv
 from dispersal.errors import AprioriViolated, SolverError, ValidationError
-from dispersal.grids import TraitGrid
-from helpers import read_csv
+from dispersal.ecology import ThetaCache
+from dispersal.grids import SpatialGrid, TraitGrid, default_m
+from dispersal.hj import CanonicalTrajectory
+from dispersal.kinetic import SimConfig, extract_u, init_population
+from helpers import affine_profile, read_csv
 from test_golden import CASES, GOLDEN
 
 
@@ -377,12 +380,15 @@ def _case(command, overrides, message, **diagnostics):
           min=-0.5566558837890625),
     _case("converge", ("hj_dt=0", "n_x=256"), "dt and T must be positive",
           dt=0.0, T=1.0),
+    # the habitat grid, one field of n_x values
+    _case("theta", ("n_x=1000000000000",), "habitat grid exceeds the step cap",
+          records=1, width=10**12, cap=_CAP),
     # the kinetic runs
     _case("pde", ("c_t=0.5",), "c_t must lie in (0, 0.2]", c_t=0.5),
     _case("pde", ("probes=-1",), "probe time outside the run", probe=-1.0),
     # the phase density, one record of n_x * n_z values
-    _case("pde", ("n_z=1000000000000",), _RECORD_RULE, records=1,
-          width=64 * 10**12, cap=_CAP),
+    _case("pde", ("n_z=1000000000000",), "phase density exceeds the step cap",
+          records=1, width=64 * 10**12, cap=_CAP),
     _case("pipeline", ("c_t=0.5",), "c_t must lie in (0, 0.2]", c_t=0.5),
     # 2 * 10^6 kinetic steps, a history of 2 * 10^5 records of 64 values
     _case("pipeline", ("T=100", "c_t=0.001"), _RECORD_RULE,
@@ -397,16 +403,19 @@ def _case(command, overrides, message, **diagnostics):
     _case("converge", ("z_samples=0",),
           "the H table needs at least 1 trait sample", z_samples=0),
     # the CSV rows times columns, and check-h1's surface
-    _case("alpha-build", ("samples=1000000000000",), _RECORD_RULE,
-          records=10**12, width=3, cap=_CAP),
-    _case("lambda-surface", ("mutants=1000000000000",), _RECORD_RULE,
-          records=21 * 10**12, width=4, cap=_CAP),
-    _case("lambda-surface", ("residents=1000000000000",), _RECORD_RULE,
-          records=41 * 10**12, width=4, cap=_CAP),
+    _case("alpha-build", ("samples=1000000000000",),
+          "alpha.csv exceeds the step cap", records=10**12, width=3, cap=_CAP),
+    _case("lambda-surface", ("mutants=1000000000000",),
+          "lambda.csv exceeds the step cap", records=21 * 10**12, width=4,
+          cap=_CAP),
+    _case("lambda-surface", ("residents=1000000000000",),
+          "lambda.csv exceeds the step cap", records=41 * 10**12, width=4,
+          cap=_CAP),
     _case("check-h1", ("samples=1",), "H1 check needs at least 2 samples",
           n_samples=1),
-    _case("check-h1", ("samples=1000000000000",), _RECORD_RULE,
-          records=10**12, width=10**12, cap=_CAP),
+    _case("check-h1", ("samples=1000000000000",),
+          "H1 sample surface exceeds the step cap", records=10**12,
+          width=10**12, cap=_CAP),
     # 160,001 records of 64 values: within the step cap, past the rule
     _case("floquet-test", ("t_end=0.8",), _RECORD_RULE, records=160_001,
           width=64, cap=_CAP),
@@ -485,6 +494,29 @@ def test_benchmark_hook_targets_exist():
         for part in outer:
             owner = vars(owner)[part]
         assert callable(vars(owner).get(last)), f"{module_name}.{attr}"
+
+
+def test_wkb_gap_removes_the_offset_of_the_start_density():
+    # u = -eps log n of the eps^(-1/2)-scaled Gaussian start is the limit's
+    # start K0 (z - zbar0)^2 plus 0.5 eps log eps: a wrong sign on the
+    # offset would leave a gap of eps |log eps| = 0.15 here
+    eps = 0.05
+    cfg = SimConfig(eps, 0.1, TraitGrid(128), SpatialGrid(16))
+    v0 = cfg.K0 * (cfg.trait.nodes - cfg.zbar0) ** 2
+    u = extract_u(init_population(cfg), eps)
+    assert converge.wkb_gap(u, eps, v0) <= 1e-12
+
+
+def test_rho_gap_reads_theta_at_the_canonical_trait():
+    # the rate depends on the trait, so theta at another time's trait
+    # (0.1 at t = 0) leaves a gap
+    cache = ThetaCache(affine_profile(1.0, 1.0, -0.5, 0.5),
+                       default_m(SpatialGrid(16)))
+    can = CanonicalTrajectory(np.array([0.0, 1.0]), np.array([0.1, 0.3]),
+                              np.ones(2))
+    theta = cache.theta(can.at(0.25)).values
+    assert converge.rho_gap(theta, 0.25, can, cache) == 0.0
+    assert converge.rho_gap(theta, 0.0, can, cache) > 1e-6
 
 
 def test_config_file_and_override_precedence(tmp_path):

@@ -275,6 +275,12 @@ def test_selfconsistent_rate_matches_eager_table(ecology_setup, monkeypatch):
                     0.0, 1.0)
         eager = (1.0 - w) * table[:, j] + w * table[:, j + 1]
         assert np.array_equal(src.rate(grid.nodes, 0.0, zbar), eager)
+        # a copy of the nodes is read off the same row, bit for bit, and a
+        # trait between nodes is the linear interpolant of that row
+        assert np.array_equal(src.rate(grid.nodes.copy(), 0.0, zbar), eager)
+        off = grid.nodes[:-1] + 0.3 * grid.h_z
+        assert np.array_equal(src.rate(off, 0.0, zbar),
+                              np.interp(off, grid.nodes, eager))
 
 
 def test_selfconsistent_guard_extrapolates_at_trait_ends(ecology_setup,
