@@ -11,6 +11,9 @@ each metric per scale and verdicts of weak decrease (10% slack).
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -110,46 +113,58 @@ def write_scale(out: Path, cfg: SimConfig, params: dict,
 
 
 @contextmanager
-def _forked_run(cfg: SimConfig, cache: ThetaCache):
+def forked_run(cfg: SimConfig, cache: ThetaCache):
     """Yield a function that returns the run of `cfg` in `cache`, marched
-    in a forked child from the start of the block, or raises its error.
-    Leaving the block, on every path, terminates and joins the child."""
-    # imported here: at module level it adds 9-15 ms to every start-up
-    import multiprocessing
-
-    def send(conn):             # the child's whole work; it prints nothing
+    in a forked child (POSIX `fork`) from the start of the block, or raises
+    its error.  Leaving the block, on every path, kills and reaps the child,
+    so its CPU time counts as this process's."""
+    # fork, since the cache's profile holds closures that do not pickle:
+    # only the result or the error crosses the pipe
+    reader, writer = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:                # the child's whole work; it prints nothing
+        code = 1
         try:
-            conn.send(run(cfg, cache))
-        except Exception as exc:
-            conn.send(exc)
+            os.close(reader)
+            try:
+                out = run(cfg, cache)
+            except Exception as exc:
+                out = exc
+            with open(writer, "wb") as pipe:
+                pipe.write(pickle.dumps(out))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(writer)
+    reaped = False
 
     def result() -> RunResult:
+        nonlocal reaped
+        with open(reader, "rb", closefd=False) as pipe:
+            data = pipe.read()
         try:
-            out = reader.recv()
-        except EOFError:        # the child died before it sent anything
-            child.join()
+            out = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            # the child died before it sent all of its result
+            _, status = os.waitpid(pid, 0)
+            reaped = True
             raise SolverError("kinetic run ended without a result",
                               epsilon=cfg.epsilon,
-                              exitcode=child.exitcode) from None
+                              exitcode=os.waitstatus_to_exitcode(status)
+                              ) from None
         if isinstance(out, Exception):
             raise out
         return out
 
-    # fork, since the cache's profile holds closures that do not pickle:
-    # only the result or the error crosses the pipe
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    child = ctx.Process(target=send, args=(writer,))
-    child.start()
-    writer.close()
     try:
         yield result
     finally:
-        child.terminate()
-        child.join()
-        reader.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(reader)
 
 
 def weakly_decreasing(values) -> bool:
@@ -167,10 +182,10 @@ def _h_record_times(eps: float, t_lo_unif: float, t_hi: float) -> np.ndarray:
 
 
 def run_convergence(params: dict, out_dir: Path) -> dict:
-    """Run every scale of `eps_list`, the finest in one forked child (POSIX
-    `fork`) beside the others, and return the report.json dict:
-    `eps_list`, the per-scale `metrics` lists, the weak-decrease
-    `verdicts`, `passed` and the `extras`."""
+    """Run every scale of `eps_list`, the finest through `forked_run` in one
+    child beside the limit and the coarser scales, and return the
+    report.json dict: `eps_list`, the per-scale `metrics` lists, the
+    weak-decrease `verdicts`, `passed` and the `extras`."""
     eps_list = tuple(params["eps_list"])
     if len(eps_list) < 3 or not np.all(np.diff(eps_list) < 0.0):
         raise ValidationError("scale list must be strictly decreasing with "
@@ -201,7 +216,7 @@ def run_convergence(params: dict, out_dir: Path) -> dict:
     violations, runs = [], []
     # the finest scale, the longest run, marches in a child beside the limit
     # and the coarser scales; the loop takes its result in turn
-    with _forked_run(cfgs[-1], cache) as finest:
+    with forked_run(cfgs[-1], cache) as finest:
         src, sol = limit_march(cache, v0, T, params["hj_dt"], LIMIT_STRIDE)
         can = canonical_ode(src, (sol.times, sol.sigma), params["zbar0"], T)
         for eps, cfg in zip(eps_list, cfgs):

@@ -14,7 +14,7 @@ _ERRORS = [value for value in vars(errors).values()
 
 @pytest.mark.parametrize("cls", _ERRORS, ids=lambda cls: cls.__name__)
 def test_errors_keep_type_message_and_diagnostics_through_pickle(cls):
-    # converge's forked scale hands its error to the parent this way
+    # a forked kinetic run hands its error to the parent this way
     exc = cls("integrated density left the running envelope", t=0.0125,
               rho_max=np.float64(3.5), eps_list=(0.05, 0.025),
               rho=[1e-300, float("inf")], probe=-1)

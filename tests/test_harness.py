@@ -4,7 +4,6 @@ import contextlib
 import importlib.util
 import io
 import json
-import multiprocessing
 import os
 import signal
 import sys
@@ -430,13 +429,14 @@ def test_profile_free_inputs_are_checked_before_the_profile(
         raise ValidationError("the profile was built")
 
     def later(*args, **kwargs):
-        raise AssertionError("a later stage ran, or converge forked")
+        raise AssertionError("a later stage ran, or a command forked")
 
     monkeypatch.setattr(commands, "standard_setting", setting)
     monkeypatch.setattr(converge, "standard_setting", setting)
     monkeypatch.setattr(commands, "check_H1", later)
     monkeypatch.setattr(converge, "solve_constrained_hj", later)
-    monkeypatch.setattr(converge, "_forked_run", later)
+    monkeypatch.setattr(converge, "forked_run", later)
+    monkeypatch.setattr(commands, "forked_run", later)
     args = [command, "--out", str(tmp_path)]
     for override in overrides:
         args += ["--override", override]
@@ -722,6 +722,17 @@ def test_converge_rejects_short_or_increasing_lists(tmp_path):
                    "--override", "eps_list=0.0125,0.025,0.05") == 2
 
 
+def _assert_no_child():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_one_running_child():
+    # a child of this process runs; it has not exited
+    assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+
+
 # the default scales 0.05, 0.025 and 0.0125, of 80, 160 and 320 steps
 _FORKED_CONVERGE = ("T=0.05", "t_lo=0", "with_h=false")
 
@@ -762,7 +773,7 @@ def test_converge_reports_the_error_of_its_forked_scale(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "eps_0.025", "eps_0.05", "error.json"]
     assert (tmp_path / "eps_0.025" / "meta.json").exists()
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_converge_stops_its_forked_scale_on_an_error(tmp_path, capsys,
@@ -777,7 +788,7 @@ def test_converge_stops_its_forked_scale_on_an_error(tmp_path, capsys,
         step(self)
 
     def canonical(*args, **kwargs):
-        assert len(multiprocessing.active_children()) == 1
+        _assert_one_running_child()
         raise SolverError("planted")
 
     monkeypatch.setattr(kinetic.Stepper, "step", slow)
@@ -785,7 +796,7 @@ def test_converge_stops_its_forked_scale_on_an_error(tmp_path, capsys,
     started = time.perf_counter()
     assert run_cli(*_converge_args(tmp_path)) == 3
     assert time.perf_counter() - started < 10.0
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     lines = capsys.readouterr().err.strip().splitlines()
     assert [json.loads(line)["message"] for line in lines] == ["planted"]
     assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
@@ -795,9 +806,10 @@ def test_converge_reports_a_forked_scale_that_died(tmp_path, capsys,
                                                    monkeypatch):
     # a child killed outright (the kernel's OOM killer, say) sends nothing
     step = kinetic.Stepper.step
+    parent = os.getpid()
 
     def killed(self):
-        if multiprocessing.parent_process() is not None:
+        if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         step(self)
 
@@ -808,4 +820,99 @@ def test_converge_reports_a_forked_scale_that_died(tmp_path, capsys,
     assert json.loads(lines[0]) == {
         "error": "solver", "message": "kinetic run ended without a result",
         "diagnostics": {"epsilon": 0.0125, "exitcode": -signal.SIGKILL}}
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+# the kinetic run of 20 steps at the default eps 0.05
+_FORKED_PIPELINE = ("T=0.1",)
+
+
+def _pipeline_args(out):
+    return ["pipeline", "--out", str(out), "--override", *_FORKED_PIPELINE]
+
+
+def test_pipeline_reports_the_error_of_its_forked_run(tmp_path, capsys,
+                                                      monkeypatch):
+    # the kinetic run marches in a forked child, which inherits this patch
+    step = kinetic.Stepper.step
+
+    def failing(self):
+        if self.t > 0.02:
+            raise AprioriViolated("planted", t=self.t,
+                                  rho_max=float(self.rho.max()))
+        step(self)
+
+    monkeypatch.setattr(kinetic.Stepper, "step", failing)
+    assert run_cli(*_pipeline_args(tmp_path)) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    # the same run in this process fails with the same diagnostic
+    params = load_spec("pipeline", None, list(_FORKED_PIPELINE),
+                       tmp_path).params
+    cfg = converge.scale_config(TraitGrid(params["n_z"]), params,
+                                params["eps"], ())
+    with pytest.raises(AprioriViolated) as exc:
+        kinetic.run(cfg, converge.standard_setting(params))
+    expected = exc.value.to_json_dict()
+    assert json.loads(lines[0]) == expected
+    assert json.loads((tmp_path / "error.json").read_text()) == expected
+    assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("stage,code,message", [
+    ("canonical_ode", 3, "planted"),
+    ("check_H1", 4, "trait convexity check failed"),
+])
+def test_pipeline_stops_its_forked_run_on_an_error(tmp_path, capsys,
+                                                   monkeypatch, stage, code,
+                                                   message):
+    # the forked kinetic run takes half a minute; an error in the check or
+    # the limit must end the command at once, with no process left behind
+    step = kinetic.Stepper.step
+
+    def slow(self):
+        if self.t == 0.0:
+            time.sleep(30)
+        step(self)
+
+    def canonical(*args, **kwargs):
+        _assert_one_running_child()
+        raise SolverError("planted")
+
+    def check(cache):
+        _assert_one_running_child()
+        return {"pass": False}
+
+    monkeypatch.setattr(kinetic.Stepper, "step", slow)
+    monkeypatch.setattr(commands, stage,
+                        {"canonical_ode": canonical, "check_H1": check}[stage])
+    started = time.perf_counter()
+    assert run_cli(*_pipeline_args(tmp_path)) == code
+    assert time.perf_counter() - started < 10.0
+    _assert_no_child()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line)["message"] for line in lines] == [message]
+    assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
+
+
+def test_pipeline_reports_a_forked_run_that_died(tmp_path, capsys,
+                                                 monkeypatch):
+    # a child killed outright (the kernel's OOM killer, say) sends nothing
+    step = kinetic.Stepper.step
+    parent = os.getpid()
+
+    def killed(self):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        step(self)
+
+    monkeypatch.setattr(kinetic.Stepper, "step", killed)
+    assert run_cli(*_pipeline_args(tmp_path)) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "solver", "message": "kinetic run ended without a result",
+        "diagnostics": {"epsilon": 0.05, "exitcode": -signal.SIGKILL}}
+    assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
+    _assert_no_child()
