@@ -2,33 +2,26 @@
 
 Each command takes the validated parameter dict and an output directory,
 writes its CSV/JSON/gnuplot artifacts there, and returns a small summary
-dict that also lands in meta.json.  Every command checks each input that
-needs no dispersal profile before `standard_setting` builds one.  Failures
-raise the package's error types; run_command converts them into an
-error.json plus the documented exit code.
+dict that `cli.main` writes to summary.json.  Every command checks each
+input that needs no dispersal profile before `standard_setting` builds one.
+Failures raise the package's error types; `cli.main`, which owns the CLI
+contract, turns them into error.json plus the documented exit code.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-import time
 from pathlib import Path
 
 import numpy as np
-import scipy
-
-from .. import __version__
 
 from ..bundle import effective_hamiltonian
 from ..ecology import check_H1, check_h1_samples, lambda_surface, \
     potential, principal_eigenpair, solve_theta
-from ..errors import AcceptanceFailure, DispersalError, ValidationError
+from ..errors import AcceptanceFailure, ValidationError
 from ..grids import SpatialGrid, TimeIndexedField, TraitGrid, \
     check_records, default_m
 from ..hj import canonical_ode, lax_oleinik, lax_oleinik_steps
 from ..kinetic import run
-from .config import ExperimentSpec
 from .converge import LIMIT_STRIDE, forked_run, limit_march, limit_start, \
     rho_gap, run_convergence, scale_config, standard_setting, wkb_gap, \
     write_scale
@@ -256,26 +249,3 @@ _COMMANDS = {
     "converge": cmd_converge,
     "pipeline": cmd_pipeline,
 }
-
-
-def run_command(spec: ExperimentSpec) -> int:
-    out = spec.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    try:
-        summary = _COMMANDS[spec.command](spec.params, out)
-    except DispersalError as exc:
-        payload = exc.to_json_dict()
-        write_json(out / "error.json", payload)
-        print(json.dumps(payload, allow_nan=False), file=sys.stderr)
-        return exc.exit_code
-    write_json(out / "summary.json", {
-        "command": spec.command,
-        "params": spec.params,
-        "sources": spec.sources,
-        "summary": summary,
-        "versions": {"dispersal": __version__,
-                     "numpy": np.__version__, "scipy": scipy.__version__},
-        "wall_time_s": time.perf_counter() - started,
-    })
-    return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ValidationError
@@ -109,14 +109,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    command: str
-    params: dict
-    out_dir: Path
-    sources: dict = field(default_factory=dict)   # key -> file|override|default
-
-
 def _parse_value(key: Key, raw: str):
     try:
         if key.kind == "float":
@@ -147,7 +139,9 @@ def _finite(key: Key, raw: str, value: float) -> float:
 
 
 def load_spec(command: str, config_path: str | Path | None,
-              overrides: list[str], out_dir: str | Path) -> ExperimentSpec:
+              overrides: list[str]) -> tuple[dict, dict]:
+    """(params, sources) of `command`: each key's value, and where it came
+    from (file | override | default)."""
     if command not in SCHEMAS:
         raise ValidationError("unknown command", command=command,
                               known=sorted(SCHEMAS))
@@ -164,9 +158,15 @@ def load_spec(command: str, config_path: str | Path | None,
         sources[name] = source
 
     if config_path is not None:
-        parser = configparser.ConfigParser()
+        # no %-interpolation: a % in a value fails as an unparsable number
+        parser = configparser.ConfigParser(interpolation=None)
         parser.optionxform = str          # keys like T and K0 are case-exact
-        read = parser.read(str(config_path))
+        try:
+            read = parser.read(str(config_path), encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValidationError("cannot read the config file",
+                                  path=str(config_path),
+                                  reason=str(exc)) from exc
         if not read:
             raise ValidationError("config file not found",
                                   path=str(config_path))
@@ -181,4 +181,4 @@ def load_spec(command: str, config_path: str | Path | None,
         name, raw = item.split("=", 1)
         assign(name.strip(), raw, "override")
 
-    return ExperimentSpec(command, params, Path(out_dir), sources)
+    return params, sources

@@ -161,8 +161,8 @@ class Stepper:
                               n_min=float(np.nanmin(star)),
                               n_max=float(np.nanmax(star)))
         if star.min() < 0.0:
-            raise ValidationError("phase density must be nonnegative",
-                                  min_value=float(star.min()))
+            raise SolverError("negative density after step",
+                              min_value=float(star.min()))
         self._watch_bounds(rho, t_new)
         self.n, self.rho, self.t = star, rho, t_new
 

@@ -8,23 +8,32 @@ parse reproduces the in-memory doubles.  Columns longer than
 their length and end values kept in the clear for diagnostics.  The run's
 wall time and the library versions are not pinned.
 
-A change that moves numbers on purpose re-blesses the file in the same
+The last bits also depend on SIMD paths chosen at run time: the OpenBLAS
+kernels and numpy's exp and log loops.  `golden_dispatch.json` records the
+paths of the blessing host, and a case that differs on a host whose paths
+differ too says so in its assertion.
+
+A change that moves numbers on purpose re-blesses both files in the same
 change, from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from dispersal.harness.cli import main
 from helpers import read_csv
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+DISPATCH = Path(__file__).with_name("golden_dispatch.json")
 FULL_COLUMN_MAX = 200
 UNPINNED = ("wall_time_s", "versions")
 
@@ -92,6 +101,42 @@ def parsed_outputs(out: Path) -> dict:
     return files
 
 
+def simd_dispatch() -> dict:
+    """The run-time SIMD paths the goldens' last bits depend on: the core of
+    the OpenBLAS that numpy bundles and of scipy's (None where a wheel
+    bundles none), and the targets of numpy's float64 exp and log loops."""
+    # numpy >= 2.0 only, and test_harness imports this module on any numpy
+    import numpy.lib.introspect
+
+    found = {}
+    for package, suffix in ((numpy, "64_"), (scipy, "")):
+        name = package.__name__
+        libs = Path(package.__file__).parent.parent / f"{name}.libs"
+        found[f"{name}_openblas"] = None
+        for lib in sorted(libs.glob("*openblas*"))[:1]:
+            core = getattr(ctypes.CDLL(str(lib)),
+                           f"scipy_openblas_get_corename{suffix}")
+            core.argtypes, core.restype = [], ctypes.c_char_p
+            found[f"{name}_openblas"] = core().decode()
+    loops = numpy.lib.introspect.opt_func_info(func_name="^(exp|log)$",
+                                               signature="^float64$")
+    for name in ("exp", "log"):
+        found[name] = loops[name]["dd"]["current"]
+    return found
+
+
+def _dispatch_note() -> str:
+    """Where this host's SIMD paths differ from the blessing host's."""
+    blessed = json.loads(DISPATCH.read_text(encoding="utf-8"))
+    running = simd_dispatch()
+    moved = sorted(k for k in blessed.keys() | running.keys()
+                   if blessed.get(k) != running.get(k))
+    if not moved:
+        return ""
+    return (f"; blessed under {({k: blessed.get(k) for k in moved})}, "
+            f"running under {({k: running.get(k) for k in moved})}")
+
+
 def run_case(name: str, out: Path) -> dict:
     code = main(CASES[name] + ["--out", str(out)])
     assert code == 0, f"{name} exited {code}"
@@ -104,7 +149,9 @@ def test_cli_outputs_match_golden(tmp_path, name):
     got = run_case(name, tmp_path)
     assert sorted(got) == sorted(golden), "set of output files changed"
     for key in golden:
-        assert got[key] == golden[key], f"{name}: {key} differs from golden"
+        # the dispatch is read only for a case that differs
+        assert got[key] == golden[key], \
+            f"{name}: {key} differs from golden{_dispatch_note()}"
 
 
 if __name__ == "__main__":
@@ -114,4 +161,6 @@ if __name__ == "__main__":
         blessed = {name: run_case(name, Path(tmp) / name) for name in CASES}
     GOLDEN.write_text(json.dumps(blessed, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+    DISPATCH.write_text(json.dumps(simd_dispatch(), indent=1, sort_keys=True)
+                        + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN} and {DISPATCH}", file=sys.stderr)

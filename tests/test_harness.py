@@ -44,10 +44,19 @@ def test_unknown_key_is_rejected_by_name(tmp_path, capsys):
     assert "dx" in payload["message"]
 
 
-def test_unknown_command_is_an_argparse_error(tmp_path):
+def test_unknown_command_is_an_argparse_error(tmp_path, capsys):
+    payload = _validation_line(capsys, ["frobnicate", "--out", str(tmp_path)])
+    assert payload == {"error": "validation", "message": "unknown command",
+                       "diagnostics": {"command": "frobnicate",
+                                       "known": sorted(SCHEMAS)}}
+
+
+def test_help_exits_0_and_lists_the_commands(capsys):
     with pytest.raises(SystemExit) as exc:
-        run_cli("frobnicate", "--out", str(tmp_path))
-    assert exc.value.code == 2
+        run_cli("theta", "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(sorted(SCHEMAS)) in text
 
 
 def test_unparsable_value_names_the_key(tmp_path):
@@ -284,17 +293,79 @@ def test_exit_code_contract_of_converge_and_pipeline(runs):
     _assert_contract(runs)
 
 
+def _validation_line(capsys, argv) -> dict:
+    """The one strict-JSON validation line a rejected run prints, parsed;
+    `main` returns 2, so it neither raises SystemExit nor prints usage."""
+    assert run_cli(*argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0], parse_constant=_reject)
+    assert payload["error"] == "validation"
+    return payload
+
+
 def _rejection(capsys, out, command, overrides) -> str:
     """Message of the one strict-JSON validation line a rejected run prints."""
     args = [command, "--out", str(out)]
     for override in overrides:
         args += ["--override", override]
-    assert run_cli(*args) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0], parse_constant=_reject)
-    assert payload["error"] == "validation"
-    return payload["message"]
+    return _validation_line(capsys, args)["message"]
+
+
+_CONFIG = ("theta", "--config", "{ini}")
+_BAD_CONFIG = "cannot read the config file"
+_BAD_FLOAT = "cannot parse key 'alpha' as float"
+_BAD_OUT = "cannot make the output directory"
+
+
+def _argv_case(case, args, message, reason, ini=b""):
+    return pytest.param(args, ini, message, reason, id=case)
+
+
+@pytest.mark.parametrize("args,ini,message,reason", [
+    # the command line: argparse's own message is the reason
+    _argv_case("no-command", (), "bad command line", "required: command"),
+    _argv_case("unknown-flag", ("theta", "--bogus"), "bad command line",
+               "unrecognized arguments: --bogus"),
+    _argv_case("override-without-value", ("theta", "--override"),
+               "bad command line", "expected one argument"),
+    _argv_case("override-foo", ("theta", "--override", "foo"),
+               "override must look like key=value", "foo"),
+    # the config file: configparser's or the decoder's message is the reason
+    _argv_case("ini-without-section", _CONFIG, _BAD_CONFIG,
+               "no section headers", ini=b"alpha = 1\n"),
+    _argv_case("ini-duplicate-section", _CONFIG, _BAD_CONFIG,
+               "section 'theta' already exists",
+               ini=b"[theta]\nalpha = 1\n[theta]\nalpha = 2\n"),
+    _argv_case("ini-duplicate-option", _CONFIG, _BAD_CONFIG,
+               "option 'alpha' in section 'theta' already exists",
+               ini=b"[theta]\nalpha = 1\nalpha = 2\n"),
+    _argv_case("ini-undecodable", _CONFIG, _BAD_CONFIG,
+               "can't decode byte 0xff", ini=b"[theta]\nalpha = \xff\n"),
+    # no %-interpolation: the value is read as it stands
+    _argv_case("ini-percent", _CONFIG, _BAD_FLOAT, "5%",
+               ini=b"[theta]\nalpha = 5%\n"),
+    _argv_case("ini-interpolation", _CONFIG, _BAD_FLOAT, "%(x)s",
+               ini=b"[theta]\nalpha = %(x)s\n"),
+    # --out: an existing file, and a path below one
+    _argv_case("out-is-a-file", ("theta", "--out", "{file}"), _BAD_OUT,
+               "File exists"),
+    _argv_case("out-below-a-file", ("theta", "--out", "{file}/below"),
+               _BAD_OUT, "Not a directory"),
+])
+def test_bad_command_line_config_or_out_is_a_validation_error(
+        tmp_path, capsys, monkeypatch, args, ini, message, reason):
+    # a run that got past these checks would write below runs/ here
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.ini").write_bytes(ini)
+    (tmp_path / "file").write_bytes(b"")
+    argv = [a.format(ini=tmp_path / "exp.ini", file=tmp_path / "file")
+            for a in args]
+    payload = _validation_line(capsys, argv)
+    assert payload["message"] == message
+    assert reason in json.dumps(payload["diagnostics"])
+    # rejected before anything was written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "file"]
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -382,8 +453,14 @@ def _case(command, overrides, message, **diagnostics):
     # the habitat grid, one field of n_x values
     _case("theta", ("n_x=1000000000000",), "habitat grid exceeds the step cap",
           records=1, width=10**12, cap=_CAP),
+    _case("hj", ("record_every=0",), "record_every must be >= 1",
+          record_every=0),
+    _case("lax-oleinik", ("reach=1000",),
+          "reach window exceeds the trait interval", window=1920, n_z=128),
     # the kinetic runs
     _case("pde", ("c_t=0.5",), "c_t must lie in (0, 0.2]", c_t=0.5),
+    _case("pde", ("out_stride=0",), "strides must be >= 1"),
+    _case("pde", ("history_stride=0",), "strides must be >= 1"),
     _case("pde", ("probes=-1",), "probe time outside the run", probe=-1.0),
     # the phase density, one record of n_x * n_z values
     _case("pde", ("n_z=1000000000000",), "phase density exceeds the step cap",
@@ -401,6 +478,8 @@ def _case(command, overrides, message, **diagnostics):
           records=24, width=64 * 10**12, cap=_CAP),
     _case("converge", ("z_samples=0",),
           "the H table needs at least 1 trait sample", z_samples=0),
+    _case("alpha-build", ("samples=0",), "alpha-build needs at least 1 sample",
+          samples=0),
     # the CSV rows times columns, and check-h1's surface
     _case("alpha-build", ("samples=1000000000000",),
           "alpha.csv exceeds the step cap", records=10**12, width=3, cap=_CAP),
@@ -415,6 +494,11 @@ def _case(command, overrides, message, **diagnostics):
     _case("check-h1", ("samples=1000000000000",),
           "H1 sample surface exceeds the step cap", records=10**12,
           width=10**12, cap=_CAP),
+    _case("floquet-test", ("dtau=0",),
+          "floquet-test needs dtau > 0 and t_end >= 0", dtau=0.0, t_end=0.05),
+    _case("floquet-test", ("t_end=-1",),
+          "floquet-test needs dtau > 0 and t_end >= 0", dtau=5e-06,
+          t_end=-1.0),
     # 160,001 records of 64 values: within the step cap, past the rule
     _case("floquet-test", ("t_end=0.8",), _RECORD_RULE, records=160_001,
           width=64, cap=_CAP),
@@ -525,27 +609,26 @@ def test_config_file_and_override_precedence(tmp_path):
     # default, which would reject every uppercase key as unknown)
     ini.write_text("[pde]\neps = 0.04\nc_t = 0.05\nT = 0.5\nK0 = 2.0\n\n"
                    "[hj]\ndt = 0.01\n", encoding="utf-8")
-    spec = load_spec("pde", ini, ["c_t=0.025"], tmp_path / "out")
-    assert spec.params["eps"] == 0.04
-    assert spec.params["c_t"] == 0.025
-    assert spec.params["T"] == 0.5
-    assert spec.params["K0"] == 2.0
-    assert spec.sources["eps"] == "file"
-    assert spec.sources["c_t"] == "override"
-    assert spec.sources["n_x"] == "default"
+    params, sources = load_spec("pde", ini, ["c_t=0.025"])
+    assert params["eps"] == 0.04
+    assert params["c_t"] == 0.025
+    assert params["T"] == 0.5
+    assert params["K0"] == 2.0
+    assert sources["eps"] == "file"
+    assert sources["c_t"] == "override"
+    assert sources["n_x"] == "default"
     # the hj section must not leak into the pde command
-    assert "dt" not in spec.params
+    assert "dt" not in params
 
 
 def test_missing_config_file_is_a_validation_error(tmp_path):
     with pytest.raises(ValidationError):
-        load_spec("pde", tmp_path / "nope.ini", [], tmp_path)
+        load_spec("pde", tmp_path / "nope.ini", [])
 
 
 def test_float_list_parsing(tmp_path):
-    spec = load_spec("converge", None, ["eps_list=0.05, 0.04; 0.03"],
-                     tmp_path)
-    assert spec.params["eps_list"] == (0.05, 0.04, 0.03)
+    params, _ = load_spec("converge", None, ["eps_list=0.05, 0.04; 0.03"])
+    assert params["eps_list"] == (0.05, 0.04, 0.03)
 
 
 def test_every_schema_has_a_command(tmp_path):
@@ -760,8 +843,7 @@ def test_converge_reports_the_error_of_its_forked_scale(tmp_path, capsys,
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     # the same scale run in this process fails with the same diagnostic
-    params = load_spec("converge", None, list(_FORKED_CONVERGE),
-                       tmp_path).params
+    params, _ = load_spec("converge", None, list(_FORKED_CONVERGE))
     cfg = converge.scale_config(TraitGrid(params["n_z"]), params, 0.0125,
                                 params["u_probes"])
     with pytest.raises(AprioriViolated) as exc:
@@ -847,8 +929,7 @@ def test_pipeline_reports_the_error_of_its_forked_run(tmp_path, capsys,
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     # the same run in this process fails with the same diagnostic
-    params = load_spec("pipeline", None, list(_FORKED_PIPELINE),
-                       tmp_path).params
+    params, _ = load_spec("pipeline", None, list(_FORKED_PIPELINE))
     cfg = converge.scale_config(TraitGrid(params["n_z"]), params,
                                 params["eps"], ())
     with pytest.raises(AprioriViolated) as exc:

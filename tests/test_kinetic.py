@@ -393,7 +393,7 @@ class _Corrupting:
     # the trailing True of each id names the reaction, which every step applies
     pytest.param(np.nan, SolverError, id="nan-SolverError-True"),
     pytest.param(np.inf, SolverError, id="inf-SolverError-True"),
-    pytest.param(-1e-6, ValidationError, id="-1e-06-ValidationError-True"),
+    pytest.param(-1e-6, SolverError, id="-1e-06-SolverError-True"),
 ])
 def test_step_rejects_a_corrupted_density(setting, cache, value, error):
     cfg = base_config(setting)
