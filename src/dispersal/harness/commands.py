@@ -10,6 +10,7 @@ contract, turns them into error.json plus the documented exit code.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,9 @@ def cmd_lax_oleinik(params: dict, out: Path) -> dict:
 def cmd_pde(params: dict, out: Path) -> dict:
     cfg = scale_config(TraitGrid(params["n_z"]), params, params["eps"],
                        params["probes"])
-    res = run(cfg, standard_setting(params))
+    # a partner process on a second CPU of the affinity set (Linux only)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    res = run(cfg, standard_setting(params), partner=len(cpus) > 1)
     write_scale(out, cfg, params, res)
     return {"zbar_end": float(res.zbar[-1]), "mass_end": float(res.mass[-1]),
             "envelope": list(res.envelope),

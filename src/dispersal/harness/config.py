@@ -1,8 +1,8 @@
 """Experiment configuration: per-command key schemas, INI parsing, overrides.
 
-A config file holds one INI section per command; ``--override key=value``
-entries are applied on top.  Every key must appear in the command's schema,
-with unknown keys rejected by name before any compute starts.
+A config file holds one INI section per command, and [DEFAULT] keys for
+every command whose schema has them; ``--override key=value`` entries are
+applied on top.  Unknown keys are rejected by name before any compute.
 """
 
 from __future__ import annotations
@@ -158,8 +158,10 @@ def load_spec(command: str, config_path: str | Path | None,
         sources[name] = source
 
     if config_path is not None:
-        # no %-interpolation: a % in a value fails as an unparsable number
-        parser = configparser.ConfigParser(interpolation=None)
+        # no %-interpolation: a % in a value fails as an unparsable number;
+        # [DEFAULT] is read as a section of its own, not merged into each
+        parser = configparser.ConfigParser(interpolation=None,
+                                           default_section="")
         parser.optionxform = str          # keys like T and K0 are case-exact
         try:
             read = parser.read(str(config_path), encoding="utf-8")
@@ -170,9 +172,14 @@ def load_spec(command: str, config_path: str | Path | None,
         if not read:
             raise ValidationError("config file not found",
                                   path=str(config_path))
-        if parser.has_section(command):
-            for name, raw in parser.items(command):
-                assign(name, raw, "file")
+        for section in ("DEFAULT", command):    # the command's own one wins
+            for name, raw in (parser.items(section) if section in parser
+                              else ()):
+                if section == command or name in schema:
+                    assign(name, raw, "file")
+                elif not any(name in keys for keys in SCHEMAS.values()):
+                    raise ValidationError(f"unknown key '{name}' in [DEFAULT]",
+                                          key=name, section="DEFAULT")
 
     for item in overrides:
         if "=" not in item:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,7 +25,7 @@ from ..grids import SpatialGrid, TraitField, TraitGrid, check_records, \
     default_m
 from ..hj import HJSolution, SelfConsistentSource, canonical_ode, hj_steps, \
     initial_values, solve_constrained_hj
-from ..kinetic import RunResult, SimConfig, run
+from ..kinetic import RunResult, SimConfig, forked, run
 from .io import write_csv, write_json, write_plot_script
 
 TREND_SLACK = 1.1        # weak decrease tolerance along the scale list
@@ -115,56 +113,37 @@ def write_scale(out: Path, cfg: SimConfig, params: dict,
 @contextmanager
 def forked_run(cfg: SimConfig, cache: ThetaCache):
     """Yield a function that returns the run of `cfg` in `cache`, marched
-    in a forked child (POSIX `fork`) from the start of the block, or raises
-    its error.  Leaving the block, on every path, kills and reaps the child,
-    so its CPU time counts as this process's."""
+    in a child `forked` at the start of the block, or raises its error.
+    Leaving the block, on every path, kills and reaps the child."""
     # fork, since the cache's profile holds closures that do not pickle:
     # only the result or the error crosses the pipe
-    reader, writer = os.pipe()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pid = os.fork()
-    if pid == 0:                # the child's whole work; it prints nothing
-        code = 1
+    reader, writer = map(open, os.pipe(), ("rb", "wb"))
+
+    def work():
+        reader.close()
         try:
-            os.close(reader)
+            out = run(cfg, cache)
+        except Exception as exc:
+            out = exc
+        with writer:
+            writer.write(pickle.dumps(out))
+
+    with reader, writer, forked(work) as reap:
+        writer.close()
+
+        def result() -> RunResult:
             try:
-                out = run(cfg, cache)
-            except Exception as exc:
-                out = exc
-            with open(writer, "wb") as pipe:
-                pipe.write(pickle.dumps(out))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(writer)
-    reaped = False
+                out = pickle.loads(reader.read())
+            except (EOFError, pickle.UnpicklingError):
+                # the child died before it sent all of its result
+                raise SolverError("kinetic run ended without a result",
+                                  epsilon=cfg.epsilon, exitcode=reap()
+                                  ) from None
+            if isinstance(out, Exception):
+                raise out
+            return out
 
-    def result() -> RunResult:
-        nonlocal reaped
-        with open(reader, "rb", closefd=False) as pipe:
-            data = pipe.read()
-        try:
-            out = pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):
-            # the child died before it sent all of its result
-            _, status = os.waitpid(pid, 0)
-            reaped = True
-            raise SolverError("kinetic run ended without a result",
-                              epsilon=cfg.epsilon,
-                              exitcode=os.waitstatus_to_exitcode(status)
-                              ) from None
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-    try:
         yield result
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(reader)
 
 
 def weakly_decreasing(values) -> bool:

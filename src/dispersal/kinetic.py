@@ -16,6 +16,11 @@ module.
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +30,7 @@ from .errors import (AprioriViolated, PopulationExtinct, SolverError,
                      ValidationError)
 from .grids import (SpatialGrid, TimeIndexedField, TraitField, TraitGrid,
                     check_records, march_steps, parabola_vertex)
-from .tridiag import BlockDiffusion, FactoredDiffusion
+from .tridiag import BlockDiffusion, FactoredDiffusion, solve_in_place
 
 MAX_REACTION_COURANT = 0.2   # dt/eps cap for the frozen-rho exponential
 ENVELOPE_FACTOR = 10.0
@@ -74,6 +79,35 @@ class SimConfig:
         return self.c_t * self.epsilon
 
 
+@contextmanager
+def forked(work):
+    """Run `work()` in a forked child ending in `os._exit` (0 once `work`
+    returns, else 1); yield a function that reaps it and returns its exit
+    code.  Leaving the block kills and reaps it, so no process outlives it."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            work()
+            os._exit(0)
+        finally:                # work raised
+            os._exit(1)
+    status = []
+
+    def reap() -> int:
+        if not status:
+            status.append(os.waitpid(pid, 0)[1])
+        return os.waitstatus_to_exitcode(status[0])
+
+    try:
+        yield reap
+    finally:
+        if not status:
+            os.kill(pid, signal.SIGKILL)
+            reap()
+
+
 def init_population(cfg: SimConfig) -> np.ndarray:
     """Gaussian-in-trait start n = eps^{-1/2} exp(-K0 (z-zbar0)^2 / eps),
     constant in x; amplitude carries the half-log-eps WKB offset."""
@@ -116,6 +150,8 @@ class Stepper:
         self._xdiff = BlockDiffusion(cfg.space.n_x, cfg.space.h_x,
                                      dt * alphas / eps)
         self._zdiff = FactoredDiffusion(cfg.trait.n_z, cfg.trait.h_z, dt * eps)
+        self._xs, self._zs = np.empty(shape[::-1]), np.empty(shape)
+        self._split, self._partner = shape[::-1], None
         self._env_lo, self._env_hi = float(rho.min()), float(rho.max())
         self._streak = 0
 
@@ -148,8 +184,18 @@ class Stepper:
         raises and leaves the state as it was."""
         cfg = self.cfg
         dt, eps = cfg.dt, cfg.epsilon
-        star = self._xdiff.solve(self.n.T).T         # x-diffusion per z-slice
-        star = self._zdiff.solve(star.T).T           # z-diffusion per x-slice
+        n, xs, star, (kz, kx) = self.n, self._xs, self._zs, self._split
+        if self._partner:                   # it solves past the split
+            xs[kz:] = n[:, kz:].T
+            self._talk(b"x")
+        self._xdiff.solve(n[:, :kz].T, out=xs[:kz])  # x-diffusion per z-slice
+        if self._partner:
+            self._talk()
+            star[kx:] = xs[:, kx:].T
+            self._talk(b"z")
+        self._zdiff.solve(xs[:, :kx], out=star[:kx].T)  # z-diffusion per x-slice
+        if self._partner:
+            self._talk()
         rho_star = cfg.trait.h_z * star.sum(axis=1)
         growth = np.exp((dt / eps) * (self._m - rho_star))
         star = star * growth[:, None]
@@ -165,6 +211,49 @@ class Stepper:
                               min_value=float(star.min()))
         self._watch_bounds(rho, t_new)
         self.n, self.rho, self.t = star, rho, t_new
+
+    def _talk(self, job: bytes = b"") -> None:
+        """Send the partner `job`, or with none await its answer to the last.
+        This process keeps the jobs' read end open, so a send never fails:
+        a partner that has ended shows as the end of its answers."""
+        jobs, answers, reap = self._partner
+        if job:
+            jobs.write(job)
+        elif not answers.read(1):
+            raise SolverError("diffusion partner ended", t=self.t,
+                              exitcode=reap())
+
+    @contextmanager
+    def partnered(self):
+        """Within the block a forked partner process solves the upper half
+        of each diffusion solve, z-slices from n_z // 2 and x-columns from
+        n_x // 2, in shared buffers through the matching slices of the
+        factors (the blocks are uncoupled: each value is the whole solve's)."""
+        n_z, n_x = self._xs.shape
+        kz, kx = n_z // 2, n_x // 2
+        xs, zs = (np.frombuffer(mmap.mmap(-1, 8 * n_x * n_z)).reshape(shape)
+                  for shape in ((n_z, n_x), (n_x, n_z)))
+        d, l = self._xdiff.factor
+        jobs = {b"x": ((d[kz * n_x:], l[kz * n_x:]), xs[kz:].reshape(-1)),
+                b"z": (self._zdiff.factor, zs[kx:].T)}
+        job_r, job_w, done_r, done_w = map(open, os.pipe() + os.pipe(),
+                                           ("rb", "wb") * 2, (0,) * 4)
+
+        def serve():
+            job_w.close()       # so that the parent's exit reads as EOF
+            while job := job_r.read(1):
+                solve_in_place(*jobs[job])
+                done_w.write(b"\0")
+
+        held = self._xs, self._zs, self._split, self._partner
+        with job_r, job_w, done_r, done_w, forked(serve) as reap:
+            done_w.close()      # so that the partner's exit reads as EOF
+            self._xs, self._zs, self._split, self._partner = \
+                xs, zs, (kz, kx), (job_w, done_r, reap)
+            try:
+                yield self
+            finally:
+                self._xs, self._zs, self._split, self._partner = held
 
 
 def extract_u(n: np.ndarray, epsilon: float) -> np.ndarray:
@@ -224,13 +313,14 @@ def probe_steps(cfg: SimConfig) -> dict:
     return steps
 
 
-def run(cfg: SimConfig, cache: ThetaCache) -> RunResult:
+def run(cfg: SimConfig, cache: ThetaCache, partner=False) -> RunResult:
     """March to the horizon in `cache`, recording stride outputs, the
     integrated-density history for the bundle module, and WKB snapshots.
 
     The history keeps rho at every `history_stride`-th step and the last,
     the stride outputs five values at every `out_stride`-th step and the
-    last; `SimConfig` has checked both against the record rule."""
+    last; `SimConfig` has checked both against the record rule.  With
+    `partner`, the stepper is `partnered` after every input check."""
     n_steps = march_steps(cfg.T, cfg.dt)
     snap_steps = probe_steps(cfg)
     stepper = Stepper(cfg, cache, init_population(cfg))
@@ -249,7 +339,8 @@ def run(cfg: SimConfig, cache: ThetaCache) -> RunResult:
 
     # an overflowing step is turned into SolverError by the checks in
     # Stepper.step; numpy's own warnings would only add stderr lines
-    with np.errstate(over="ignore", invalid="ignore"):
+    with stepper.partnered() if partner else nullcontext(), \
+            np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             if k % cfg.out_stride == 0 or k == n_steps:
                 record_output()

@@ -8,7 +8,7 @@ with LAPACK's dpttrf (A = L D L^T, L unit lower bidiagonal).  Each later
 solve is one `solve_in_place` (dpttrs) call over its argument, so a march
 that holds the factor steps without a copy; `FactoredDiffusion` (one mu,
 many right-hand sides) and `BlockDiffusion` (one mu per slice) are
-front-ends that solve into a new array.
+front-ends that solve into a new array or into `out`.
 
 Positivity: I - mu*L is a diagonally dominant M-matrix, so its factor has
 pivots d > 0 and multipliers l <= 0.  Forward substitution
@@ -61,21 +61,31 @@ class FactoredDiffusion:
     """(I - mu*L)^{-1} for one mu, applied through a cached factorization."""
 
     def __init__(self, n: int, h: float, mu: float):
-        self._factor = diffusion_factor(n, h, [mu])
+        self.factor = diffusion_factor(n, h, [mu])
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - mu*L) x = rhs; rhs may be (n,) or (n, k) for k systems."""
-        return solve_in_place(self._factor,
-                              np.array(rhs, dtype=float, order="F"))
+    def solve(self, rhs: np.ndarray, out=None) -> np.ndarray:
+        """Solve (I - mu*L) x = rhs; rhs may be (n,) or (n, k) for k systems,
+        into `out` (Fortran-ordered, rhs's shape) or a new array."""
+        if out is None:
+            out = np.array(rhs, dtype=float, order="F")
+        else:
+            out[...] = rhs
+        return solve_in_place(self.factor, out)
 
 
 class BlockDiffusion:
     """Batched per-slice solves of (I - mu_j*L) x_j = rhs_j, one mu per slice."""
 
     def __init__(self, n: int, h: float, mus: np.ndarray):
-        self._factor = diffusion_factor(n, h, mus)
+        self.factor = diffusion_factor(n, h, mus)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs has shape (n_slices, n); returns the same shape."""
-        x = np.array(rhs, dtype=float, order="C")   # so reshape(-1) is a view
-        return solve_in_place(self._factor, x.reshape(-1)).reshape(rhs.shape)
+    def solve(self, rhs: np.ndarray, out=None) -> np.ndarray:
+        """rhs has shape (k, n), the first k slices (all, or fewer); solves
+        into `out` (C-contiguous, rhs's shape) or a new array."""
+        if out is None:
+            out = np.array(rhs, dtype=float, order="C")
+        else:
+            out[...] = rhs
+        d, l = self.factor
+        solve_in_place((d[:out.size], l[:out.size - 1]), out.reshape(-1))
+        return out

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dispersal import kinetic
+from dispersal import kinetic, tridiag
 from dispersal.harness import commands, converge
 from dispersal.harness.cli import main
 from dispersal.harness.config import SCHEMAS, load_spec
@@ -342,6 +342,10 @@ def _argv_case(case, args, message, reason, ini=b""):
                ini=b"[theta]\nalpha = 1\nalpha = 2\n"),
     _argv_case("ini-undecodable", _CONFIG, _BAD_CONFIG,
                "can't decode byte 0xff", ini=b"[theta]\nalpha = \xff\n"),
+    # a [DEFAULT] key must belong to some command's schema
+    _argv_case("ini-default-unknown-key", _CONFIG,
+               "unknown key 'bogus' in [DEFAULT]", "bogus",
+               ini=b"[DEFAULT]\nT = 0.5\nbogus = 1\n[theta]\nalpha = 1\n"),
     # no %-interpolation: the value is read as it stands
     _argv_case("ini-percent", _CONFIG, _BAD_FLOAT, "5%",
                ini=b"[theta]\nalpha = 5%\n"),
@@ -621,6 +625,25 @@ def test_config_file_and_override_precedence(tmp_path):
     assert "dt" not in params
 
 
+@pytest.mark.parametrize("ini,alpha", [
+    # T is no key of theta's, n_x is; the command's section comes last
+    pytest.param("[DEFAULT]\nT = 0.5\nn_x = 32\nalpha = 0.3\n\n"
+                 "[theta]\nalpha = 0.4\n", 0.4, id="with-section"),
+    pytest.param("[DEFAULT]\nT = 0.5\nn_x = 32\nalpha = 0.3\n", 0.3,
+                 id="alone"),
+])
+def test_ini_default_section_gives_each_command_its_keys(tmp_path, ini,
+                                                         alpha):
+    path = tmp_path / "exp.ini"
+    path.write_text(ini, encoding="utf-8")
+    params, sources = load_spec("theta", path, [])
+    assert params == {"n_x": 32, "m_amp": 0.5, "alpha": alpha}
+    assert sources == {"n_x": "file", "m_amp": "default", "alpha": "file"}
+    params, sources = load_spec("pde", path, ["n_x=16"])
+    assert (params["T"], params["n_x"]) == (0.5, 16)
+    assert (sources["T"], sources["n_x"]) == ("file", "override")
+
+
 def test_missing_config_file_is_a_validation_error(tmp_path):
     with pytest.raises(ValidationError):
         load_spec("pde", tmp_path / "nope.ini", [])
@@ -699,6 +722,34 @@ def test_pde_runs_are_byte_identical(tmp_path):
     meta = json.loads((tmp_path / "a" / "meta.json").read_text())
     assert meta["violations"] == []
     assert meta["config"]["eps"] == 0.05
+
+
+def _pde_tree(out) -> dict:
+    # every file of a pde run but summary.json, which holds its wall time
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.name != "summary.json"}
+
+
+def test_pde_on_one_cpu_forks_nothing_and_writes_the_same_bytes(
+        tmp_path, monkeypatch):
+    # two CPUs: one fork, a partner that solves half of each diffusion solve
+    args = ("pde", "--override", "T=0.2", "--override", "probes=0.1,0.2",
+            "--override", "n_x=9", "--override", "n_z=17")
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(0) or real_fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run_cli(*args, "--out", str(tmp_path / "two")) == 0
+    assert forks == [0]
+    _assert_no_child()
+
+    def fork():
+        raise AssertionError("pde forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", fork)
+    assert run_cli(*args, "--out", str(tmp_path / "one")) == 0
+    two = _pde_tree(tmp_path / "two")
+    assert "u_snap_0.1.csv" in two and two == _pde_tree(tmp_path / "one")
 
 
 def test_probes_that_round_to_one_step_each_get_the_snapshot(tmp_path):
@@ -997,3 +1048,85 @@ def test_pipeline_reports_a_forked_run_that_died(tmp_path, capsys,
         "diagnostics": {"epsilon": 0.05, "exitcode": -signal.SIGKILL}}
     assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
     _assert_no_child()
+
+
+# a pde run of 20 steps at the default eps 0.05, with a partner process
+_PARTNERED_PDE = ("T=0.1",)
+
+
+def _pde_args(out):
+    return ["pde", "--out", str(out), "--override", *_PARTNERED_PDE]
+
+
+@pytest.mark.parametrize("when", ["solving", "between-steps"])
+def test_pde_reports_a_partner_that_died(tmp_path, capsys, monkeypatch,
+                                         when):
+    # a partner killed outright (the kernel's OOM killer, say) answers no
+    # more solves: the parent's wait for it fails as a solver error
+    parent, partners = os.getpid(), []
+    solve, step, fork = kinetic.solve_in_place, kinetic.Stepper.step, os.fork
+
+    def killed(factor, x):              # in the partner, at its first job
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return solve(factor, x)
+
+    def killing(self):                  # in the parent, before a step
+        if self.t > 0.02 and partners:
+            os.kill(partners.pop(), signal.SIGKILL)
+        step(self)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if when == "solving":
+        monkeypatch.setattr(kinetic, "solve_in_place", killed)
+    else:
+        monkeypatch.setattr(os, "fork",
+                            lambda: partners.append(fork()) or partners[-1])
+        monkeypatch.setattr(kinetic.Stepper, "step", killing)
+    assert run_cli(*_pde_args(tmp_path)) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    t = 0.0 if when == "solving" else json.loads(lines[0])["diagnostics"]["t"]
+    assert when == "solving" or 0.02 < t < 0.1
+    expected = {"error": "solver", "message": "diffusion partner ended",
+                "diagnostics": {"t": t, "exitcode": -signal.SIGKILL}}
+    assert json.loads(lines[0]) == expected
+    assert json.loads((tmp_path / "error.json").read_text()) == expected
+    assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]
+    _assert_no_child()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failure,message", [
+    ("z-solve", "non-finite density after step"),
+    ("envelope", "planted"),
+])
+def test_pde_stops_its_partner_on_an_error(tmp_path, capsys, monkeypatch,
+                                           failure, message):
+    # a failed check in the parent ends the command with no process left
+    solve = tridiag.FactoredDiffusion.solve
+    step = kinetic.Stepper.step
+
+    def corrupted(self, rhs, out=None):
+        out = solve(self, rhs, out=out)
+        if out.ndim == 2:                   # the kinetic step's, not theta's
+            _assert_one_running_child()
+            out[3, 2] = np.nan
+        return out
+
+    def violated(self):
+        if self.t > 0.02:
+            _assert_one_running_child()
+            raise AprioriViolated("planted", t=self.t)
+        step(self)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if failure == "z-solve":
+        monkeypatch.setattr(tridiag.FactoredDiffusion, "solve", corrupted)
+    else:
+        monkeypatch.setattr(kinetic.Stepper, "step", violated)
+    assert run_cli(*_pde_args(tmp_path)) == 3
+    _assert_no_child()
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line)["message"] for line in lines] == [message]
+    assert list(tmp_path.iterdir()) == [tmp_path / "error.json"]

@@ -1,10 +1,14 @@
 """Full phase-space solver: splitting substeps, WKB extraction, sentinels."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from dispersal.ecology import ThetaCache, construct_alpha, solve_theta
+from dispersal.harness.converge import standard_setting
 from dispersal.errors import (AprioriViolated, PopulationExtinct, SolverError,
                               ValidationError)
 from dispersal.grids import ScalarField, SpatialGrid, TraitGrid, default_m
@@ -382,8 +386,8 @@ class _Corrupting:
     def __init__(self, solver, value):
         self.solver, self.value = solver, value
 
-    def solve(self, rhs):
-        out = self.solver.solve(rhs)      # (n_z, n_x)
+    def solve(self, rhs, out=None):
+        out = self.solver.solve(rhs, out=out)      # (n_z, n_x)
         out[3:5, 5] = self.value
         return out
 
@@ -436,3 +440,59 @@ def test_run_rejects_stride_outputs_past_the_record_rule(setting, cache,
         run(base_config(setting, eps=0.1, T=1.0, c_t=1e-6, out_stride=1,
                         history_stride=10_000_000), cache)
     assert info.value.diagnostics["width"] == 5
+
+
+def _fields(result) -> dict:
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+
+
+@pytest.mark.parametrize("n_x,n_z", [(64, 128), (9, 17)])
+def test_a_partner_leaves_every_number_as_it_was(n_x, n_z):
+    # the partner solves the upper half of each diffusion solve: z-slices
+    # 64..127 and x-columns 32..63, or 8..16 and 4..8 on the odd grid
+    cache = standard_setting({"n_x": n_x, "m_amp": 0.5, "alpha0": 0.5,
+                              "L0": 0.5})
+    cfg = SimConfig(0.05, 0.3, TraitGrid(n_z), SpatialGrid(n_x),
+                    probes=(0.1, 0.3))
+    alone, partnered = run(cfg, cache), run(cfg, cache, partner=True)
+    with pytest.raises(ChildProcessError):      # the partner was reaped
+        os.waitpid(-1, os.WNOHANG)
+    for name, value in _fields(alone).items():
+        other = getattr(partnered, name)
+        if name == "rho_history":
+            assert np.array_equal(value.times, other.times)
+            assert np.array_equal(value.values, other.values)
+        elif name == "u_snaps":
+            assert sorted(value) == sorted(other) == [0.1, 0.3]
+            assert all(np.array_equal(value[k], other[k]) for k in value)
+        else:
+            assert np.array_equal(value, other), name
+
+
+def test_a_partner_is_forked_after_every_input_check(setting, cache,
+                                                     monkeypatch):
+    def fork():
+        raise AssertionError("forked before the input checks")
+
+    # SimConfig checks the rest when it is built; the stepper checks the
+    # run against its ecology
+    monkeypatch.setattr(os, "fork", fork)
+    _, tg, _, _ = setting
+    with pytest.raises(ValidationError, match="habitat grid"):
+        run(SimConfig(0.05, 0.1, tg, SpatialGrid(32)), cache, partner=True)
+
+
+def test_a_partnered_step_rejects_a_corrupted_density(setting, cache):
+    # the parent keeps every check: a bad cell in its half of the z-solve
+    # fails the step, and leaving the block ends the partner
+    cfg = base_config(setting)
+    stepper = Stepper(cfg, cache, init_population(cfg))
+    with stepper.partnered():
+        stepper.step()
+        n, rho, t = stepper.n, stepper.rho, stepper.t
+        stepper._zdiff = _Corrupting(stepper._zdiff, np.nan)
+        with pytest.raises(SolverError, match="non-finite"):
+            stepper.step()
+        assert stepper.n is n and stepper.rho is rho and stepper.t == t
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

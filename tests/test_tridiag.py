@@ -55,6 +55,30 @@ def test_blocks_are_independent():
     assert np.all(out[1] != base[1])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_split_solve_keeps_every_bit(k):
+    # the first k blocks, or right-hand sides, solved into `out` and the
+    # rest through a slice of the factor give the whole solve's values
+    rng = np.random.default_rng(5)
+    block = BlockDiffusion(N, H, np.array([0.01, 0.5, 0.1, 2.0]))
+    rhs = rng.random((4, N))
+    whole, out = block.solve(rhs), np.empty((k, N))
+    assert block.solve(rhs[:k], out=out) is out
+    assert np.array_equal(out, whole[:k])
+    d, l = block.factor
+    rest = rhs[k:].copy()
+    solve_in_place((d[k * N:], l[k * N:]), rest.reshape(-1))
+    assert np.array_equal(rest, whole[k:])
+
+    factored = FactoredDiffusion(N, H, 0.03)
+    whole, out = factored.solve(rhs.T), np.empty((4, N)).T
+    part, rest = out[:, :k], out[:, k:]         # Fortran-ordered views
+    assert factored.solve(rhs.T[:, :k], out=part) is part
+    rest[...] = rhs.T[:, k:]
+    solve_in_place(factored.factor, rest)
+    assert np.array_equal(out, whole)
+
+
 def test_positive_rhs_gives_positive_solution():
     rng = np.random.default_rng(3)
     mus = np.array([1e-6, 1e-3, 1.0, 1e3])
